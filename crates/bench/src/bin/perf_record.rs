@@ -14,7 +14,7 @@
 //! cargo run -p sscc-bench --release --bin perf_record -- \
 //!     --quick --modes @baseline bench_ci.json
 //! cargo run -p sscc-bench --release --bin perf_record -- \
-//!     --modes par1,poolcommit profile.json
+//!     --modes par1,vl_pool profile.json
 //!
 //! # Regression gate: exit 1 if any (algo, topology, mode, threads) pair in
 //! # FRESH regressed more than THRESHOLD (default 0.20) below BASELINE:
@@ -238,30 +238,16 @@ fn record(out_path: &str, quick: bool, modes: &[&'static Mode]) {
             ) else {
                 continue;
             };
-            let (Some(inplace), Some(daemon), Some(pool), Some(poolcommit)) = (
-                find("inplace"),
-                find("daemon"),
-                find("pool"),
-                find("poolcommit"),
-            ) else {
-                continue;
-            };
             lines.push(format!(
                 "    {{\"algo\": \"{algo}\", \"topology\": \"{topo}\", \
                  \"incremental_over_full_scan\": {:.2}, \
                  \"par1_over_sequential_incremental\": {:.2}, \
                  \"par2_over_sequential_incremental\": {:.2}, \
-                 \"par4_over_sequential_incremental\": {:.2}, \
-                 \"daemon_over_inplace\": {:.2}, \
-                 \"pool_over_inplace\": {:.2}, \
-                 \"poolcommit_over_inplace\": {:.2}}}",
+                 \"par4_over_sequential_incremental\": {:.2}}}",
                 pr1 / full,
                 par1 / pr1,
                 par2 / pr1,
                 par4 / pr1,
-                daemon / inplace,
-                pool / inplace,
-                poolcommit / inplace,
             ));
         }
     }

@@ -24,9 +24,8 @@ use sscc_token::TokenLayer;
 
 /// Composed per-process state: committee layer + token substrate + the
 /// fair-composition turn bit. `Copy` when both layer states are — which
-/// every shipped committee state and the wave-token substrate state satisfy
-/// — keeping the engine's in-place commit strategy available to the
-/// composed world (see [`sscc_runtime::prelude::CommitStrategy`]).
+/// every shipped committee state and the wave-token substrate state
+/// satisfy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CcTok<CS, TS> {
     /// Committee-layer state (`S`, `P`, `T`, …).

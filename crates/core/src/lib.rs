@@ -61,6 +61,4 @@ pub use sscc_dist::{BoundaryTransport, DistDrive, DistEngine, MessageStats};
 pub use status::{ActionClass, CommitteeView, Status};
 // The configuration layer (one source of truth for engine variants) lives
 // in the runtime crate; re-exported here so facade users need one import.
-pub use sscc_runtime::prelude::{
-    CommitStrategy, ConfigError, Drain, EngineConfig, EvalPath, Mode, ModeRegistry,
-};
+pub use sscc_runtime::prelude::{ConfigError, Drain, EngineConfig, EvalPath, Mode, ModeRegistry};

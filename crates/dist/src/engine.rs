@@ -37,7 +37,7 @@ use crate::transport::{BoundaryTransport, ChannelTransport};
 use sscc_hypergraph::{Hypergraph, ShardPlan};
 use sscc_runtime::algorithm::{ActionId, GuardedAlgorithm};
 use sscc_runtime::ctx::Ctx;
-use sscc_runtime::daemon::{Daemon, Selection};
+use sscc_runtime::daemon::Daemon;
 use sscc_runtime::engine::{StepOutcome, World};
 use sscc_runtime::wire::StateCodec;
 use std::sync::Arc;
@@ -376,40 +376,10 @@ where
                 }
                 daemon.observe_delta(added, removed);
             }
-            // Identical selection handling to World::step_into, so a
-            // misbehaving daemon fails the same asserts in both tiers.
-            selected.clear();
-            match daemon.select_step(&out.enabled) {
-                Selection::All => selected.extend_from_slice(&out.enabled),
-                Selection::Sorted(v) => {
-                    debug_assert!(
-                        v.windows(2).all(|w| w[0] < w[1]),
-                        "daemon contract: Sorted selections are ascending and deduplicated"
-                    );
-                    if !*trusted {
-                        assert!(
-                            v.iter().all(|p| out.enabled.binary_search(p).is_ok()),
-                            "daemon contract: selection must be a subset of the enabled set"
-                        );
-                    }
-                    selected.extend_from_slice(&v);
-                }
-                Selection::Subset(mut v) => {
-                    v.sort_unstable();
-                    v.dedup();
-                    if !*trusted {
-                        assert!(
-                            v.iter().all(|p| out.enabled.binary_search(p).is_ok()),
-                            "daemon contract: selection must be a subset of the enabled set"
-                        );
-                    }
-                    selected.extend_from_slice(&v);
-                }
-            }
-            assert!(
-                !selected.is_empty(),
-                "daemon contract: non-empty selection from a non-empty enabled set"
-            );
+            // The same contract enforcement as `World::step_into`.
+            daemon
+                .select_step(&out.enabled)
+                .resolve_into(&out.enabled, *trusted, selected);
             // Phase 2: execute against the frozen pre-step views, commit
             // locally, publish changed boundary states. The global executed
             // list is emitted in ascending order (the selection is
@@ -591,6 +561,49 @@ mod tests {
                 );
                 assert!(dist.stats().frames > 0, "shards exchanged traffic");
             }
+        }
+    }
+
+    #[test]
+    fn lying_daemon_fails_the_same_assert_in_both_tiers() {
+        struct Liar(Vec<usize>);
+        impl Daemon for Liar {
+            fn select(&mut self, _: &[usize]) -> Vec<usize> {
+                self.0.clone()
+            }
+        }
+        fn panic_message(step: impl FnOnce()) -> &'static str {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step))
+                .expect_err("a lying daemon must panic");
+            *payload
+                .downcast::<&str>()
+                .expect("a literal assert message")
+        }
+        let h = Arc::new(generators::ring(24, 2));
+        let enabled = World::new(Arc::clone(&h), MaxProp).enabled(&());
+        let disabled = (0..h.n())
+            .find(|p| !enabled.contains(p))
+            .expect("the maximum's holder is disabled");
+        for (lie, want) in [
+            (
+                vec![enabled[0], disabled],
+                "daemon contract: selection must be a subset of the enabled set",
+            ),
+            (
+                vec![],
+                "daemon contract: non-empty selection from a non-empty enabled set",
+            ),
+        ] {
+            let mut out = StepOutcome::default();
+            let mut shared = World::new(Arc::clone(&h), MaxProp);
+            let from_world =
+                panic_message(|| shared.step_into(&mut Liar(lie.clone()), &(), &mut out));
+            let mut dw = World::new(Arc::clone(&h), MaxProp);
+            let mut dist = DistEngine::new(&dw, 2, false);
+            let from_dist =
+                panic_message(|| dist.step_into(&mut dw, &mut Liar(lie.clone()), &(), &mut out));
+            assert_eq!(from_world, want);
+            assert_eq!(from_dist, want);
         }
     }
 

@@ -17,6 +17,7 @@
 //! [`BoundaryTransport`](crate::transport::BoundaryTransport) seam admits,
 //! where the bytes really do cross a machine boundary.)
 
+pub use sscc_runtime::wire::fnv1a64;
 use sscc_runtime::wire::{put_u16, put_u32, put_u64, put_u8, put_varint, Reader, StateCodec};
 
 /// Magic tag opening every boundary frame.
@@ -24,18 +25,6 @@ pub const FRAME_MAGIC: u16 = 0xD157;
 
 /// Current frame format version.
 pub const FRAME_VERSION: u8 = 1;
-
-/// FNV-1a 64-bit checksum (the same construction the persistence container
-/// uses; duplicated here because `sscc-persist` sits above the core crate
-/// this tier plugs into, so depending on it would be circular).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One batch of boundary states from shard `from` to shard `to`, committed
 /// at step `step`, carrying per-channel sequence number `seq`.
@@ -152,14 +141,6 @@ mod tests {
             entries: vec![],
         };
         assert_eq!(BoundaryFrame::<u32>::decode(&empty.encode()), Some(empty));
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     /// Rewrite the trailing checksum so a deliberately patched payload is

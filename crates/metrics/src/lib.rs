@@ -36,9 +36,7 @@ pub use report::{f2, plabel, Table};
 pub use runner::{build_sim, restore_sim, AlgoKind, AnySim, AnySnapshot, Boot, PolicyKind};
 // The shared configuration layer, re-exported so bench/experiment code
 // needs a single import for modes and configs.
-pub use sscc_core::{
-    CommitStrategy, ConfigError, Drain, EngineConfig, EvalPath, Mode, ModeRegistry,
-};
+pub use sscc_core::{ConfigError, Drain, EngineConfig, EvalPath, Mode, ModeRegistry};
 pub use sweep::{parallel_fold, parallel_map};
 pub use throughput::{measure_throughput, throughput_row, ThroughputOutcome, ThroughputRow};
 pub use waiting::{

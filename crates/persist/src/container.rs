@@ -345,6 +345,38 @@ mod tests {
     }
 
     #[test]
+    fn blob_naming_a_deleted_mode_fails_closed() {
+        // A checkpoint written before the in-place commit was removed
+        // carries the label "inplace". It must be refused — not panic, and
+        // not silently resume on the default engine.
+        let (h, sim) = sample();
+        let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
+        let mut r = Reader::new(&ckpt.sim);
+        assert_eq!(r.str(), Some("par1"));
+        let rest = r.take(r.remaining()).unwrap();
+        let mut spliced = Vec::new();
+        wire::put_str(&mut spliced, "inplace");
+        spliced.extend_from_slice(rest);
+        assert!(Cc1Sim::restore(
+            Arc::clone(&h),
+            sscc_core::Cc1::new(),
+            sscc_token::WaveToken::new(&h),
+            &spliced
+        )
+        .is_none());
+        // The same blob inside a container whose checksum is valid.
+        let stale = Checkpoint {
+            sim: spliced,
+            ..ckpt
+        };
+        let back = Checkpoint::from_bytes(&stale.to_bytes()).unwrap();
+        assert!(matches!(
+            back.restore_cc1(),
+            Err(CheckpointError::BadSimState)
+        ));
+    }
+
+    #[test]
     fn file_roundtrip() {
         let (_, sim) = sample();
         let ckpt = Checkpoint::capture_cc1(&sim).unwrap();

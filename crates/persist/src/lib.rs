@@ -56,32 +56,6 @@ pub use replay::{replay_trace, ReplayError, ReplayReport};
 pub use steptrace::{StepTrace, TraceDecodeError};
 pub use topology::{decode_topology, encode_topology};
 
-/// FNV-1a 64-bit checksum — the integrity primitive for every durable
-/// artifact in this crate. Not cryptographic; it guards against truncation,
-/// bit rot and torn writes, which is what a checkpoint needs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::fnv1a64;
-
-    #[test]
-    fn fnv_vectors() {
-        // Reference vectors for FNV-1a 64.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn fnv_is_order_sensitive() {
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
-    }
-}
+/// The FNV-1a 64-bit checksum every durable artifact in this crate is
+/// sealed with.
+pub use sscc_runtime::wire::fnv1a64;

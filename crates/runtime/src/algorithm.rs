@@ -36,9 +36,9 @@ pub trait GuardedAlgorithm: Sync {
     /// Per-process state (the process's locally shared variables).
     ///
     /// `Sync` lets the parallel drain's workers read the frozen
-    /// configuration concurrently; `Send` lets the parallel commit's
-    /// workers stage next states computed on other threads. Every state in
-    /// this workspace is small plain data, so both hold for free.
+    /// configuration concurrently; `Send` lets a world move to another
+    /// thread. Every state in this workspace is small plain data, so both
+    /// hold for free.
     type State: ProcessState + Sync + Send;
 
     /// External input provider (e.g. the `RequestIn`/`RequestOut` predicates

@@ -35,8 +35,7 @@ impl Layer {
 }
 
 /// Composed per-process state: both layers' states plus the alternation bit.
-/// `Copy` when both layer states are (so composed worlds keep the in-place
-/// commit strategy available, [`crate::engine::CommitStrategy`]).
+/// `Copy` when both layer states are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FairState<SA, SB> {
     /// Layer-A state.

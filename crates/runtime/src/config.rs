@@ -8,17 +8,16 @@
 //! lockstep suite and the examples, three independently maintained mode
 //! lists that could silently drift. [`EngineConfig`] replaces that surface:
 //!
-//! * **Typed** — the eval path, the drain, the commit strategy and the
-//!   daemon-facing toggles are fields of one plain `Copy` struct, applied
-//!   in one shot by [`World::configure`] / `Sim::configure` /
-//!   `AnySim::configure` (and built fluently by `Sim::builder()`).
+//! * **Typed** — the eval path, the drain and the daemon-facing toggles
+//!   are fields of one plain `Copy` struct, applied in one shot by
+//!   [`World::configure`] / `Sim::configure` / `AnySim::configure` (and
+//!   built fluently by `Sim::builder()`).
 //! * **Validated** — [`EngineConfig::validate`] rejects the combinations
-//!   the old setters silently no-op'ed (a parallel commit with no pool to
-//!   run on, a "reference baseline" composed with the very features it is
-//!   the baseline for).
+//!   the old setters silently no-op'ed (a one-thread "pool", a "reference
+//!   baseline" composed with the very features it is the baseline for).
 //! * **Serializable** — [`EngineConfig`] round-trips through
 //!   `Display`/`FromStr` using the bench mode labels (`"full_scan"`,
-//!   `"inplace_par4"`, `"poolcommit"`, …), so mode names in BENCH records,
+//!   `"vl_par2"`, `"pool"`, …), so mode names in BENCH records,
 //!   CI invocations and CLI flags all parse back into the exact config.
 //! * **Enumerable** — [`ModeRegistry`] lists every supported named config
 //!   exactly once; the bench sweep, the differential suite's lockstep
@@ -34,13 +33,13 @@
 //! use sscc_runtime::prelude::*;
 //!
 //! // Parse a bench label, tweak it, print it back.
-//! let cfg: EngineConfig = "poolcommit".parse().unwrap();
-//! assert!(cfg.validate().is_ok() && cfg.parallel_commit);
-//! assert_eq!(cfg.to_string(), "poolcommit");
+//! let cfg: EngineConfig = "pool".parse().unwrap();
+//! assert!(cfg.validate().is_ok() && cfg.trusted_daemon);
+//! assert_eq!(cfg.to_string(), "pool");
 //!
 //! // Incoherent combinations fail closed instead of silently no-op'ing.
-//! let bad = EngineConfig::default().with_parallel_commit(true);
-//! assert!(bad.validate().is_err()); // no parallel drain to run on
+//! let bad = EngineConfig::full_scan().with_trusted_daemon(true);
+//! assert!(bad.validate().is_err()); // the baseline composes with nothing
 //!
 //! // Every named mode is registered exactly once.
 //! assert!(ModeRegistry::all().len() >= 12);
@@ -49,7 +48,7 @@
 //!
 //! [`World::configure`]: crate::engine::World::configure
 
-use crate::engine::{CommitStrategy, DEFAULT_MIN_PARALLEL_BATCH};
+use crate::engine::DEFAULT_MIN_PARALLEL_BATCH;
 use std::fmt;
 use std::str::FromStr;
 
@@ -98,8 +97,8 @@ pub enum Drain {
         /// Worker threads (≥ 2; `1` is spelled [`Drain::Sequential`]).
         threads: usize,
         /// Minimum dirty guards *per thread* before a refresh fans out;
-        /// `0` forces every refresh (and every parallel commit) through
-        /// the pool — differential tests use that on tiny topologies.
+        /// `0` forces every refresh through the pool — differential tests
+        /// use that on tiny topologies.
         min_batch: usize,
     },
     /// The message-passing tier: the topology is cut into `shards`
@@ -154,9 +153,9 @@ impl Drain {
 /// A complete, declarative description of one engine variant.
 ///
 /// The default value is the default engine (the `"par1"` registry mode):
-/// sequential incremental drain, fused evaluators, buffered commit, no
-/// daemon shortcuts. Build variants with the `with_*` combinators, parse
-/// them from mode labels, or pick them from the [`ModeRegistry`]. Apply
+/// sequential incremental drain, fused evaluators, no daemon shortcuts.
+/// Build variants with the `with_*` combinators, parse them from mode
+/// labels, or pick them from the [`ModeRegistry`]. Apply
 /// with [`World::configure`](crate::engine::World::configure) (engine-level
 /// knobs) or `Sim::configure` / `Sim::builder()` (everything).
 ///
@@ -169,13 +168,6 @@ pub struct EngineConfig {
     pub eval: EvalPath,
     /// Dirty-set drain (sequential or pooled).
     pub drain: Drain,
-    /// How executed statements are committed. [`CommitStrategy::InPlace`]
-    /// remains `Copy`-gated at compile time: `configure` is only available
-    /// where the state type is `Copy`, so the gate cannot be bypassed.
-    pub commit: CommitStrategy,
-    /// Shard the commit's execute phase across the drain's worker pool for
-    /// large selections. Requires a parallel drain (validated).
-    pub parallel_commit: bool,
     /// Trust the daemon's `Selection` promises: skip release-mode subset
     /// validation.
     pub trusted_daemon: bool,
@@ -189,8 +181,6 @@ pub struct EngineConfig {
 const BASE: EngineConfig = EngineConfig {
     eval: EvalPath::Incremental,
     drain: Drain::Sequential,
-    commit: CommitStrategy::Buffered,
-    parallel_commit: false,
     trusted_daemon: false,
     incremental_daemon: false,
 };
@@ -232,18 +222,6 @@ impl EngineConfig {
         self
     }
 
-    /// Replace the commit strategy.
-    pub const fn with_commit(mut self, commit: CommitStrategy) -> Self {
-        self.commit = commit;
-        self
-    }
-
-    /// Toggle the pooled commit execute phase.
-    pub const fn with_parallel_commit(mut self, on: bool) -> Self {
-        self.parallel_commit = on;
-        self
-    }
-
     /// Toggle trusted daemon selections.
     pub const fn with_trusted_daemon(mut self, on: bool) -> Self {
         self.trusted_daemon = on;
@@ -257,9 +235,9 @@ impl EngineConfig {
     }
 
     /// The same config with the fan-out threshold forced to zero, so every
-    /// refresh (and parallel commit) exercises the pool even on tiny
-    /// topologies. No-op for sequential drains — the differential suite
-    /// maps registry entries through this.
+    /// refresh exercises the pool even on tiny topologies. No-op for
+    /// sequential drains — the differential suite maps registry entries
+    /// through this.
     pub const fn forced_fanout(mut self) -> Self {
         if let Drain::Parallel { threads, .. } = self.drain {
             self.drain = Drain::forced(threads);
@@ -292,19 +270,9 @@ impl EngineConfig {
                     "fewer than two shard actors (a one-shard tier is the sequential drain)",
                 ));
             }
-            if self.parallel_commit {
-                return Err(ConfigError::DistributedUnsupported(
-                    "parallel_commit (v1 shard actors commit their sub-configuration locally)",
-                ));
-            }
             if self.eval == EvalPath::ValueLevel {
                 return Err(ConfigError::DistributedUnsupported(
                     "value-level invalidation (v1 scope: actors track topological footprints)",
-                ));
-            }
-            if self.commit == CommitStrategy::InPlace {
-                return Err(ConfigError::DistributedUnsupported(
-                    "in-place commit (the shard actors own the live configuration)",
                 ));
             }
             if self.incremental_daemon {
@@ -313,12 +281,7 @@ impl EngineConfig {
                 ));
             }
         }
-        if self.parallel_commit && matches!(self.drain, Drain::Sequential) {
-            return Err(ConfigError::ParallelCommitWithoutDrain);
-        }
         let composed = !matches!(self.drain, Drain::Sequential)
-            || self.commit != CommitStrategy::Buffered
-            || self.parallel_commit
             || self.trusted_daemon
             || self.incremental_daemon;
         match self.eval {
@@ -336,9 +299,6 @@ pub enum ConfigError {
     /// `Drain::Parallel` with fewer than two threads — spell a sequential
     /// drain `Drain::Sequential` instead of a one-thread pool.
     DegenerateDrain(usize),
-    /// `parallel_commit` without a parallel drain: there is no worker pool
-    /// to shard the commit onto, so the flag would silently do nothing.
-    ParallelCommitWithoutDrain,
     /// A reference eval path (`full_scan` / `incremental`) composed with
     /// the very engine features it is the differential baseline for.
     ComposedBaseline(&'static str),
@@ -353,9 +313,9 @@ pub enum ConfigError {
     /// configure its view.
     DaemonViewOutsideWorld,
     /// [`Drain::Distributed`] composed with a feature the v1
-    /// message-passing tier does not support (parallel commit, value-level
-    /// invalidation, in-place commit, incremental daemon view), or a
-    /// degenerate shard count. The payload names the offending feature.
+    /// message-passing tier does not support (value-level invalidation,
+    /// incremental daemon view), or a degenerate shard count. The payload
+    /// names the offending feature.
     DistributedUnsupported(&'static str),
     /// [`Drain::Distributed`] applied to a bare
     /// [`World`](crate::engine::World): the shard actors, the boundary
@@ -372,11 +332,6 @@ impl fmt::Display for ConfigError {
             ConfigError::DegenerateDrain(t) => write!(
                 f,
                 "parallel drain with {t} thread(s): use Drain::Sequential for an inline drain"
-            ),
-            ConfigError::ParallelCommitWithoutDrain => write!(
-                f,
-                "parallel_commit without a parallel drain has no worker pool to run on \
-                 (was a silent no-op under the legacy setters)"
             ),
             ConfigError::ComposedBaseline(mode) => write!(
                 f,
@@ -411,7 +366,7 @@ impl std::error::Error for ConfigError {}
 impl fmt::Display for EngineConfig {
     /// The canonical label: the registry name when this config is a named
     /// mode, otherwise `+`-joined feature tokens (`"par2+trusted"`,
-    /// `"full_scan"`, `"par4b0+inplace"`; the all-default config is
+    /// `"full_scan"`, `"vl+par4b0"`; the all-default config is
     /// `"par1"`). [`FromStr`] parses both forms back, so
     /// `cfg.to_string().parse() == cfg` for every valid config.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -435,12 +390,6 @@ impl fmt::Display for EngineConfig {
         if let Drain::Distributed { shards } = self.drain {
             parts.push(format!("dist{shards}"));
         }
-        if self.commit == CommitStrategy::InPlace {
-            parts.push("inplace".into());
-        }
-        if self.parallel_commit {
-            parts.push("parcommit".into());
-        }
         if self.trusted_daemon {
             parts.push("trusted".into());
         }
@@ -458,14 +407,13 @@ impl fmt::Display for EngineConfig {
 impl FromStr for EngineConfig {
     type Err = ConfigError;
 
-    /// Parse a registry mode name (`"poolcommit"`) or a `+`-joined token
-    /// string (`"par2+inplace+trusted"`). Tokens: `full_scan`,
+    /// Parse a registry mode name (`"vl_pool"`) or a `+`-joined token
+    /// string (`"vl+par2+trusted"`). Tokens: `full_scan`,
     /// `incremental`/`pr1`/`reference`, `vl`/`value` (value-level
     /// invalidation), `par1`, `parN`/`parNbM` (drain with
     /// optional per-thread min batch), `distN` (distributed drain over N
-    /// shard actors), `inplace`, `buffered`, `parcommit`,
-    /// `trusted`, `daemon_view`/`daemon_inc`, plus the composite historical
-    /// labels `daemon`, `pool`, `poolcommit`. Parsing does **not**
+    /// shard actors), `trusted`, `daemon_view`/`daemon_inc`, plus the
+    /// composite historical labels `daemon`, `pool`. Parsing does **not**
     /// validate — call [`EngineConfig::validate`] (the `configure` entry
     /// points do).
     fn from_str(s: &str) -> Result<Self, ConfigError> {
@@ -483,26 +431,14 @@ impl FromStr for EngineConfig {
                 "full_scan" => cfg.eval = EvalPath::FullScan,
                 "incremental" | "pr1" | "reference" => cfg.eval = EvalPath::Reference,
                 "vl" | "value" => cfg.eval = EvalPath::ValueLevel,
-                "inplace" => cfg.commit = CommitStrategy::InPlace,
-                "buffered" => cfg.commit = CommitStrategy::Buffered,
-                "parcommit" => cfg.parallel_commit = true,
                 "trusted" => cfg.trusted_daemon = true,
                 "daemon_view" | "daemon_inc" => cfg.incremental_daemon = true,
                 "daemon" => {
-                    cfg.commit = CommitStrategy::InPlace;
                     cfg.trusted_daemon = true;
                     cfg.incremental_daemon = true;
                 }
                 "pool" => {
                     cfg.drain = Drain::parallel(2);
-                    cfg.commit = CommitStrategy::InPlace;
-                    cfg.trusted_daemon = true;
-                    cfg.incremental_daemon = true;
-                }
-                "poolcommit" => {
-                    cfg.drain = Drain::parallel(2);
-                    cfg.commit = CommitStrategy::InPlace;
-                    cfg.parallel_commit = true;
                     cfg.trusted_daemon = true;
                     cfg.incremental_daemon = true;
                 }
@@ -565,10 +501,10 @@ pub struct Mode {
 pub struct ModeRegistry;
 
 /// The registry table. Order is presentation order (bench records, mode
-/// listings): the baseline BENCH sweep first (the nine historical modes,
-/// the two value-level ones, and the two distributed message-passing
-/// tiers), then the differential-only compositions.
-static MODES: [Mode; 21] = [
+/// listings): the baseline BENCH sweep first (the historical modes, the
+/// two value-level ones, and the two distributed message-passing tiers),
+/// then the differential-only compositions.
+static MODES: [Mode; 15] = [
     Mode {
         name: "full_scan",
         summary: "legacy O(n) engine: every guard re-evaluated, whole-view observers (reference)",
@@ -583,7 +519,7 @@ static MODES: [Mode; 21] = [
     },
     Mode {
         name: "par1",
-        summary: "default engine: sequential incremental drain, fused evaluators, buffered commit",
+        summary: "default engine: sequential incremental drain, fused evaluators",
         config: BASE,
         baseline: true,
     },
@@ -600,35 +536,15 @@ static MODES: [Mode; 21] = [
         baseline: true,
     },
     Mode {
-        name: "inplace",
-        summary: "zero-clone in-place commit on the sequential drain",
-        config: BASE.with_commit(CommitStrategy::InPlace),
-        baseline: true,
-    },
-    Mode {
         name: "daemon",
-        summary: "in-place commit + trusted daemon + incremental daemon view (sequential)",
-        config: BASE
-            .with_commit(CommitStrategy::InPlace)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
+        summary: "trusted daemon + incremental daemon view (sequential)",
+        config: BASE.with_trusted_daemon(true).with_incremental_daemon(true),
         baseline: true,
     },
     Mode {
         name: "pool",
         summary: "the daemon stack on the pooled 2-thread drain",
         config: EngineConfig::parallel(2)
-            .with_commit(CommitStrategy::InPlace)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
-        baseline: true,
-    },
-    Mode {
-        name: "poolcommit",
-        summary: "pool + parallel commit: execute phase sharded across the pool when large",
-        config: EngineConfig::parallel(2)
-            .with_commit(CommitStrategy::InPlace)
-            .with_parallel_commit(true)
             .with_trusted_daemon(true)
             .with_incremental_daemon(true),
         baseline: true,
@@ -641,10 +557,9 @@ static MODES: [Mode; 21] = [
     },
     Mode {
         name: "vl_daemon",
-        summary: "value-level invalidation on the daemon stack (in-place, trusted, delta view)",
+        summary: "value-level invalidation on the daemon stack (trusted, delta view)",
         config: BASE
             .with_eval(EvalPath::ValueLevel)
-            .with_commit(CommitStrategy::InPlace)
             .with_trusted_daemon(true)
             .with_incremental_daemon(true),
         baseline: true,
@@ -662,18 +577,6 @@ static MODES: [Mode; 21] = [
         baseline: true,
     },
     Mode {
-        name: "inplace_par2",
-        summary: "in-place commit under the 2-thread drain",
-        config: EngineConfig::parallel(2).with_commit(CommitStrategy::InPlace),
-        baseline: false,
-    },
-    Mode {
-        name: "inplace_par4",
-        summary: "in-place commit under the 4-thread drain",
-        config: EngineConfig::parallel(4).with_commit(CommitStrategy::InPlace),
-        baseline: false,
-    },
-    Mode {
         name: "trusted",
         summary: "daemon selection validation skipped (promises trusted), sequential",
         config: BASE.with_trusted_daemon(true),
@@ -686,22 +589,6 @@ static MODES: [Mode; 21] = [
         baseline: false,
     },
     Mode {
-        name: "parcommit_par2",
-        summary: "buffered commit with the execute phase pool-sharded (2 threads)",
-        config: EngineConfig::parallel(2).with_parallel_commit(true),
-        baseline: false,
-    },
-    Mode {
-        name: "pool_all",
-        summary: "kitchen sink: 4-thread drain, parallel commit, in-place, trusted, delta view",
-        config: EngineConfig::parallel(4)
-            .with_commit(CommitStrategy::InPlace)
-            .with_parallel_commit(true)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
-        baseline: false,
-    },
-    Mode {
         name: "vl_par2",
         summary: "value-level invalidation under the pooled 2-thread drain",
         config: EngineConfig::parallel(2).with_eval(EvalPath::ValueLevel),
@@ -709,12 +596,9 @@ static MODES: [Mode; 21] = [
     },
     Mode {
         name: "vl_pool",
-        summary: "value-level invalidation on the full pool stack (2 threads, parallel \
-                  commit, in-place, trusted, delta view)",
+        summary: "value-level invalidation on the pool stack (2 threads, trusted, delta view)",
         config: EngineConfig::parallel(2)
             .with_eval(EvalPath::ValueLevel)
-            .with_commit(CommitStrategy::InPlace)
-            .with_parallel_commit(true)
             .with_trusted_daemon(true)
             .with_incremental_daemon(true),
         baseline: false,
@@ -764,12 +648,6 @@ mod tests {
     fn silent_noops_now_fail_closed() {
         assert_eq!(
             EngineConfig::default()
-                .with_parallel_commit(true)
-                .validate(),
-            Err(ConfigError::ParallelCommitWithoutDrain)
-        );
-        assert_eq!(
-            EngineConfig::default()
                 .with_drain(Drain::parallel(1))
                 .validate(),
             Err(ConfigError::DegenerateDrain(1))
@@ -782,7 +660,7 @@ mod tests {
         );
         assert_eq!(
             EngineConfig::reference()
-                .with_commit(CommitStrategy::InPlace)
+                .with_trusted_daemon(true)
                 .validate(),
             Err(ConfigError::ComposedBaseline("incremental"))
         );
@@ -795,9 +673,7 @@ mod tests {
         assert!(dist.with_trusted_daemon(true).validate().is_ok());
         for bad in [
             BASE.with_drain(Drain::distributed(1)),
-            dist.with_parallel_commit(true),
             dist.with_eval(EvalPath::ValueLevel),
-            dist.with_commit(CommitStrategy::InPlace),
             dist.with_incremental_daemon(true),
         ] {
             assert!(
@@ -833,10 +709,27 @@ mod tests {
 
     #[test]
     fn compositional_labels_roundtrip() {
-        for label in ["par2+trusted", "par4b0+inplace", "inplace+parcommit+par2"] {
+        for label in ["par2+trusted", "vl+par4b0", "daemon_view+trusted+par2"] {
             let cfg: EngineConfig = label.parse().unwrap();
             let again: EngineConfig = cfg.to_string().parse().unwrap();
             assert_eq!(cfg, again, "{label}");
+        }
+        // The commit-strategy tokens and modes are gone, not aliased: a
+        // label recorded before their removal must not silently select the
+        // default engine.
+        for label in [
+            "inplace",
+            "buffered",
+            "parcommit",
+            "poolcommit",
+            "pool_all",
+            "inplace_par2",
+            "par4b0+inplace",
+        ] {
+            assert!(
+                matches!(label.parse::<EngineConfig>(), Err(ConfigError::Parse(_))),
+                "{label}"
+            );
         }
         assert!("par2+bogus".parse::<EngineConfig>().is_err());
         assert!("".parse::<EngineConfig>().is_err());

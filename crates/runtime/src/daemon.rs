@@ -47,6 +47,55 @@ pub enum Selection {
     Subset(Vec<usize>),
 }
 
+impl Selection {
+    /// Resolve the daemon's choice against the ascending `enabled` set into
+    /// `out` (cleared first): ascending, deduplicated, non-empty. The one
+    /// enforcement point of the daemon contract — the shared-memory engine
+    /// and the message-passing tier both select through it, so a
+    /// misbehaving daemon fails the same assert in either.
+    ///
+    /// # Panics
+    /// If the selection is empty, or — unless `trusted` — not a subset of
+    /// `enabled`.
+    #[inline]
+    pub fn resolve_into(self, enabled: &[usize], trusted: bool, out: &mut Vec<usize>) {
+        out.clear();
+        match self {
+            // `All` *is* the enabled set: nothing to sort, dedup or
+            // validate, trusted or not.
+            Selection::All => out.extend_from_slice(enabled),
+            Selection::Sorted(v) => {
+                debug_assert!(
+                    v.windows(2).all(|w| w[0] < w[1]),
+                    "daemon contract: Sorted selections are ascending and deduplicated"
+                );
+                if !trusted {
+                    assert!(
+                        v.iter().all(|p| enabled.binary_search(p).is_ok()),
+                        "daemon contract: selection must be a subset of the enabled set"
+                    );
+                }
+                out.extend_from_slice(&v);
+            }
+            Selection::Subset(mut v) => {
+                v.sort_unstable();
+                v.dedup();
+                if !trusted {
+                    assert!(
+                        v.iter().all(|p| enabled.binary_search(p).is_ok()),
+                        "daemon contract: selection must be a subset of the enabled set"
+                    );
+                }
+                out.extend_from_slice(&v);
+            }
+        }
+        assert!(
+            !out.is_empty(),
+            "daemon contract: non-empty selection from a non-empty enabled set"
+        );
+    }
+}
+
 /// A scheduler choosing, at each step, which enabled processes move.
 ///
 /// Contract: the returned vector is a non-empty subset of `enabled`

@@ -26,8 +26,8 @@
 
 use crate::algorithm::{ActionId, GuardedAlgorithm};
 use crate::config::{ConfigError, Drain, EngineConfig, EvalPath};
-use crate::ctx::{Ctx, StateAccess};
-use crate::daemon::{Daemon, Selection};
+use crate::ctx::Ctx;
+use crate::daemon::Daemon;
 use crate::markset::MarkSet;
 use crate::pool::WorkerPool;
 use sscc_hypergraph::{Hypergraph, ShardPlan};
@@ -236,9 +236,6 @@ impl<T> RawParts<T> {
 struct StepScratch<S> {
     selected: Vec<usize>,
     next: Vec<(usize, S)>,
-    /// In-place commit: pre-step snapshot slots, `Some` exactly for the
-    /// already-committed processes of the current step (cleared after).
-    snap: Vec<Option<S>>,
     /// Daemon-view feed: processes enabled since the last observation.
     added: Vec<usize>,
     /// Daemon-view feed: processes disabled since the last observation.
@@ -257,51 +254,10 @@ impl<S> StepScratch<S> {
         StepScratch {
             selected: Vec::new(),
             next: Vec::new(),
-            snap: Vec::new(),
             added: Vec::new(),
             removed: Vec::new(),
             pre: Vec::new(),
             changed: Vec::new(),
-        }
-    }
-}
-
-/// How [`World::step_into`] applies executed statements to the
-/// configuration (chosen by [`EngineConfig::with_commit`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommitStrategy {
-    /// Compute every next state against the pre-step configuration into a
-    /// side buffer, then write them all back — the reference path (PR 1/2),
-    /// valid for any state type.
-    #[default]
-    Buffered,
-    /// Write each next state into the live configuration as soon as it is
-    /// computed, guarding composite atomicity with a *lazy pre-step
-    /// snapshot*: the old value of every already-committed process is
-    /// parked in a snapshot slot, and statement reads go through an overlay
-    /// that prefers the snapshot. No per-step side buffer of next states,
-    /// no state-vector staging — designed for `Copy` states (CC1's dense
-    /// enabled set makes this the commit-path floor). Bit-identical to
-    /// [`CommitStrategy::Buffered`]; the differential suite locksteps both.
-    InPlace,
-}
-
-/// The overlay the in-place commit reads through: composite atomicity says
-/// every statement of a step reads the *pre-step* configuration, so
-/// processes whose new state has already been written (their snapshot slot
-/// is `Some`) are read from the snapshot, everyone else from the live
-/// configuration (which still holds its pre-step value).
-struct SnapshotOverlay<'a, S> {
-    live: &'a [S],
-    snap: &'a [Option<S>],
-}
-
-impl<S> StateAccess<S> for SnapshotOverlay<'_, S> {
-    #[inline]
-    fn state(&self, p: usize) -> &S {
-        match &self.snap[p] {
-            Some(pre) => pre,
-            None => &self.live[p],
         }
     }
 }
@@ -330,9 +286,9 @@ struct ParallelDrain {
     /// Per-process result slots (`results[i]` belongs to `batch[i]`, or to
     /// rank `i` during a full rebuild).
     results: Vec<Option<ActionId>>,
-    /// The persistent workers every fan-out (drain *and* parallel commit)
-    /// runs on — parked between fan-outs, joined when the drain (and thus
-    /// the `World`) drops. See [`WorkerPool`].
+    /// The persistent workers every fan-out runs on — parked between
+    /// fan-outs, joined when the drain (and thus the `World`) drops. See
+    /// [`WorkerPool`].
     pool: WorkerPool,
 }
 
@@ -380,13 +336,9 @@ pub struct World<A: GuardedAlgorithm> {
     scratch: StepScratch<A::State>,
     full_scan: bool,
     par: Option<ParallelDrain>,
-    commit: CommitStrategy,
     /// Trust the daemon's `Selection` promises: skip release-mode subset
     /// validation (see [`World::trusted_daemon`]).
     trusted: bool,
-    /// Route large commits through the worker pool (see
-    /// [`World::parallel_commit`]).
-    par_commit: bool,
     /// Value-level invalidation ([`EvalPath::ValueLevel`]): diff committed
     /// old/new states per declared read-set projection and enqueue only
     /// the processes whose actual read set changed.
@@ -418,9 +370,7 @@ impl<A: GuardedAlgorithm> World<A> {
             scratch: StepScratch::new(),
             full_scan: false,
             par: None,
-            commit: CommitStrategy::Buffered,
             trusted: false,
-            par_commit: false,
             value_level: false,
             notes_stale: true,
         }
@@ -597,16 +547,14 @@ impl<A: GuardedAlgorithm> World<A> {
         });
     }
 
-    /// Trust the daemon's [`Selection`] promises: skip the release-mode
+    /// Trust the daemon's `Selection` promises: skip the release-mode
     /// validation that every selected process is enabled (`Sorted` /
     /// `Subset` selections; `All` needs no validation by construction).
     /// With a dense enabled set the membership check is an
     /// `O(k log |enabled|)` tax per step — this removes it for daemons you
     /// control. A lying daemon cannot cause memory unsafety: selecting a
     /// disabled process panics on the cache lookup ("selected ⊆ enabled"),
-    /// just later and with a less helpful message (under the parallel
-    /// commit, a lie surfacing on a pool worker aborts the process
-    /// instead — see [`WorkerPool::run`]'s panic contract).
+    /// just later and with a less helpful message.
     ///
     /// Configured through [`EngineConfig::with_trusted_daemon`].
     ///
@@ -618,11 +566,6 @@ impl<A: GuardedAlgorithm> World<A> {
     /// Worker threads the drain fans out to (`1` = sequential).
     pub fn threads(&self) -> usize {
         self.par.as_ref().map_or(1, |p| p.threads)
-    }
-
-    /// The active commit strategy (see [`EngineConfig::with_commit`]).
-    pub fn commit_strategy(&self) -> CommitStrategy {
-        self.commit
     }
 
     /// Invalidate every cached guard evaluation (external surgery through
@@ -914,65 +857,26 @@ impl<A: GuardedAlgorithm> World<A> {
                 .take_view_deltas(&mut self.scratch.added, &mut self.scratch.removed);
             daemon.observe_delta(&self.scratch.added, &self.scratch.removed);
         }
-        let trusted = self.trusted;
-        let selected = &mut self.scratch.selected;
-        selected.clear();
-        match daemon.select_step(&out.enabled) {
-            // `All` *is* the enabled set: nothing to sort, dedup or
-            // validate, trusted or not.
-            Selection::All => selected.extend_from_slice(&out.enabled),
-            Selection::Sorted(v) => {
-                debug_assert!(
-                    v.windows(2).all(|w| w[0] < w[1]),
-                    "daemon contract: Sorted selections are ascending and deduplicated"
-                );
-                if !trusted {
-                    assert!(
-                        v.iter().all(|p| out.enabled.binary_search(p).is_ok()),
-                        "daemon contract: selection must be a subset of the enabled set"
-                    );
-                }
-                selected.extend_from_slice(&v);
-            }
-            Selection::Subset(mut v) => {
-                v.sort_unstable();
-                v.dedup();
-                if !trusted {
-                    assert!(
-                        v.iter().all(|p| out.enabled.binary_search(p).is_ok()),
-                        "daemon contract: selection must be a subset of the enabled set"
-                    );
-                }
-                selected.extend_from_slice(&v);
-            }
-        }
-        assert!(
-            !selected.is_empty(),
-            "daemon contract: non-empty selection from a non-empty enabled set"
+        daemon.select_step(&out.enabled).resolve_into(
+            &out.enabled,
+            self.trusted,
+            &mut self.scratch.selected,
         );
         // Composite atomicity: every statement reads the pre-step
-        // configuration. The buffered path stages all next states before
-        // writing; the in-place path writes immediately, parking each
-        // overwritten pre-step value in a snapshot slot the read overlay
-        // prefers; the parallel path computes next states on the worker
-        // pool against the frozen configuration, then writes them back
-        // serially. All orders are observationally identical.
+        // configuration, so all next states are staged against it before
+        // any of them is written back.
         let World {
             h,
             algo,
             states,
             sched,
             scratch,
-            commit,
-            par,
-            par_commit,
             value_level,
             ..
         } = self;
         let StepScratch {
             selected,
             next,
-            snap,
             pre,
             changed,
             ..
@@ -985,46 +889,15 @@ impl<A: GuardedAlgorithm> World<A> {
                 pre.push(states[p].clone());
             }
         }
-        let pooled = match par {
-            Some(cfg) if *par_commit && selected.len() >= cfg.threads * cfg.min_batch => {
-                Self::commit_parallel(h, algo, states, env, sched, selected, next, out, cfg);
-                true
-            }
-            _ => false,
-        };
-        if !pooled {
-            match commit {
-                CommitStrategy::Buffered => {
-                    next.clear();
-                    for &p in selected.iter() {
-                        let a = sched.cache[p].expect("selected ⊆ enabled");
-                        let s = algo.execute(&Ctx::new(h, p, states.as_slice(), env), a);
-                        out.executed.push((p, a));
-                        next.push((p, s));
-                    }
-                    for (p, s) in next.drain(..) {
-                        states[p] = s;
-                    }
-                }
-                CommitStrategy::InPlace => {
-                    snap.resize_with(h.n(), || None);
-                    for &p in selected.iter() {
-                        let a = sched.cache[p].expect("selected ⊆ enabled");
-                        let s = {
-                            let overlay = SnapshotOverlay {
-                                live: states.as_slice(),
-                                snap: snap.as_slice(),
-                            };
-                            algo.execute(&Ctx::new(h, p, &overlay, env), a)
-                        };
-                        out.executed.push((p, a));
-                        snap[p] = Some(std::mem::replace(&mut states[p], s));
-                    }
-                    for &p in selected.iter() {
-                        snap[p] = None;
-                    }
-                }
-            };
+        next.clear();
+        for &p in selected.iter() {
+            let a = sched.cache[p].expect("selected ⊆ enabled");
+            let s = algo.execute(&Ctx::new(h, p, states.as_slice(), env), a);
+            out.executed.push((p, a));
+            next.push((p, s));
+        }
+        for (p, s) in next.drain(..) {
+            states[p] = s;
         }
         // Only the footprints of executed processes can change enabledness
         // — and under value-level invalidation, only the slices of those
@@ -1060,61 +933,6 @@ impl<A: GuardedAlgorithm> World<A> {
         self.steps += 1;
     }
 
-    /// The parallel commit: compute every selected process's next state on
-    /// the worker pool — each worker executes a contiguous chunk of the
-    /// (ascending) selection against the frozen pre-step configuration,
-    /// writing disjoint staging slots — then write the staged states back
-    /// serially (a plain `O(|selected|)` store loop; the statement
-    /// execution is the expensive phase, the write-back is a memcpy).
-    ///
-    /// Semantically this is [`CommitStrategy::Buffered`] with the execute
-    /// loop sharded: reads happen strictly before any write, so composite
-    /// atomicity holds with **no** footprint-disjointness requirement, and
-    /// outcomes are bit-identical to both sequential strategies.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_parallel(
-        h: &Hypergraph,
-        algo: &A,
-        states: &mut [A::State],
-        env: &A::Env,
-        sched: &Scheduler,
-        selected: &[usize],
-        next: &mut Vec<(usize, A::State)>,
-        out: &mut StepOutcome,
-        cfg: &ParallelDrain,
-    ) {
-        next.clear();
-        // Pre-size the staging slots (the filler is overwritten below; any
-        // in-bounds state works).
-        next.resize(selected.len(), (0, states[selected[0]].clone()));
-        let chunk = selected.len().div_ceil(cfg.threads);
-        let slots = RawParts {
-            ptr: next.as_mut_ptr(),
-        };
-        let frozen: &[A::State] = states;
-        let cache = &sched.cache;
-        cfg.pool.run(&|w| {
-            let start = w * chunk;
-            if start >= selected.len() {
-                return;
-            }
-            let end = (start + chunk).min(selected.len());
-            for (i, &p) in selected.iter().enumerate().take(end).skip(start) {
-                let a = cache[p].expect("selected ⊆ enabled");
-                let s = algo.execute(&Ctx::new(h, p, frozen, env), a);
-                // SAFETY: chunk ranges partition the selection disjointly
-                // across worker indices, so slot `i` has exactly one
-                // writer, and `next` outlives the blocking `run` call.
-                unsafe { slots.write(i, (p, s)) };
-            }
-        });
-        for (p, s) in next.drain(..) {
-            let a = sched.cache[p].expect("selected ⊆ enabled");
-            out.executed.push((p, a));
-            states[p] = s;
-        }
-    }
-
     /// Execute one step under `daemon`. Returns what happened; if the
     /// configuration was terminal nothing changes.
     ///
@@ -1148,12 +966,7 @@ impl<A: GuardedAlgorithm> World<A> {
         }
         (taken, self.enabled_now(env).is_empty())
     }
-}
 
-impl<A: GuardedAlgorithm> World<A>
-where
-    A::State: Copy,
-{
     /// Apply a complete engine configuration in one validated shot — the
     /// declarative replacement for the accreted `set_*` surface. The
     /// config is applied **before stepping** and compiles down to the same
@@ -1187,7 +1000,7 @@ where
     /// assert_eq!(w.threads(), 2);
     ///
     /// // Incoherent requests fail closed instead of silently no-op'ing.
-    /// let bad = EngineConfig::default().with_parallel_commit(true);
+    /// let bad = EngineConfig::default().with_drain(Drain::parallel(1));
     /// assert!(w.configure(&bad).is_err());
     /// ```
     ///
@@ -1199,8 +1012,6 @@ where
     /// caller — use `Daemon::set_incremental_view` or the `Sim` layer),
     /// and [`Drain::Distributed`] (the shard actors and their boundary
     /// transport live above the engine — apply through `Sim`/`AnySim`).
-    /// Like the setter seam, `configure` is restricted to `Copy` states so
-    /// [`CommitStrategy::InPlace`] stays compile-time gated.
     pub fn configure(&mut self, cfg: &EngineConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
         if cfg.eval == EvalPath::Reference {
@@ -1224,24 +1035,8 @@ where
             }
             Drain::Parallel { threads, min_batch } => self.apply_parallel(threads, min_batch),
         }
-        self.commit = cfg.commit;
-        self.par_commit = cfg.parallel_commit;
         self.trusted = cfg.trusted_daemon;
         Ok(())
-    }
-
-    /// Is the parallel commit enabled? When on (and a parallel drain is
-    /// configured — [`EngineConfig::with_parallel_commit`] validates that)
-    /// a daemon selection of at least `threads × min_batch` processes has
-    /// the execute phase of its commit sharded across the pool's workers
-    /// (each computing a contiguous chunk of next states against the
-    /// frozen pre-step configuration into disjoint staging slots) before a
-    /// serial write-back. Below the threshold the configured sequential
-    /// [`CommitStrategy`] is the fallback. Like the in-place seam this is
-    /// gated to `Copy` states; outcomes are bit-identical to both
-    /// sequential strategies (the differential suite locksteps all three).
-    pub fn parallel_commit(&self) -> bool {
-        self.par_commit
     }
 }
 
@@ -1428,123 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_commit_matches_buffered_stepwise() {
-        // Same seed, buffered (reference) vs in-place commit: bit-identical
-        // StepOutcome sequences and configurations — composite atomicity
-        // must survive writing into the live configuration.
-        for seed in 0..20u32 {
-            let h = Arc::new(generators::fig1());
-            let boot = vec![seed, 0, 3, 1, 0, 2];
-            let mut wb = World::with_states(Arc::clone(&h), MaxProp, boot.clone());
-            let mut wi = World::with_states(Arc::clone(&h), MaxProp, boot);
-            wi.configure(&EngineConfig::default().with_commit(CommitStrategy::InPlace))
-                .unwrap();
-            assert_eq!(wi.commit_strategy(), CommitStrategy::InPlace);
-            let mut db = Central::new(seed as u64);
-            let mut di = Central::new(seed as u64);
-            for _ in 0..200 {
-                let ob = wb.step(&mut db, &());
-                let oi = wi.step(&mut di, &());
-                assert_eq!(ob, oi, "seed {seed}");
-                assert_eq!(wb.states(), wi.states(), "seed {seed}");
-                if ob.terminal() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn in_place_commit_reads_pre_step_configuration() {
-        // The buffered twin of `atomicity_reads_pre_step_configuration`:
-        // on the path 1-2-3 with values 1,2,3 under the synchronous daemon,
-        // 1 must adopt 2's OLD value even though 2 committed first.
-        let h = Arc::new(sscc_hypergraph::Hypergraph::new(&[&[1, 2], &[2, 3]]));
-        let mut w = World::new(h, MaxProp);
-        w.configure(&EngineConfig::default().with_commit(CommitStrategy::InPlace))
-            .unwrap();
-        let out = w.step(&mut Synchronous, &());
-        assert_eq!(out.executed.len(), 2);
-        assert_eq!(w.states(), &[2, 3, 3]);
-    }
-
-    #[test]
-    fn in_place_commit_composes_with_parallel_drain() {
-        for seed in 0..10u32 {
-            let h = Arc::new(generators::ring(24, 2));
-            let mut wb = World::new(Arc::clone(&h), MaxProp);
-            let mut wi = World::new(Arc::clone(&h), MaxProp);
-            wb.set_state(0, 90 + seed);
-            wi.set_state(0, 90 + seed);
-            wi.configure(
-                &EngineConfig::default()
-                    .with_commit(CommitStrategy::InPlace)
-                    .with_drain(Drain::forced(4)),
-            )
-            .unwrap();
-            let mut db = Central::new(seed as u64);
-            let mut di = Central::new(seed as u64);
-            for _ in 0..300 {
-                let ob = wb.step(&mut db, &());
-                let oi = wi.step(&mut di, &());
-                assert_eq!(ob, oi, "seed {seed}");
-                assert_eq!(wb.states(), wi.states(), "seed {seed}");
-                if ob.terminal() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_commit_matches_buffered_stepwise() {
-        // Parallel commit forced (zero thresholds): bit-identical
-        // StepOutcome sequences and configurations vs the buffered
-        // reference, under a subset-selecting daemon.
-        for seed in 0..20u32 {
-            let h = Arc::new(generators::ring(24, 2));
-            let mut wb = World::new(Arc::clone(&h), MaxProp);
-            let mut wp = World::new(Arc::clone(&h), MaxProp);
-            wb.set_state(0, 90 + seed);
-            wp.set_state(0, 90 + seed);
-            wp.configure(
-                &EngineConfig::default()
-                    .with_drain(Drain::forced(4))
-                    .with_parallel_commit(true),
-            )
-            .unwrap();
-            assert!(wp.parallel_commit());
-            let mut db = WeaklyFair::new(Central::new(seed as u64), 3);
-            let mut dp = WeaklyFair::new(Central::new(seed as u64), 3);
-            for _ in 0..300 {
-                let ob = wb.step(&mut db, &());
-                let op = wp.step(&mut dp, &());
-                assert_eq!(ob, op, "seed {seed}");
-                assert_eq!(wb.states(), wp.states(), "seed {seed}");
-                if ob.terminal() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_commit_reads_pre_step_configuration() {
-        // The pool twin of `atomicity_reads_pre_step_configuration`.
-        let h = Arc::new(sscc_hypergraph::Hypergraph::new(&[&[1, 2], &[2, 3]]));
-        let mut w = World::new(h, MaxProp);
-        w.configure(
-            &EngineConfig::default()
-                .with_drain(Drain::forced(2))
-                .with_parallel_commit(true),
-        )
-        .unwrap();
-        let out = w.step(&mut Synchronous, &());
-        assert_eq!(out.executed.len(), 2);
-        assert_eq!(w.states(), &[2, 3, 3]);
-    }
-
-    #[test]
     fn trusted_daemon_matches_untrusted_stepwise() {
         for seed in 0..10u32 {
             let h = Arc::new(generators::fig1());
@@ -1600,12 +1278,8 @@ mod tests {
         for _ in 0..8 {
             let h = Arc::new(generators::ring(24, 2));
             let mut w = World::new(Arc::clone(&h), MaxProp);
-            w.configure(
-                &EngineConfig::default()
-                    .with_drain(Drain::forced(4))
-                    .with_parallel_commit(true),
-            )
-            .unwrap();
+            w.configure(&EngineConfig::default().with_drain(Drain::forced(4)))
+                .unwrap();
             let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 200);
             assert!(q);
             drop(w);
@@ -1644,19 +1318,13 @@ mod tests {
     #[test]
     fn configure_is_a_full_reset() {
         let mut w = world();
-        w.configure(
-            &EngineConfig::parallel(2)
-                .with_commit(CommitStrategy::InPlace)
-                .with_parallel_commit(true)
-                .with_trusted_daemon(true),
-        )
-        .unwrap();
+        w.configure(&EngineConfig::parallel(2).with_trusted_daemon(true))
+            .unwrap();
         assert_eq!(w.threads(), 2);
-        assert!(w.parallel_commit() && w.trusted_daemon());
+        assert!(w.trusted_daemon());
         w.configure(&EngineConfig::default()).unwrap();
         assert_eq!(w.threads(), 1);
-        assert_eq!(w.commit_strategy(), CommitStrategy::Buffered);
-        assert!(!w.parallel_commit() && !w.trusted_daemon());
+        assert!(!w.trusted_daemon());
     }
 
     #[test]

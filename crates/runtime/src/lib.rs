@@ -77,7 +77,7 @@ pub mod prelude {
         restore_daemon, Central, Daemon, DistributedRandom, RoundRobin, Scripted, Selection,
         Synchronous, WeaklyFair,
     };
-    pub use crate::engine::{CommitStrategy, StepOutcome, World};
+    pub use crate::engine::{StepOutcome, World};
     pub use crate::fault::{
         arbitrary_configuration, strike, strike_some, ArbitraryState, CampaignEvent, FaultCampaign,
     };

@@ -9,6 +9,19 @@
 
 use sscc_hypergraph::EdgeId;
 
+/// FNV-1a 64-bit checksum — the integrity primitive of every durable or
+/// transported artifact in the workspace (checkpoints, step traces, service
+/// frames, boundary frames). Not cryptographic; it guards against
+/// truncation, bit rot and torn writes.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Append a `u8`.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
@@ -317,6 +330,15 @@ impl<T: StateCodec> StateCodec for Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"), "order-sensitive");
+    }
 
     #[test]
     fn scalar_roundtrips() {

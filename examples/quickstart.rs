@@ -35,7 +35,7 @@ fn main() {
     let mut sim = Sim::builder(Arc::clone(&h), Cc1::new(), WaveToken::new(&h))
         .seed(42)
         .max_disc(2)
-        .mode("daemon") // in-place commit + trusted daemon + delta view
+        .mode("daemon") // trusted daemon + delta view
         .build()
         .expect("registry modes always validate");
     sim.run(5_000);
