@@ -482,10 +482,8 @@ impl MeetingLedger {
     /// `live_sorted` and re-validating the live set's invariants (every
     /// live slot names an un-terminated instance of that very edge).
     pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
-        let count = r.usize()?;
-        if count > r.remaining() {
-            return None;
-        }
+        // ≥ 38 bytes per instance (all three member lists empty).
+        let count = r.count(38)?;
         let mut instances = Vec::with_capacity(count);
         for _ in 0..count {
             instances.push(MeetingInstance {
@@ -498,10 +496,7 @@ impl MeetingLedger {
                 left_by: r.usize_vec()?,
             });
         }
-        let m = r.usize()?;
-        if m > r.remaining() {
-            return None;
-        }
+        let m = r.count(1)?;
         let mut live = Vec::with_capacity(m);
         for ei in 0..m {
             live.push(match r.u8()? {
@@ -692,12 +687,9 @@ mod tests {
         assert_eq!(twin.live_edges(), ledger.live_edges());
         assert_eq!(twin.participations(), ledger.participations());
         assert_eq!(twin.last_participation(h.dense_of(3)), Some(5));
-        for cut in 0..blob.len() {
-            assert!(
-                MeetingLedger::restore_state(&mut wire::Reader::new(&blob[..cut])).is_none(),
-                "cut {cut}"
-            );
-        }
+        wire::fails_closed(None, &blob, |b| {
+            MeetingLedger::restore_state(&mut wire::Reader::new(b)).is_some()
+        });
     }
 
     #[test]

@@ -314,10 +314,8 @@ impl SpecMonitor {
 
     /// Decode a monitor written by [`SpecMonitor::save_state`].
     pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
-        let count = r.usize()?;
-        if count > r.remaining() {
-            return None;
-        }
+        // ≥ 13 bytes per violation (tag, step, one edge).
+        let count = r.count(13)?;
         let mut violations = Vec::with_capacity(count);
         for _ in 0..count {
             violations.push(match r.u8()? {
@@ -344,10 +342,7 @@ impl SpecMonitor {
                 _ => return None,
             });
         }
-        let pairs = r.usize()?;
-        if pairs > r.remaining() {
-            return None;
-        }
+        let pairs = r.count(8)?;
         let mut live_conflicts = Vec::with_capacity(pairs);
         for _ in 0..pairs {
             live_conflicts.push((EdgeId::decode(r)?, EdgeId::decode(r)?));
@@ -496,12 +491,9 @@ mod tests {
         let twin = SpecMonitor::restore_state(&mut wire::Reader::new(&blob)).unwrap();
         assert_eq!(twin.violations(), mon.violations());
         assert_eq!(twin.live_conflicts, mon.live_conflicts);
-        for cut in 0..blob.len() {
-            assert!(
-                SpecMonitor::restore_state(&mut wire::Reader::new(&blob[..cut])).is_none(),
-                "cut {cut}"
-            );
-        }
+        wire::fails_closed(None, &blob, |b| {
+            SpecMonitor::restore_state(&mut wire::Reader::new(b)).is_some()
+        });
     }
 
     fn events_scratch() -> Vec<(usize, ActionClass)> {

@@ -142,7 +142,8 @@ pub struct DistEngine<A: GuardedAlgorithm> {
     trusted: bool,
     /// Logical clock: number of committed (non-terminal) steps. Frames are
     /// tagged with the clock of their committing step; receivers assert
-    /// they apply step-`t` frames while preparing step `t + 1`.
+    /// (in every profile) they apply step-`t` frames while preparing step
+    /// `t + 1`.
     step_tag: u64,
     /// Queued env invalidations, resolved through
     /// [`GuardedAlgorithm::env_footprint`] at the next refresh.
@@ -299,23 +300,26 @@ where
                     // Causal metadata: the frame carries its committing
                     // step's clock — it must be the step immediately before
                     // the one being prepared — and the per-channel sequence
-                    // must advance gap-free.
-                    debug_assert_eq!(
-                        f.step + 1,
-                        *step_tag,
+                    // must advance gap-free. Release asserts: a reordered,
+                    // duplicated or replayed frame is well-formed, so these
+                    // are the only thing between it and the ghosts.
+                    assert!(
+                        f.step.checked_add(1) == Some(*step_tag),
                         "ghost update from step {} applied while preparing step {}",
                         f.step,
                         *step_tag
                     );
-                    debug_assert_eq!(
-                        f.seq,
-                        actor.seq_in[f.from] + 1,
-                        "boundary channel {} -> {s} lost or reordered a frame",
+                    assert!(
+                        actor.seq_in.get(f.from).and_then(|q| q.checked_add(1)) == Some(f.seq),
+                        "boundary channel {} -> {s} lost, duplicated or reordered a frame",
                         f.from
                     );
                     actor.seq_in[f.from] = f.seq;
                     for (v, sv) in f.entries {
-                        debug_assert!(!actor.in_shard[v], "peer published a state this shard owns");
+                        assert!(
+                            actor.in_shard.get(v) == Some(&false),
+                            "peer published a state this shard owns"
+                        );
                         actor.local[v] = sv;
                         if !actor.all_dirty {
                             for &q in algo.state_footprint(h, v) {
@@ -604,6 +608,120 @@ mod tests {
                 panic_message(|| dist.step_into(&mut dw, &mut Liar(lie.clone()), &(), &mut out));
             assert_eq!(from_world, want);
             assert_eq!(from_dist, want);
+        }
+    }
+
+    /// What [`Tamper`] does to the first frame it is handed.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// Deliver it twice.
+        Duplicate,
+        /// Deliver it, and again behind the next frame to the same shard.
+        Replay,
+        /// Withhold it, then deliver it behind the next frame to the same
+        /// shard.
+        Swap,
+        /// Re-address its first entry to a vertex the receiver owns
+        /// (`[a member of shard 0, a member of shard 1]`), re-encoded.
+        Foreign([usize; 2]),
+    }
+
+    /// A transport that breaks the delivery contract exactly once, with
+    /// frames that all decode.
+    struct Tamper {
+        inner: ChannelTransport,
+        fault: Option<Fault>,
+        behind_next: Option<(usize, Vec<u8>)>,
+    }
+
+    impl BoundaryTransport for Tamper {
+        fn shards(&self) -> usize {
+            self.inner.shards()
+        }
+        fn send(&mut self, to: usize, frame: Vec<u8>) {
+            // Two shards exchange at most one frame per channel per step,
+            // so "the next frame to the same shard" is a later step's.
+            if let Some((_, late)) = self.behind_next.take_if(|(dest, _)| *dest == to) {
+                self.inner.send(to, frame);
+                self.inner.send(to, late);
+                return;
+            }
+            match self.fault.take() {
+                Some(Fault::Duplicate) => {
+                    self.inner.send(to, frame.clone());
+                    self.inner.send(to, frame);
+                }
+                Some(Fault::Replay) => {
+                    self.behind_next = Some((to, frame.clone()));
+                    self.inner.send(to, frame);
+                }
+                Some(Fault::Swap) => self.behind_next = Some((to, frame)),
+                Some(Fault::Foreign(owned)) => {
+                    let mut f = BoundaryFrame::<u32>::decode(&frame).unwrap();
+                    f.entries[0].0 = owned[to];
+                    self.inner.send(to, f.encode());
+                }
+                None => self.inner.send(to, frame),
+            }
+        }
+        fn drain_into(&mut self, shard: usize, out: &mut Vec<Vec<u8>>) {
+            self.inner.drain_into(shard, out);
+        }
+    }
+
+    #[test]
+    fn causality_violations_fail_stop_in_every_profile() {
+        // Each tampered frame is well-formed — the codec accepts it — so
+        // the engine's own checks must stop the step that delivers it.
+        // (Plain `assert!`s: this test passes under `--release` too.)
+        let h = Arc::new(generators::ring(24, 2));
+        let plan = h.shard_plan(2);
+        let owned = [plan.members(0)[0], plan.members(1)[0]];
+        for (fault, want) in [
+            (Fault::Duplicate, "lost, duplicated or reordered a frame"),
+            (Fault::Replay, "ghost update from step"),
+            (Fault::Swap, "lost, duplicated or reordered a frame"),
+            (
+                Fault::Foreign(owned),
+                "peer published a state this shard owns",
+            ),
+        ] {
+            let mut seq = World::new(Arc::clone(&h), MaxProp);
+            let mut dw = World::new(Arc::clone(&h), MaxProp);
+            let mut dist = DistEngine::with_transport(&dw, 2, false, |k| {
+                Box::new(Tamper {
+                    inner: ChannelTransport::new(k),
+                    fault: Some(fault),
+                    behind_next: None,
+                })
+            });
+            let mut d_seq = DistributedRandom::new(1, 0.5);
+            let mut d_dist = DistributedRandom::new(1, 0.5);
+            let mut out_seq = StepOutcome::default();
+            let mut out_dist = StepOutcome::default();
+            let stopped = (0..200).find_map(|_| {
+                seq.step_into(&mut d_seq, &(), &mut out_seq);
+                let step = std::panic::AssertUnwindSafe(|| {
+                    dist.step_into(&mut dw, &mut d_dist, &(), &mut out_dist)
+                });
+                match std::panic::catch_unwind(step) {
+                    Err(payload) => Some(match payload.downcast::<String>() {
+                        Ok(formatted) => *formatted,
+                        Err(literal) => literal.downcast::<&str>().unwrap().to_string(),
+                    }),
+                    Ok(()) => {
+                        // A withheld frame is undetectable until its
+                        // successor arrives; every other fault stops the
+                        // engine before a single state diverges.
+                        if !matches!(fault, Fault::Swap) {
+                            assert_eq!(seq.states(), dw.states(), "{fault:?}");
+                        }
+                        None
+                    }
+                }
+            });
+            let message = stopped.unwrap_or_else(|| panic!("{fault:?} went undetected"));
+            assert!(message.contains(want), "{fault:?}: {message}");
         }
     }
 

@@ -25,11 +25,12 @@
 //! The shared-memory engines remain the **oracle**: a distributed drain
 //! ([`Drain::Distributed`](sscc_runtime::prelude::Drain)) must be
 //! bit-identical — traces, ledger, monitor, rounds — to the sequential
-//! engine on every topology, which the 21-engine differential suite pins.
+//! engine on every topology, which the 15-engine differential suite pins.
 //!
 //! Layout:
-//! * [`frame`] — the checksummed boundary-frame wire format (fail-closed
-//!   decode, mirroring the persistence container's corruption posture);
+//! * [`frame`] — the boundary frame, a payload of the shared
+//!   [`wire::Envelope`](sscc_runtime::wire::Envelope) (fail-closed decode,
+//!   held to the same harness as the persistence container);
 //! * [`transport`] — the [`BoundaryTransport`] seam and its in-process
 //!   mpsc implementation (a socket backend slots in behind the same
 //!   trait without touching the engine);
@@ -47,5 +48,5 @@ pub mod frame;
 pub mod transport;
 
 pub use engine::{DistDrive, DistEngine, MessageStats};
-pub use frame::{fnv1a64, BoundaryFrame, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::BoundaryFrame;
 pub use transport::{BoundaryTransport, ChannelTransport};

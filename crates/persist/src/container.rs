@@ -1,56 +1,40 @@
-//! The durable checkpoint container.
-//!
-//! Layout (all little-endian, lengths LEB128):
+//! The durable checkpoint container: the payload of a
+//! [`wire::Envelope`] (magic `b"SSCCKPT\0"`, version [`FORMAT_VERSION`]).
 //!
 //! ```text
-//! magic    8 bytes   b"SSCCKPT\0"
-//! version  u16       FORMAT_VERSION
-//! checksum u64       FNV-1a 64 over the payload bytes
-//! payload:
-//!   algo      str    algorithm label ("cc1" | "cc2" | "cc3" | custom)
-//!   topology  bytes  `topology::encode_topology` blob
-//!   sim       bytes  `Sim::save_state` blob (includes the EngineConfig
-//!                    label, per-process states, observers, daemon + policy)
+//! algo      str    algorithm label ("cc1" | "cc2" | "cc3" | custom)
+//! topology  bytes  `topology::encode_topology` blob
+//! sim       bytes  `Sim::save_state` blob (includes the EngineConfig
+//!                  label, per-process states, observers, daemon + policy)
 //! ```
 //!
-//! Decoding is strict: bad magic, unknown version, checksum mismatch,
-//! truncation and trailing garbage are all distinct, reportable errors —
-//! a half-written checkpoint file fails closed instead of restoring a
-//! subtly wrong world.
+//! A half-written checkpoint file fails closed — the envelope or the
+//! payload decoder refuses it — instead of restoring a subtly wrong world.
 
-use crate::fnv1a64;
 use crate::topology::{decode_topology, encode_topology};
 use sscc_core::sim::{Cc1Sim, Cc2Sim, Cc3Sim, Sim};
 use sscc_core::CommitteeAlgorithm;
 use sscc_hypergraph::Hypergraph;
-use sscc_runtime::wire::{self, Reader, StateCodec};
+use sscc_runtime::wire::{self, Envelope, EnvelopeError, Reader, StateCodec};
 use sscc_token::TokenLayer;
 use std::fmt;
 use std::sync::Arc;
-
-/// Magic prefix of every checkpoint artifact.
-pub const MAGIC: [u8; 8] = *b"SSCCKPT\0";
 
 /// Current container format version. Bump on any layout change; decoders
 /// reject versions they do not understand rather than guessing.
 pub const FORMAT_VERSION: u16 = 1;
 
+const ENVELOPE: Envelope = Envelope {
+    magic: b"SSCCKPT\0",
+    version: FORMAT_VERSION,
+};
+
 /// Why a checkpoint failed to decode or restore.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The artifact does not start with [`MAGIC`] — not a checkpoint.
-    BadMagic,
-    /// The artifact declares a format version this build cannot read.
-    UnsupportedVersion(u16),
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum of the payload as read.
-        actual: u64,
-    },
-    /// The artifact ended early or a length field overran the buffer.
-    Truncated,
+    /// The byte container is not a readable checkpoint: wrong magic,
+    /// unknown version, checksum mismatch, or a truncated/malformed payload.
+    Envelope(EnvelopeError),
     /// Structurally valid container, but the topology blob does not
     /// describe a valid committee hypergraph.
     BadTopology,
@@ -72,15 +56,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint format version {v}")
-            }
-            CheckpointError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "checksum mismatch: header {expected:#018x}, payload {actual:#018x}"
-            ),
-            CheckpointError::Truncated => write!(f, "checkpoint truncated or malformed"),
+            CheckpointError::Envelope(e) => write!(f, "not a readable checkpoint: {e}"),
             CheckpointError::BadTopology => write!(f, "checkpoint topology is invalid"),
             CheckpointError::BadSimState => write!(f, "checkpoint sim state is inconsistent"),
             CheckpointError::AlgoMismatch { found, expected } => {
@@ -92,6 +68,12 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<EnvelopeError> for CheckpointError {
+    fn from(e: EnvelopeError) -> Self {
+        CheckpointError::Envelope(e)
+    }
+}
 
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
@@ -215,51 +197,31 @@ impl Checkpoint {
         self.restore(|_| sscc_core::Cc3::new_cc3(), sscc_token::WaveToken::new)
     }
 
-    /// Serialize to the durable container format (magic, version, FNV-1a 64
-    /// checksum, payload).
+    /// Serialize to the durable container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.topology.len() + self.sim.len() + 16);
-        wire::put_str(&mut payload, &self.algo);
-        wire::put_bytes(&mut payload, &self.topology);
-        wire::put_bytes(&mut payload, &self.sim);
-
-        let mut out = Vec::with_capacity(payload.len() + 18);
-        out.extend_from_slice(&MAGIC);
-        wire::put_u16(&mut out, FORMAT_VERSION);
-        wire::put_u64(&mut out, fnv1a64(&payload));
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(self.topology.len() + self.sim.len() + 64);
+        ENVELOPE.seal(&mut out, |p| {
+            wire::put_str(p, &self.algo);
+            wire::put_bytes(p, &self.topology);
+            wire::put_bytes(p, &self.sim);
+        });
         out
     }
 
     /// Parse and verify a container produced by [`Checkpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(MAGIC.len()).ok_or(CheckpointError::Truncated)?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic);
+        let mut p = ENVELOPE.open(bytes)?;
+        let fields = (|| {
+            Some(Checkpoint {
+                algo: p.str()?.to_string(),
+                topology: p.bytes()?.to_vec(),
+                sim: p.bytes()?.to_vec(),
+            })
+        })();
+        match fields {
+            Some(ckpt) if p.is_empty() => Ok(ckpt),
+            _ => Err(EnvelopeError::Truncated.into()),
         }
-        let version = r.u16().ok_or(CheckpointError::Truncated)?;
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let expected = r.u64().ok_or(CheckpointError::Truncated)?;
-        let payload = r.take(r.remaining()).expect("remaining take");
-        let actual = fnv1a64(payload);
-        if actual != expected {
-            return Err(CheckpointError::ChecksumMismatch { expected, actual });
-        }
-        let mut p = Reader::new(payload);
-        let algo = p.str().ok_or(CheckpointError::Truncated)?.to_string();
-        let topology = p.bytes().ok_or(CheckpointError::Truncated)?.to_vec();
-        let sim = p.bytes().ok_or(CheckpointError::Truncated)?.to_vec();
-        if !p.is_empty() {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(Checkpoint {
-            algo,
-            topology,
-            sim,
-        })
     }
 
     /// Atomically-ish write the container to `path` (write to a sibling
@@ -306,32 +268,47 @@ mod tests {
     fn every_corruption_fails_closed() {
         let (_, sim) = sample();
         let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
-        // Bad magic.
+        wire::fails_closed(Some(&ENVELOPE), &bytes, |b| {
+            Checkpoint::from_bytes(b).is_ok()
+        });
+        // The envelope's distinct outcomes surface through `CheckpointError`.
+        let envelope_error = |b: &[u8]| match Checkpoint::from_bytes(b) {
+            Err(CheckpointError::Envelope(e)) => e,
+            other => panic!("expected an envelope error, got {other:?}"),
+        };
         let mut b = bytes.clone();
         b[0] ^= 0xff;
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::BadMagic)
-        ));
-        // Unknown version.
+        assert_eq!(envelope_error(&b), EnvelopeError::BadMagic);
         let mut b = bytes.clone();
         b[8] = 0xfe;
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::UnsupportedVersion(_))
-        ));
-        // One-bit payload flip → checksum mismatch.
+        assert_eq!(envelope_error(&b), EnvelopeError::UnsupportedVersion(0xfe));
         let mut b = bytes.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0x01;
+        *b.last_mut().unwrap() ^= 0x01;
         assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::ChecksumMismatch { .. })
+            envelope_error(&b),
+            EnvelopeError::ChecksumMismatch { .. }
         ));
-        // Truncations anywhere in the header region.
-        for cut in 0..18.min(bytes.len()) {
-            assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
+        assert_eq!(envelope_error(&bytes[..17]), EnvelopeError::Truncated);
+        // A payload whose last length field overruns, under a valid seal:
+        // past the envelope, refused by the payload decoder.
+        let mut b = Vec::new();
+        ENVELOPE.seal(&mut b, |p| p.extend_from_slice(&bytes[18..bytes.len() - 1]));
+        assert!(ENVELOPE.open(&b).is_ok());
+        assert_eq!(envelope_error(&b), EnvelopeError::Truncated);
+    }
+
+    #[test]
+    fn header_is_byte_identical_to_the_pre_envelope_writer() {
+        // Golden bytes written by the hand-rolled framing this envelope
+        // replaced (magic, version 1, FNV-1a 64 of the payload): the
+        // checksum pins the whole payload, the length its size.
+        let (_, sim) = sample();
+        let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
+        assert_eq!(bytes.len(), 2372);
+        assert_eq!(
+            bytes[..18],
+            [83, 83, 67, 67, 75, 80, 84, 0, 1, 0, 148, 110, 222, 143, 136, 182, 96, 254]
+        );
     }
 
     #[test]

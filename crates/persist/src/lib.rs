@@ -11,8 +11,8 @@
 //! * [`topology`] — a codec for [`sscc_hypergraph::Hypergraph`], so a
 //!   checkpoint taken *after* dynamic mutations still carries the exact
 //!   world it was taken on;
-//! * [`container`] — the versioned, checksummed [`Checkpoint`] file format
-//!   pairing the topology blob, the engine configuration and the sim blob;
+//! * [`container`] — the [`Checkpoint`] file format pairing the topology
+//!   blob, the engine configuration and the sim blob;
 //! * [`steptrace`] — a delta-compressed recording of executed actions
 //!   ([`StepTrace`]) small enough to ship alongside a checkpoint;
 //! * [`replay`] — a driver that re-executes a restored sim and verifies it
@@ -20,8 +20,11 @@
 //!   step 48 231" into a debuggable, repeatable run.
 //!
 //! Everything is hand-rolled little-endian + LEB128 on top of
-//! [`sscc_runtime::wire`]; no serialization dependency, no unsafe, and every
-//! decoder is total — corrupt input yields an error, never a panic.
+//! [`sscc_runtime::wire`]; no serialization dependency, no unsafe. Both
+//! artifacts are payloads of the one versioned, checksummed
+//! [`Envelope`](sscc_runtime::wire::Envelope), and every decoder is total —
+//! corrupt input yields an error, never a panic
+//! ([`fails_closed`](sscc_runtime::wire::fails_closed) is the harness).
 //!
 //! ```
 //! use sscc_core::sim::Cc1Sim;
@@ -56,6 +59,6 @@ pub use replay::{replay_trace, ReplayError, ReplayReport};
 pub use steptrace::{StepTrace, TraceDecodeError};
 pub use topology::{decode_topology, encode_topology};
 
-/// The FNV-1a 64-bit checksum every durable artifact in this crate is
-/// sealed with.
+/// The FNV-1a 64-bit checksum [`Envelope`](sscc_runtime::wire::Envelope)
+/// seals every artifact with.
 pub use sscc_runtime::wire::fnv1a64;

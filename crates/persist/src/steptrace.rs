@@ -6,36 +6,29 @@
 //! event; process and action ids are small varints. A steady-state SSCC
 //! event costs 4–6 bytes instead of the 32 of the in-memory struct.
 //!
-//! Layout:
+//! The payload of a [`wire::Envelope`] (magic `b"STRC"`, version 1):
 //!
 //! ```text
-//! magic    4 bytes  b"STRC"
-//! version  u16      1
-//! checksum u64      FNV-1a 64 over the encoded event stream
 //! count    varint   number of events
 //! events   count ×  (Δstep varint, Δround varint, process varint,
 //!                    action varint)
 //! ```
 
-use crate::fnv1a64;
 use sscc_runtime::prelude::{Trace, TraceEvent};
-use sscc_runtime::wire::{self, Reader};
+use sscc_runtime::wire::{self, Envelope, EnvelopeError, Reader};
 use std::fmt;
 
-const MAGIC: [u8; 4] = *b"STRC";
-const VERSION: u16 = 1;
+const ENVELOPE: Envelope = Envelope {
+    magic: b"STRC",
+    version: 1,
+};
 
 /// Why a [`StepTrace`] artifact failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceDecodeError {
-    /// Not a step-trace artifact.
-    BadMagic,
-    /// Version this build cannot read.
-    UnsupportedVersion(u16),
-    /// Checksum mismatch — truncated or corrupted stream.
-    ChecksumMismatch,
-    /// Malformed or truncated event stream.
-    Truncated,
+    /// Not a readable step-trace artifact: wrong magic, unknown version,
+    /// checksum mismatch, or a truncated/malformed event stream.
+    Envelope(EnvelopeError),
     /// A delta overflowed `u64` step/round arithmetic.
     Overflow,
 }
@@ -43,18 +36,19 @@ pub enum TraceDecodeError {
 impl fmt::Display for TraceDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceDecodeError::BadMagic => write!(f, "not a step trace (bad magic)"),
-            TraceDecodeError::UnsupportedVersion(v) => {
-                write!(f, "unsupported step-trace version {v}")
-            }
-            TraceDecodeError::ChecksumMismatch => write!(f, "step-trace checksum mismatch"),
-            TraceDecodeError::Truncated => write!(f, "step trace truncated or malformed"),
+            TraceDecodeError::Envelope(e) => write!(f, "not a readable step trace: {e}"),
             TraceDecodeError::Overflow => write!(f, "step-trace delta overflow"),
         }
     }
 }
 
 impl std::error::Error for TraceDecodeError {}
+
+impl From<EnvelopeError> for TraceDecodeError {
+    fn from(e: EnvelopeError) -> Self {
+        TraceDecodeError::Envelope(e)
+    }
+}
 
 /// An ordered recording of executed actions, cheap to persist and replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -104,55 +98,37 @@ impl StepTrace {
 
     /// Serialize to the compressed artifact format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.events.len() * 5 + 4);
-        wire::put_varint(&mut body, self.events.len() as u64);
-        let (mut step, mut round) = (0u64, 0u64);
-        for e in &self.events {
-            wire::put_varint(&mut body, e.step - step);
-            wire::put_varint(&mut body, e.round - round);
-            wire::put_varint(&mut body, e.process as u64);
-            wire::put_varint(&mut body, e.action as u64);
-            step = e.step;
-            round = e.round;
-        }
-        let mut out = Vec::with_capacity(body.len() + 14);
-        out.extend_from_slice(&MAGIC);
-        wire::put_u16(&mut out, VERSION);
-        wire::put_u64(&mut out, fnv1a64(&body));
-        out.extend_from_slice(&body);
+        let mut out = Vec::with_capacity(self.events.len() * 5 + 18);
+        ENVELOPE.seal(&mut out, |body| {
+            wire::put_varint(body, self.events.len() as u64);
+            let (mut step, mut round) = (0u64, 0u64);
+            for e in &self.events {
+                wire::put_varint(body, e.step - step);
+                wire::put_varint(body, e.round - round);
+                wire::put_varint(body, e.process as u64);
+                wire::put_varint(body, e.action as u64);
+                step = e.step;
+                round = e.round;
+            }
+        });
         out
     }
 
     /// Parse and verify an artifact produced by [`StepTrace::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceDecodeError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(MAGIC.len()).ok_or(TraceDecodeError::Truncated)?;
-        if magic != MAGIC {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        let version = r.u16().ok_or(TraceDecodeError::Truncated)?;
-        if version != VERSION {
-            return Err(TraceDecodeError::UnsupportedVersion(version));
-        }
-        let expected = r.u64().ok_or(TraceDecodeError::Truncated)?;
-        let body = r.take(r.remaining()).expect("remaining take");
-        if fnv1a64(body) != expected {
-            return Err(TraceDecodeError::ChecksumMismatch);
-        }
-        let mut b = Reader::new(body);
-        let count = b.varint().ok_or(TraceDecodeError::Truncated)?;
-        if count > body.len() as u64 {
-            // Each event costs ≥ 4 bytes encoded; a count beyond the body
-            // length is corrupt even before we hit the end.
-            return Err(TraceDecodeError::Truncated);
+        let mut b = ENVELOPE.open(bytes)?;
+        let varint = |b: &mut Reader| b.varint().ok_or(EnvelopeError::Truncated);
+        let count = varint(&mut b)?;
+        // Each event costs ≥ 4 bytes encoded: a count claiming more events
+        // than bytes remain is corrupt, not a reservation.
+        if count > (b.remaining() / 4) as u64 {
+            return Err(EnvelopeError::Truncated.into());
         }
         let mut events = Vec::with_capacity(count as usize);
         let (mut step, mut round) = (0u64, 0u64);
         for _ in 0..count {
-            let ds = b.varint().ok_or(TraceDecodeError::Truncated)?;
-            let dr = b.varint().ok_or(TraceDecodeError::Truncated)?;
-            let process = b.varint().ok_or(TraceDecodeError::Truncated)?;
-            let action = b.varint().ok_or(TraceDecodeError::Truncated)?;
+            let (ds, dr) = (varint(&mut b)?, varint(&mut b)?);
+            let (process, action) = (varint(&mut b)?, varint(&mut b)?);
             step = step.checked_add(ds).ok_or(TraceDecodeError::Overflow)?;
             round = round.checked_add(dr).ok_or(TraceDecodeError::Overflow)?;
             events.push(TraceEvent {
@@ -163,7 +139,7 @@ impl StepTrace {
             });
         }
         if !b.is_empty() {
-            return Err(TraceDecodeError::Truncated);
+            return Err(EnvelopeError::Truncated.into());
         }
         Ok(StepTrace { events })
     }
@@ -224,15 +200,60 @@ mod tests {
     fn corruption_fails_closed() {
         let t = StepTrace::from_events(sample_events());
         let bytes = t.to_bytes();
-        for cut in (0..bytes.len()).step_by(7) {
-            assert!(StepTrace::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
+        wire::fails_closed(Some(&ENVELOPE), &bytes, |b| {
+            StepTrace::from_bytes(b).is_ok()
+        });
         let mut b = bytes.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0x10;
-        assert_eq!(
+        *b.last_mut().unwrap() ^= 0x10;
+        assert!(matches!(
             StepTrace::from_bytes(&b),
-            Err(TraceDecodeError::ChecksumMismatch)
+            Err(TraceDecodeError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_behind_it() {
+        // Under a valid seal, 40 zero bytes are exactly ten all-zero events
+        // (≥ 4 bytes each); any larger count is refused up front
+        // (`tests/bounded_decode.rs` measures that nothing is reserved).
+        let sealed = |count: u8| {
+            let mut bytes = Vec::new();
+            ENVELOPE.seal(&mut bytes, |p| {
+                p.push(count);
+                p.extend_from_slice(&[0; 40]);
+            });
+            bytes
+        };
+        assert_eq!(StepTrace::from_bytes(&sealed(10)).unwrap().len(), 10);
+        assert_eq!(
+            StepTrace::from_bytes(&sealed(11)),
+            Err(TraceDecodeError::Envelope(EnvelopeError::Truncated))
+        );
+    }
+
+    #[test]
+    fn bytes_are_identical_to_the_pre_envelope_writer() {
+        // Golden bytes written by the hand-rolled framing this envelope
+        // replaced: b"STRC", version 1, FNV-1a 64 of the body, the body.
+        let event = |step, round, process, action| TraceEvent {
+            step,
+            round,
+            process,
+            action,
+        };
+        let t = StepTrace::from_events(vec![
+            event(0, 0, 1, 0),
+            event(3, 0, 200, 2),
+            event(3, 1, 5, 4),
+        ]);
+        assert_eq!(
+            t.to_bytes(),
+            [
+                83, 84, 82, 67, 1, 0, 57, 176, 231, 32, 123, 147, 76, 65, 3, 0, 0, 1, 0, 3, 0, 200,
+                1, 2, 0, 1, 5, 4
+            ]
         );
     }
 }

@@ -35,16 +35,11 @@ pub fn encode_topology(h: &Hypergraph, out: &mut Vec<u8>) {
 /// [`Hypergraph::try_new`] validation applies — sizes, duplicates,
 /// isolation, connectivity).
 pub fn decode_topology(r: &mut Reader) -> Option<Hypergraph> {
-    let m = r.usize()?;
-    if m > r.remaining() {
-        return None;
-    }
+    // ≥ 8 bytes (the length field) per committee, ≥ 1 per member.
+    let m = r.count(8)?;
     let mut committees: Vec<Vec<u32>> = Vec::with_capacity(m);
     for _ in 0..m {
-        let len = r.usize()?;
-        if len > r.remaining() {
-            return None;
-        }
+        let len = r.count(1)?;
         let mut members = Vec::with_capacity(len);
         for _ in 0..len {
             members.push(u32::try_from(r.varint()?).ok()?);
@@ -114,10 +109,9 @@ mod tests {
         let h = generators::fig2();
         let mut buf = Vec::new();
         encode_topology(&h, &mut buf);
-        for cut in 0..buf.len() {
-            let mut r = Reader::new(&buf[..cut]);
-            assert!(decode_topology(&mut r).is_none(), "cut {cut}");
-        }
+        wire::fails_closed(None, &buf, |b| {
+            decode_topology(&mut Reader::new(b)).is_some()
+        });
     }
 
     #[test]

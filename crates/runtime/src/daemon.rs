@@ -751,10 +751,7 @@ struct WfState {
 impl WfState {
     fn read(r: &mut crate::wire::Reader) -> Option<Self> {
         let bound = r.usize()?;
-        let n_ages = r.usize()?;
-        if n_ages > r.remaining() / 16 {
-            return None;
-        }
+        let n_ages = r.count(16)?;
         let ages = (0..n_ages)
             .map(|_| Some((r.usize()?, r.usize()?)))
             .collect::<Option<Vec<_>>>()?;
@@ -771,10 +768,7 @@ impl WfState {
         {
             return None;
         }
-        let n_tokens = r.usize()?;
-        if n_tokens > r.remaining() / 16 {
-            return None;
-        }
+        let n_tokens = r.count(16)?;
         let tokens = (0..n_tokens)
             .map(|_| Some((r.u64()?, r.usize()?)))
             .collect::<Option<Vec<_>>>()?;
@@ -879,10 +873,7 @@ fn read_daemon(r: &mut crate::wire::Reader) -> Option<Box<dyn Daemon>> {
         }
         TAG_ROUND_ROBIN => Some(Box::new(RoundRobin { last: r.usize()? })),
         TAG_SCRIPTED => {
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return None;
-            }
+            let n = r.count(8)?;
             let script = (0..n).map(|_| r.usize_vec()).collect::<Option<Vec<_>>>()?;
             Some(Box::new(Scripted::new(script)))
         }

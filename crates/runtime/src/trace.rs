@@ -82,10 +82,7 @@ impl Trace {
 
     /// Decode a log written by [`Trace::save_state`].
     pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
-        let count = r.usize()?;
-        if count > r.remaining() {
-            return None;
-        }
+        let count = r.count(32)?;
         let mut events = Vec::with_capacity(count);
         for _ in 0..count {
             events.push(TraceEvent {
@@ -213,12 +210,9 @@ mod tests {
         t.save_state(&mut blob);
         let twin = Trace::restore_state(&mut wire::Reader::new(&blob)).unwrap();
         assert_eq!(twin.events(), t.events());
-        for cut in 0..blob.len() {
-            assert!(
-                Trace::restore_state(&mut wire::Reader::new(&blob[..cut])).is_none(),
-                "cut {cut}"
-            );
-        }
+        wire::fails_closed(None, &blob, |b| {
+            Trace::restore_state(&mut wire::Reader::new(b)).is_some()
+        });
     }
 
     #[test]

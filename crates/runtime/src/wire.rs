@@ -1,5 +1,6 @@
-//! Hand-rolled byte (de)serialization primitives for the persistence
-//! subsystem.
+//! The byte layer: hand-rolled (de)serialization primitives, the one
+//! [`Envelope`] every durable or transported artifact is framed with, and
+//! the one adversarial harness ([`fails_closed`]) every decoder is held to.
 //!
 //! The build environment has no serde, so every checkpointable type writes
 //! itself through these little-endian helpers (the binary twin of
@@ -109,6 +110,152 @@ pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
     }
 }
 
+/// The framing of every durable or transported artifact in the workspace:
+///
+/// ```text
+/// magic    N bytes   names the artifact kind
+/// version  u16       layout version of the payload
+/// checksum u64       FNV-1a 64 over the payload bytes
+/// payload  …         the artifact's own fields, to the end of the buffer
+/// ```
+///
+/// An artifact kind is one `const Envelope`: its encoder writes payload
+/// fields inside [`Envelope::seal`], its decoder reads them from the
+/// [`Reader`] that [`Envelope::open`] returns. Nothing else in the workspace
+/// writes or checks a magic, a version or a checksum.
+#[derive(Clone, Copy, Debug)]
+pub struct Envelope {
+    /// Magic prefix naming the artifact kind.
+    pub magic: &'static [u8],
+    /// Payload layout version; [`Envelope::open`] rejects every other one.
+    pub version: u16,
+}
+
+/// Why [`Envelope::open`] (or the payload decoder behind it) refused an
+/// artifact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// The artifact ended early, a length field overran the buffer, or
+    /// bytes were left over after the last payload field.
+    Truncated,
+    /// Not this kind of artifact: the magic differs.
+    BadMagic,
+    /// A layout version this build cannot read.
+    UnsupportedVersion(u16),
+    /// The payload does not hash to the checksum in the header.
+    ChecksumMismatch {
+        /// Checksum recorded in the header.
+        expected: u64,
+        /// Checksum of the payload as read.
+        actual: u64,
+    },
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EnvelopeError::Truncated => write!(f, "truncated or malformed"),
+            EnvelopeError::BadMagic => write!(f, "bad magic"),
+            EnvelopeError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            EnvelopeError::ChecksumMismatch { expected, actual } => write!(
+                f,
+                "checksum mismatch: header {expected:#018x}, payload {actual:#018x}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EnvelopeError {}
+
+impl Envelope {
+    /// Append one sealed artifact to `out`: the header, then whatever
+    /// `payload` writes — straight into `out`, no intermediate buffer —
+    /// then the checksum patched into the header.
+    pub fn seal<R>(&self, out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let start = out.len();
+        out.extend_from_slice(self.magic);
+        put_u16(out, self.version);
+        put_u64(out, 0);
+        let r = payload(out);
+        let sum_at = start + self.magic.len() + 2;
+        let sum = fnv1a64(&out[sum_at + 8..]);
+        out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+        r
+    }
+
+    /// Verify magic, version and checksum; the returned reader spans
+    /// exactly the payload.
+    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, EnvelopeError> {
+        let mut r = Reader::new(bytes);
+        if r.take(self.magic.len()).ok_or(EnvelopeError::Truncated)? != self.magic {
+            return Err(EnvelopeError::BadMagic);
+        }
+        let version = r.u16().ok_or(EnvelopeError::Truncated)?;
+        if version != self.version {
+            return Err(EnvelopeError::UnsupportedVersion(version));
+        }
+        let expected = r.u64().ok_or(EnvelopeError::Truncated)?;
+        let actual = fnv1a64(&r.buf[r.pos..]);
+        if actual != expected {
+            return Err(EnvelopeError::ChecksumMismatch { expected, actual });
+        }
+        Ok(r)
+    }
+}
+
+/// The one adversarial harness every decoder is held to (a test helper: it
+/// panics on the first violation). `decode` reports whether it *accepted*
+/// its input; `bytes` is a valid encoding. Checked:
+///
+/// * `bytes` is accepted, every strict prefix rejected;
+/// * every single-bit flip and one trailing byte are survived — no panic,
+///   no allocation sized by a corrupted count. A bare payload
+///   (`sealed: None`) may decode a flipped value to a different valid one;
+///   it only ever travels inside an envelope;
+/// * a sealed artifact (`sealed: Some(envelope)`) *rejects* each of those
+///   too, and refuses a patched magic or version under a still-valid
+///   checksum with the distinct [`EnvelopeError`].
+///
+/// Byte positions are exhaustive below 512 and 256 seeded samples (one
+/// seeded bit each) beyond, so a sweep is identical on every run.
+pub fn fails_closed(sealed: Option<&Envelope>, bytes: &[u8], decode: impl Fn(&[u8]) -> bool) {
+    use rand::{Rng, SeedableRng};
+    const EXHAUSTIVE: usize = 512;
+    assert!(decode(bytes), "the untouched artifact must decode");
+    let must_reject = |input: &[u8], what: std::fmt::Arguments| {
+        assert!(!(decode(input) && sealed.is_some()), "{what} was accepted")
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(bytes.len() as u64);
+    let mut positions: Vec<usize> = (0..bytes.len().min(EXHAUSTIVE)).collect();
+    if bytes.len() > EXHAUSTIVE {
+        positions.extend((0..256).map(|_| rng.random_range(EXHAUSTIVE..bytes.len())));
+    }
+    let mut scratch = bytes.to_vec();
+    for at in positions {
+        assert!(!decode(&bytes[..at]), "prefix of {at} bytes was accepted");
+        let sampled_bit = rng.random_range(0..8);
+        for bit in (0..8).filter(|&b| at < EXHAUSTIVE || b == sampled_bit) {
+            scratch[at] ^= 1 << bit;
+            must_reject(&scratch, format_args!("flip of byte {at} bit {bit}"));
+            scratch[at] ^= 1 << bit;
+        }
+    }
+    scratch.push(0);
+    must_reject(&scratch, format_args!("a trailing byte"));
+    let Some(envelope) = sealed else { return };
+    let mut foreign = bytes.to_vec();
+    foreign[0] ^= 0xff;
+    assert_eq!(envelope.open(&foreign).err(), Some(EnvelopeError::BadMagic));
+    must_reject(&foreign, format_args!("a foreign magic"));
+    let (mut future, at, next) = (bytes.to_vec(), envelope.magic.len(), envelope.version + 1);
+    future[at..at + 2].copy_from_slice(&next.to_le_bytes());
+    assert_eq!(
+        envelope.open(&future).err(),
+        Some(EnvelopeError::UnsupportedVersion(next))
+    );
+    must_reject(&future, format_args!("a future version"));
+}
+
 /// A bounds-checked cursor over a byte buffer; every read is total.
 #[derive(Clone, Copy, Debug)]
 pub struct Reader<'a> {
@@ -202,40 +349,34 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).ok()
     }
 
+    /// Read an element count, rejecting one the rest of the buffer cannot
+    /// hold at `min_bytes` encoded bytes per element — the check that must
+    /// precede any allocation sized by a count read from input.
+    pub fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.usize()?;
+        (n <= self.remaining() / min_bytes).then_some(n)
+    }
+
     /// Read a length-prefixed `usize` slice.
     pub fn usize_vec(&mut self) -> Option<Vec<usize>> {
-        let n = self.usize()?;
-        if n > self.remaining() / 8 {
-            return None;
-        }
-        (0..n).map(|_| self.usize()).collect()
+        (0..self.count(8)?).map(|_| self.usize()).collect()
     }
 
     /// Read a length-prefixed `bool` slice.
     pub fn bool_vec(&mut self) -> Option<Vec<bool>> {
-        let n = self.usize()?;
-        if n > self.remaining() {
-            return None;
-        }
-        (0..n).map(|_| self.bool()).collect()
+        (0..self.count(1)?).map(|_| self.bool()).collect()
     }
 
     /// Read a length-prefixed `u64` slice.
     pub fn u64_vec(&mut self) -> Option<Vec<u64>> {
-        let n = self.usize()?;
-        if n > self.remaining() / 8 {
-            return None;
-        }
-        (0..n).map(|_| self.u64()).collect()
+        (0..self.count(8)?).map(|_| self.u64()).collect()
     }
 
     /// Read a length-prefixed `Option<u64>` slice.
     pub fn opt_u64_vec(&mut self) -> Option<Vec<Option<u64>>> {
-        let n = self.usize()?;
-        if n > self.remaining() {
-            return None;
-        }
-        (0..n).map(|_| Option::<u64>::decode(self)).collect()
+        (0..self.count(1)?)
+            .map(|_| Option::<u64>::decode(self))
+            .collect()
     }
 }
 
@@ -419,6 +560,97 @@ mod tests {
         assert_eq!(bool::decode(&mut r), Some(true));
         assert_eq!(u32::decode(&mut r), Some(7));
         assert!(r.is_empty());
+    }
+
+    const TEST_ENVELOPE: Envelope = Envelope {
+        magic: b"TEST",
+        version: 3,
+    };
+
+    fn sealed_u64s(values: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        TEST_ENVELOPE.seal(&mut out, |p| put_u64_slice(p, values));
+        out
+    }
+
+    fn open_u64s(bytes: &[u8]) -> Result<Vec<u64>, EnvelopeError> {
+        let mut r = TEST_ENVELOPE.open(bytes)?;
+        match r.u64_vec() {
+            Some(v) if r.is_empty() => Ok(v),
+            _ => Err(EnvelopeError::Truncated),
+        }
+    }
+
+    #[test]
+    fn envelope_layout_is_magic_version_checksum_payload() {
+        let bytes = sealed_u64s(&[7]);
+        let mut payload = Vec::new();
+        put_u64_slice(&mut payload, &[7]);
+        let mut want = b"TEST".to_vec();
+        put_u16(&mut want, 3);
+        put_u64(&mut want, fnv1a64(&payload));
+        want.extend_from_slice(&payload);
+        assert_eq!(bytes, want);
+        assert_eq!(open_u64s(&bytes), Ok(vec![7]));
+        // Sealing appends: an artifact can follow other bytes in `out`.
+        let mut out = vec![0xAA, 0xBB];
+        TEST_ENVELOPE.seal(&mut out, |p| put_u64_slice(p, &[7]));
+        assert_eq!(&out[2..], &bytes[..]);
+    }
+
+    #[test]
+    fn envelope_errors_are_distinct() {
+        let bytes = sealed_u64s(&[1, 2, 3]);
+        assert_eq!(open_u64s(&bytes[..5]), Err(EnvelopeError::Truncated));
+        let mut b = bytes.clone();
+        b[0] ^= 0xff;
+        assert_eq!(open_u64s(&b), Err(EnvelopeError::BadMagic));
+        let mut b = bytes.clone();
+        b[4] = 0xfe;
+        assert_eq!(open_u64s(&b), Err(EnvelopeError::UnsupportedVersion(0xfe)));
+        let mut b = bytes.clone();
+        *b.last_mut().unwrap() ^= 1;
+        assert!(matches!(
+            open_u64s(&b),
+            Err(EnvelopeError::ChecksumMismatch { expected, actual }) if expected != actual
+        ));
+        // A corrupt payload under a valid seal passes the envelope and is
+        // left to the payload decoder: here a count with no elements.
+        let mut b = Vec::new();
+        TEST_ENVELOPE.seal(&mut b, |p| put_usize(p, 9));
+        assert!(TEST_ENVELOPE.open(&b).is_ok());
+        assert_eq!(open_u64s(&b), Err(EnvelopeError::Truncated));
+    }
+
+    #[test]
+    fn harness_sweeps_small_and_sampled_artifacts() {
+        // Below and above the exhaustive size.
+        for n in [3usize, 400] {
+            let values: Vec<u64> = (0..n as u64).collect();
+            let bytes = sealed_u64s(&values);
+            fails_closed(Some(&TEST_ENVELOPE), &bytes, |b| open_u64s(b).is_ok());
+            // The bare payload passes the unsealed form (a flipped element
+            // is a different valid vector, which it tolerates).
+            fails_closed(None, &bytes[14..], |b| Reader::new(b).u64_vec().is_some());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix of 8 bytes was accepted")]
+    fn harness_catches_a_decoder_that_accepts_a_prefix() {
+        let mut payload = Vec::new();
+        put_u64_slice(&mut payload, &[1]);
+        // Ignores everything after the length prefix.
+        fails_closed(None, &payload, |b| Reader::new(b).usize().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "flip of byte 6 bit 0 was accepted")]
+    fn harness_catches_a_decoder_that_skips_the_checksum() {
+        let bytes = sealed_u64s(&[]);
+        fails_closed(Some(&TEST_ENVELOPE), &bytes, |b| {
+            b.len() == 22 && b.starts_with(b"TEST") && b[4..6] == [3, 0]
+        });
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod traffic;
 
 pub use service::{
     cc1_service, cc1_service_restore, ChurnConfig, CoordinationService, LatencySummary,
-    OverloadPolicy, ServiceConfig, ServiceStats, SERVICE_CHECKPOINT_VERSION, SERVICE_MAGIC,
+    OverloadPolicy, ServiceConfig, ServiceStats, SERVICE_CHECKPOINT_VERSION,
 };
 pub use source::{channel, ChannelSource, CoordRequest, RequestClient, RequestSource};
 pub use traffic::{Arrivals, TrafficGen};

@@ -30,7 +30,7 @@ use sscc_core::status::{CommitteeView, Status};
 use sscc_core::{splitmix64, ConfigError, LedgerEvent, OpenLoopPolicy};
 use sscc_hypergraph::{random_mutation_with_bias, Hypergraph, MutationBias};
 use sscc_metrics::LatencyHistogram;
-use sscc_runtime::wire::{self, Reader, StateCodec};
+use sscc_runtime::wire::{self, Envelope, Reader, StateCodec};
 use sscc_token::TokenLayer;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,12 +48,15 @@ pub enum OverloadPolicy {
     Shed,
 }
 
-/// Magic prefix of a [`CoordinationService::checkpoint`] blob.
-pub const SERVICE_MAGIC: [u8; 8] = *b"SSCCSRV\0";
-
 /// Layout version of the service checkpoint blob. Bump on change; restore
 /// rejects versions it does not understand.
 pub const SERVICE_CHECKPOINT_VERSION: u16 = 1;
+
+/// Framing of a [`CoordinationService::checkpoint`] blob.
+const ENVELOPE: Envelope = Envelope {
+    magic: b"SSCCSRV\0",
+    version: SERVICE_CHECKPOINT_VERSION,
+};
 
 /// Scheduled topology churn: every `period` ticks the service proposes one
 /// seeded pseudo-random [`WorldMutation`](sscc_hypergraph::WorldMutation)
@@ -466,82 +469,78 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         if !self.sim.save_state(&mut sim_blob) {
             return None;
         }
-        let mut p = Vec::new();
         let mut topo = Vec::new();
         sscc_persist::encode_topology(self.sim.h(), &mut topo);
-        wire::put_bytes(&mut p, &topo);
-        wire::put_bytes(&mut p, &sim_blob);
-        // Config.
-        wire::put_usize(&mut p, self.cfg.queue_capacity);
-        wire::put_usize(&mut p, self.cfg.admit_batch);
-        wire::put_u8(
-            &mut p,
-            match self.cfg.overload {
-                OverloadPolicy::Defer => 0,
-                OverloadPolicy::Shed => 1,
-            },
-        );
-        wire::put_bool(&mut p, self.cfg.record_admissions);
-        match self.cfg.churn {
-            None => wire::put_bool(&mut p, false),
-            Some(ch) => {
-                wire::put_bool(&mut p, true);
-                wire::put_u64(&mut p, ch.period);
-                wire::put_u64(&mut p, ch.seed);
-                wire::put_u8(
-                    &mut p,
-                    match ch.bias {
-                        MutationBias::Balanced => 0,
-                        MutationBias::GrowOnly => 1,
-                        MutationBias::ShrinkOnly => 2,
-                    },
-                );
-            }
-        }
-        // Queue and in-flight table.
-        wire::put_usize(&mut p, self.queue.len());
-        for pend in &self.queue {
-            wire::put_usize(&mut p, pend.professor);
-            wire::put_u64(&mut p, pend.arrived);
-        }
-        wire::put_usize(&mut p, self.in_flight.len());
-        for fl in &self.in_flight {
-            match fl {
-                None => wire::put_bool(&mut p, false),
-                Some(f) => {
-                    wire::put_bool(&mut p, true);
-                    wire::put_u64(&mut p, f.arrived);
+        let mut out = Vec::with_capacity(topo.len() + sim_blob.len() + source_blob.len() + 256);
+        ENVELOPE.seal(&mut out, |p| {
+            wire::put_bytes(p, &topo);
+            wire::put_bytes(p, &sim_blob);
+            // Config.
+            wire::put_usize(p, self.cfg.queue_capacity);
+            wire::put_usize(p, self.cfg.admit_batch);
+            wire::put_u8(
+                p,
+                match self.cfg.overload {
+                    OverloadPolicy::Defer => 0,
+                    OverloadPolicy::Shed => 1,
+                },
+            );
+            wire::put_bool(p, self.cfg.record_admissions);
+            match self.cfg.churn {
+                None => wire::put_bool(p, false),
+                Some(ch) => {
+                    wire::put_bool(p, true);
+                    wire::put_u64(p, ch.period);
+                    wire::put_u64(p, ch.seed);
+                    wire::put_u8(
+                        p,
+                        match ch.bias {
+                            MutationBias::Balanced => 0,
+                            MutationBias::GrowOnly => 1,
+                            MutationBias::ShrinkOnly => 2,
+                        },
+                    );
                 }
             }
-        }
-        wire::put_u64(&mut p, self.now);
-        // Stats.
-        wire::put_u64(&mut p, self.stats.accepted);
-        wire::put_u64(&mut p, self.stats.shed);
-        wire::put_u64(&mut p, self.stats.coalesced);
-        wire::put_u64(&mut p, self.stats.completed);
-        wire::put_u64(&mut p, self.stats.unsolicited);
-        wire::put_usize(&mut p, self.stats.max_queue_depth);
-        wire::put_u64(&mut p, self.stats.queue_depth_sum);
-        wire::put_u64(&mut p, self.stats.churn_applied);
-        wire::put_u64(&mut p, self.stats.churn_rejected);
-        // Histograms (raw samples — summaries are derived on demand).
-        wire::put_u64_slice(&mut p, self.latency.samples());
-        wire::put_u64_slice(&mut p, self.queue_wait.samples());
-        // Admission log.
-        wire::put_usize(&mut p, self.admissions.len());
-        for &(t, pr) in &self.admissions {
-            wire::put_u64(&mut p, t);
-            wire::put_usize(&mut p, pr);
-        }
-        wire::put_u64(&mut p, self.churn_events);
-        wire::put_bytes(&mut p, &source_blob);
-
-        let mut out = Vec::with_capacity(p.len() + 18);
-        out.extend_from_slice(&SERVICE_MAGIC);
-        wire::put_u16(&mut out, SERVICE_CHECKPOINT_VERSION);
-        wire::put_u64(&mut out, sscc_persist::fnv1a64(&p));
-        out.extend_from_slice(&p);
+            // Queue and in-flight table.
+            wire::put_usize(p, self.queue.len());
+            for pend in &self.queue {
+                wire::put_usize(p, pend.professor);
+                wire::put_u64(p, pend.arrived);
+            }
+            wire::put_usize(p, self.in_flight.len());
+            for fl in &self.in_flight {
+                match fl {
+                    None => wire::put_bool(p, false),
+                    Some(f) => {
+                        wire::put_bool(p, true);
+                        wire::put_u64(p, f.arrived);
+                    }
+                }
+            }
+            wire::put_u64(p, self.now);
+            // Stats.
+            wire::put_u64(p, self.stats.accepted);
+            wire::put_u64(p, self.stats.shed);
+            wire::put_u64(p, self.stats.coalesced);
+            wire::put_u64(p, self.stats.completed);
+            wire::put_u64(p, self.stats.unsolicited);
+            wire::put_usize(p, self.stats.max_queue_depth);
+            wire::put_u64(p, self.stats.queue_depth_sum);
+            wire::put_u64(p, self.stats.churn_applied);
+            wire::put_u64(p, self.stats.churn_rejected);
+            // Histograms (raw samples — summaries are derived on demand).
+            wire::put_u64_slice(p, self.latency.samples());
+            wire::put_u64_slice(p, self.queue_wait.samples());
+            // Admission log.
+            wire::put_usize(p, self.admissions.len());
+            for &(t, pr) in &self.admissions {
+                wire::put_u64(p, t);
+                wire::put_usize(p, pr);
+            }
+            wire::put_u64(p, self.churn_events);
+            wire::put_bytes(p, &source_blob);
+        });
         Some(out)
     }
 
@@ -566,19 +565,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         C::State: Copy + StateCodec,
         TL::State: Copy + StateCodec,
     {
-        let mut r = Reader::new(bytes);
-        if r.take(SERVICE_MAGIC.len())? != SERVICE_MAGIC {
-            return None;
-        }
-        if r.u16()? != SERVICE_CHECKPOINT_VERSION {
-            return None;
-        }
-        let checksum = r.u64()?;
-        let payload = r.take(r.remaining())?;
-        if sscc_persist::fnv1a64(payload) != checksum {
-            return None;
-        }
-        let mut r = Reader::new(payload);
+        let mut r = ENVELOPE.open(bytes).ok()?;
         let mut topo = Reader::new(r.bytes()?);
         let h = Arc::new(sscc_persist::decode_topology(&mut topo)?);
         if !topo.is_empty() {
@@ -613,8 +600,9 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         if queue_capacity == 0 || admit_batch == 0 {
             return None;
         }
-        let qlen = r.usize()?;
-        if qlen > queue_capacity || qlen > r.remaining() {
+        // 16 bytes per queued request, and per admission-log row below.
+        let qlen = r.count(16)?;
+        if qlen > queue_capacity {
             return None;
         }
         let mut queue = VecDeque::with_capacity(qlen);
@@ -656,10 +644,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         };
         let latency = LatencyHistogram::from_samples(r.u64_vec()?);
         let queue_wait = LatencyHistogram::from_samples(r.u64_vec()?);
-        let alen = r.usize()?;
-        if alen > r.remaining() {
-            return None;
-        }
+        let alen = r.count(16)?;
         let mut admissions = Vec::with_capacity(alen);
         for _ in 0..alen {
             let t = r.u64()?;
@@ -935,17 +920,29 @@ mod tests {
             "churned topology travels"
         );
 
-        // Corrupt blobs fail closed.
-        let mut bad = blob.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(cc1_service_restore(Box::new(traffic(&h)), &bad).is_none());
-        for cut in (0..blob.len()).step_by(61) {
-            assert!(
-                cc1_service_restore(Box::new(traffic(&h)), &blob[..cut]).is_none(),
-                "cut {cut}"
-            );
-        }
+        // Corrupt blobs fail closed — including a foreign magic or a future
+        // version under a valid checksum.
+        wire::fails_closed(Some(&ENVELOPE), &blob, |b| {
+            cc1_service_restore(Box::new(traffic(&h)), b).is_some()
+        });
+    }
+
+    #[test]
+    fn checkpoint_header_is_byte_identical_to_the_pre_envelope_writer() {
+        // Golden bytes written by the hand-rolled framing this envelope
+        // replaced (magic, version 1, FNV-1a 64 of the payload): the
+        // checksum pins the whole payload, the length its size.
+        let h = Arc::new(generators::ring(16, 2));
+        let gen = TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 2_000);
+        let cfg = ServiceConfig::default();
+        let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(gen), cfg).unwrap();
+        svc.run(100);
+        let blob = svc.checkpoint().unwrap();
+        assert_eq!(blob.len(), 5579);
+        assert_eq!(
+            blob[..18],
+            [83, 83, 67, 67, 83, 82, 86, 0, 1, 0, 174, 134, 64, 66, 121, 103, 170, 238]
+        );
     }
 
     #[test]
