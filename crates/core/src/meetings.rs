@@ -7,17 +7,153 @@
 //! executing Step4. The ledger turns a step sequence into
 //! [`MeetingInstance`] records that the specification monitors and the
 //! fairness/concurrency metrics consume.
+//!
+//! A record is flat and owns no heap block: the member list is a shared
+//! per-committee handle ([`Members`]), and who discussed / who left are
+//! *positions* in that list ([`Positions`]) — one inline word each for
+//! committees of up to 64, a boxed spill beyond. History is the only thing
+//! in a run that grows without bound, so its unit cost is pinned
+//! (`size_of::<MeetingInstance>() <= 96`, no allocation per convene).
 
 use crate::predicates::edge_meets;
 use crate::status::{ActionClass, CommitteeView};
 use sscc_hypergraph::{EdgeId, Hypergraph, MutationDelta};
 use sscc_runtime::seal::SealCache;
 use sscc_runtime::wire::{self, StateCodec};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
-/// One meeting of one committee, from convening to termination.
+/// The member list of one committee as its meetings saw it: strictly
+/// ascending dense indices, shared by every instance convened on that
+/// membership (a convene is a refcount bump, not a copy).
 #[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Members(Arc<[usize]>);
+
+impl Members {
+    /// `None` unless `members` is strictly ascending — what
+    /// [`Hypergraph::members`] always is, and what makes
+    /// [`Members::position`] a binary search and ascending positions
+    /// ascending processes.
+    fn new(members: &[usize]) -> Option<Self> {
+        let ascending = members.is_sorted_by(|a, b| a < b);
+        ascending.then(|| Members(members.into()))
+    }
+
+    /// Index of process `p` in the list, if it is a member.
+    pub fn position(&self, p: usize) -> Option<usize> {
+        self.0.binary_search(&p).ok()
+    }
+}
+
+impl std::ops::Deref for Members {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Members {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Distinct positions in a [`Members`] list, in order: `essential` keeps
+/// them ascending (a set), `left_by` in the order the members left.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Positions(Order);
+
+/// One inline word while the sequence ascends and stays below 64 — every
+/// committee of up to 64 whose leavers come in the daemon's ascending
+/// order, i.e. every run of the simulator. The first position that breaks
+/// either moves the sequence into `Listed` for good, so equal sequences
+/// are equal values.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Order {
+    Ascending(u64),
+    Listed(Box<[u32]>),
+}
+
+impl Positions {
+    const NONE: Positions = Positions(Order::Ascending(0));
+
+    /// The positions, in order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (mut word, listed): (u64, &[u32]) = match &self.0 {
+            Order::Ascending(w) => (*w, &[]),
+            Order::Listed(l) => (0, l),
+        };
+        let bits = std::iter::from_fn(move || {
+            let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            word &= word - 1;
+            Some(bit)
+        });
+        bits.chain(listed.iter().map(|&q| q as usize))
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        match &self.0 {
+            Order::Ascending(w) => pos < 64 && w >> pos & 1 == 1,
+            Order::Listed(l) => l.iter().any(|&q| q as usize == pos),
+        }
+    }
+
+    /// Add `pos` — where an ascending sequence has it if `sorted` (a set),
+    /// at the end otherwise; `false`, and no change, if it is already there.
+    fn insert(&mut self, pos: usize, sorted: bool) -> bool {
+        if self.contains(pos) {
+            return false;
+        }
+        match &mut self.0 {
+            // A bit's place in the sequence is its rank, so the word takes
+            // `pos` as long as that is the place asked for.
+            Order::Ascending(w) if pos < 64 && (sorted || *w >> pos == 0) => *w |= 1 << pos,
+            _ => {
+                let mut listed: Vec<u32> = self.iter().map(|q| q as u32).collect();
+                let end = listed.len();
+                let at = if sorted {
+                    listed.partition_point(|&q| (q as usize) < pos)
+                } else {
+                    end
+                };
+                listed.insert(at, u32::try_from(pos).expect("fewer than 2^32 members"));
+                self.0 = Order::Listed(listed.into());
+            }
+        }
+        true
+    }
+
+    /// No position listed?
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// Append the wire form: the length, then the *process* at each position.
+    fn encode(&self, members: &[usize], out: &mut Vec<u8>) {
+        wire::put_usize(out, self.iter().count());
+        self.iter().for_each(|at| wire::put_usize(out, members[at]));
+    }
+
+    /// Read a process list as positions in `members`: every process a
+    /// member, none twice and, for a set, ascending — or `None`.
+    fn decode(r: &mut wire::Reader, members: &Members, set: bool) -> Option<Self> {
+        let (mut out, mut floor) = (Positions::NONE, 0);
+        for _ in 0..r.count(8)? {
+            let pos = members.position(r.usize()?)?;
+            if (set && pos < floor) || !out.insert(pos, false) {
+                return None;
+            }
+            floor = pos + 1;
+        }
+        Some(out)
+    }
+}
+
+/// One meeting of one committee, from convening to termination.
+#[derive(Clone, PartialEq, Eq)]
 pub struct MeetingInstance {
     /// Which committee met.
     pub edge: EdgeId,
@@ -29,13 +165,20 @@ pub struct MeetingInstance {
     pub convened_round: u64,
     /// Step at which it terminated; `None` while live.
     pub terminated_step: Option<u64>,
-    /// Members (dense indices).
-    pub participants: Vec<usize>,
-    /// Members that executed their essential discussion during this meeting.
-    pub essential: BTreeSet<usize>,
-    /// Members that executed Step4 (unilateral leave) at termination.
-    pub left_by: Vec<usize>,
+    /// Members (dense indices, ascending).
+    pub participants: Members,
+    /// Members that executed their essential discussion during this
+    /// meeting, as positions in `participants`
+    /// ([`MeetingInstance::discussed`], [`MeetingInstance::discussants`]).
+    pub essential: Positions,
+    /// Members that executed Step4 (unilateral leave) at termination, as
+    /// positions in `participants` ([`MeetingInstance::leavers`]).
+    pub left_by: Positions,
 }
+
+// History is 520 k records at `cc1-ring`'s mark: the record's size is the
+// run's resident set.
+const _: () = assert!(std::mem::size_of::<MeetingInstance>() <= 96);
 
 impl MeetingInstance {
     /// Is this meeting still running?
@@ -47,6 +190,36 @@ impl MeetingInstance {
     /// covered by the snap-stabilization guarantee)?
     pub fn post_initial(&self) -> bool {
         self.convened_step.is_some()
+    }
+
+    /// Did member `p` execute its essential discussion in this meeting?
+    pub fn discussed(&self, p: usize) -> bool {
+        (self.participants.position(p)).is_some_and(|at| self.essential.contains(at))
+    }
+
+    /// The members that executed their essential discussion, ascending.
+    pub fn discussants(&self) -> impl Iterator<Item = usize> + '_ {
+        self.essential.iter().map(|at| self.participants[at])
+    }
+
+    /// The members that left (Step4), in the order they did.
+    pub fn leavers(&self) -> impl Iterator<Item = usize> + '_ {
+        self.left_by.iter().map(|at| self.participants[at])
+    }
+}
+
+/// Prints processes, not positions — what the record means.
+impl fmt::Debug for MeetingInstance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MeetingInstance")
+            .field("edge", &self.edge)
+            .field("convened_step", &self.convened_step)
+            .field("convened_round", &self.convened_round)
+            .field("terminated_step", &self.terminated_step)
+            .field("participants", &&self.participants[..])
+            .field("essential", &self.discussants().collect::<Vec<_>>())
+            .field("left_by", &self.leavers().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -68,6 +241,13 @@ pub struct MeetingLedger {
     /// Ascending edge ids of live meetings (maintained incrementally so
     /// per-step consumers never scan all `|E|` edges).
     live_sorted: Vec<EdgeId>,
+    /// `members[e]` = the handle the last meeting of edge `e` was given: a
+    /// cache checked against the graph at every use, so a membership change
+    /// or a restore costs one miss, never a stale participant list.
+    members: Vec<Option<Members>>,
+    /// Post-initial instances recorded — [`MeetingLedger::convened_count`]
+    /// without the scan. Derived, so not part of the wire format.
+    convened: usize,
     /// Per-process participation counter (meetings convened with them in).
     participations: Vec<u64>,
     /// Last step at which each process participated in a convene.
@@ -87,26 +267,78 @@ impl MeetingLedger {
             instances: Vec::new(),
             live: vec![None; h.m()],
             live_sorted: Vec::new(),
+            members: vec![None; h.m()],
+            convened: 0,
             participations: vec![0; h.n()],
             last_participation: vec![None; h.n()],
             seal: SealCache::new(),
         };
         for e in h.edge_ids() {
             if edge_meets(h, initial, e) {
-                ledger.live[e.index()] = Some(ledger.instances.len());
-                ledger.live_sorted.push(e);
-                ledger.instances.push(MeetingInstance {
-                    edge: e,
-                    convened_step: None,
-                    convened_round: 0,
-                    terminated_step: None,
-                    participants: h.members(e).to_vec(),
-                    essential: BTreeSet::new(),
-                    left_by: Vec::new(),
-                });
+                ledger.open(h, e, None, 0);
             }
         }
         ledger
+    }
+
+    /// Record a new live instance of `e` (which has none) and return its
+    /// index. The record is a flat push: the member list is the interned
+    /// handle of `e`, re-made only when the graph's list differs from it.
+    fn open(&mut self, h: &Hypergraph, e: EdgeId, convened_step: Option<u64>, round: u64) -> usize {
+        let idx = self.instances.len();
+        self.live[e.index()] = Some(idx);
+        let at = self.live_sorted.partition_point(|&x| x < e);
+        self.live_sorted.insert(at, e);
+        let now = h.members(e);
+        let participants = match &mut self.members[e.index()] {
+            Some(m) if **m == *now => m.clone(),
+            slot => slot
+                .insert(Members::new(now).expect("committee member lists are strictly ascending"))
+                .clone(),
+        };
+        self.convened += usize::from(convened_step.is_some());
+        self.instances.push(MeetingInstance {
+            edge: e,
+            convened_step,
+            convened_round: round,
+            terminated_step: None,
+            participants,
+            essential: Positions::NONE,
+            left_by: Positions::NONE,
+        });
+        idx
+    }
+
+    /// Close the live instance of `e`, if any, at `step`; its index.
+    fn close(&mut self, e: EdgeId, step: u64) -> Option<usize> {
+        let idx = self.live[e.index()].take()?;
+        let at = self.live_sorted.binary_search(&e).expect("was in live set");
+        self.live_sorted.remove(at);
+        self.instances[idx].terminated_step = Some(step);
+        Some(idx)
+    }
+
+    /// Attribute an executed essential discussion or leave of `p` to the
+    /// live meeting of the edge `p` pointed at before the step. `p` is a
+    /// participant of that meeting: pointers range over `E_p`, and a
+    /// membership change closes the instance ([`MeetingLedger::resync_edge`]).
+    fn attribute(&mut self, p: usize, class: ActionClass, pointer: Option<EdgeId>) {
+        if !matches!(class, ActionClass::Essential | ActionClass::Leave) {
+            return;
+        }
+        let Some(idx) = pointer.and_then(|e| self.live[e.index()]) else {
+            return;
+        };
+        let inst = &mut self.instances[idx];
+        let pos = inst.participants.position(p);
+        debug_assert!(pos.is_some(), "process {p} acted in {inst:?}");
+        let Some(pos) = pos else { return };
+        if class == ActionClass::Essential {
+            inst.essential.insert(pos, true);
+        } else {
+            let fresh = inst.left_by.insert(pos, false);
+            debug_assert!(fresh, "process {p} left {inst:?} twice");
+        }
     }
 
     /// Observe one step: `pre`/`post` configurations, the step index, the
@@ -125,23 +357,7 @@ impl MeetingLedger {
         // Essential discussions and leaves are attributed to the live
         // meeting of the edge the process pointed at in `pre`.
         for &(p, class) in executed {
-            match class {
-                ActionClass::Essential => {
-                    if let Some(e) = pre[p].pointer() {
-                        if let Some(idx) = self.live[e.index()] {
-                            self.instances[idx].essential.insert(p);
-                        }
-                    }
-                }
-                ActionClass::Leave => {
-                    if let Some(e) = pre[p].pointer() {
-                        if let Some(idx) = self.live[e.index()] {
-                            self.instances[idx].left_by.push(p);
-                        }
-                    }
-                }
-                _ => {}
-            }
+            self.attribute(p, class, pre[p].pointer());
         }
         // Convene / terminate detection.
         for e in h.edge_ids() {
@@ -174,23 +390,7 @@ impl MeetingLedger {
     ) -> Vec<LedgerEvent> {
         let mut events = Vec::new();
         for &(p, class, pointer) in executed {
-            match class {
-                ActionClass::Essential => {
-                    if let Some(e) = pointer {
-                        if let Some(idx) = self.live[e.index()] {
-                            self.instances[idx].essential.insert(p);
-                        }
-                    }
-                }
-                ActionClass::Leave => {
-                    if let Some(e) = pointer {
-                        if let Some(idx) = self.live[e.index()] {
-                            self.instances[idx].left_by.push(p);
-                        }
-                    }
-                }
-                _ => {}
-            }
+            self.attribute(p, class, pointer);
         }
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched ascending");
         for &e in touched {
@@ -213,29 +413,14 @@ impl MeetingLedger {
         let was = self.live[e.index()].is_some();
         let now = edge_meets(h, post, e);
         if !was && now {
-            let idx = self.instances.len();
-            self.live[e.index()] = Some(idx);
-            let at = self.live_sorted.partition_point(|&x| x < e);
-            self.live_sorted.insert(at, e);
-            self.instances.push(MeetingInstance {
-                edge: e,
-                convened_step: Some(step),
-                convened_round: round,
-                terminated_step: None,
-                participants: h.members(e).to_vec(),
-                essential: BTreeSet::new(),
-                left_by: Vec::new(),
-            });
+            let idx = self.open(h, e, Some(step), round);
             for &q in h.members(e) {
                 self.participations[q] += 1;
                 self.last_participation[q] = Some(step);
             }
             events.push(LedgerEvent::Convened(idx));
         } else if was && !now {
-            let idx = self.live[e.index()].take().expect("was live");
-            let at = self.live_sorted.binary_search(&e).expect("was in live set");
-            self.live_sorted.remove(at);
-            self.instances[idx].terminated_step = Some(step);
+            let idx = self.close(e, step).expect("was live");
             events.push(LedgerEvent::Terminated(idx));
         }
     }
@@ -261,25 +446,9 @@ impl MeetingLedger {
         e: EdgeId,
         step: u64,
     ) {
-        if let Some(idx) = self.live[e.index()].take() {
-            let at = self.live_sorted.binary_search(&e).expect("was in live set");
-            self.live_sorted.remove(at);
-            self.instances[idx].terminated_step = Some(step);
-        }
+        self.close(e, step);
         if edge_meets(h, states, e) {
-            let idx = self.instances.len();
-            self.live[e.index()] = Some(idx);
-            let at = self.live_sorted.partition_point(|&x| x < e);
-            self.live_sorted.insert(at, e);
-            self.instances.push(MeetingInstance {
-                edge: e,
-                convened_step: None,
-                convened_round: 0,
-                terminated_step: None,
-                participants: h.members(e).to_vec(),
-                essential: BTreeSet::new(),
-                left_by: Vec::new(),
-            });
+            self.open(h, e, None, 0);
         }
     }
 
@@ -307,28 +476,35 @@ impl MeetingLedger {
         delta: &MutationDelta,
         step: u64,
     ) {
-        // Historical instances get their edge ids remapped below — the
-        // sealed encoding of the "immutable" prefix is stale. Re-seal from
-        // scratch at the next snapshot (mutations are rare next to steps).
-        self.seal.reset();
         if let Some(e) = delta.removed() {
             if let Some(idx) = self.live[e.index()].take() {
                 self.instances[idx].terminated_step = Some(step);
             }
         }
         delta.remap_per_edge(&mut self.live, || None);
-        for inst in &mut self.instances {
-            if let Some(ne) = delta.remap_edge(inst.edge) {
-                inst.edge = ne;
+        delta.remap_per_edge(&mut self.members, || None);
+        // Only a relocation changes an id history refers to (a dissolved
+        // committee keeps its label): without one the walk over history —
+        // the one term of a mutation that grows with the run — and the
+        // re-seal of the terminated prefix are both skipped.
+        if let Some((old, new)) = delta.moved() {
+            self.seal.reset();
+            for inst in &mut self.instances {
+                if inst.edge == old {
+                    inst.edge = new;
+                }
             }
         }
-        self.live_sorted = (0..h.m())
-            .filter(|&ei| self.live[ei].is_some())
-            .map(|ei| EdgeId(ei as u32))
-            .collect();
+        self.live_sorted = Self::sorted_live(&self.live);
         for e in delta.changed_edges() {
             self.resync_edge(h, states, e, step);
         }
+    }
+
+    /// The edges with a live slot, ascending.
+    fn sorted_live(live: &[Option<usize>]) -> Vec<EdgeId> {
+        let ids = (0..live.len()).filter(|&ei| live[ei].is_some());
+        ids.map(|ei| EdgeId(ei as u32)).collect()
     }
 
     /// All recorded instances, in creation order.
@@ -381,7 +557,7 @@ impl MeetingLedger {
 
     /// Total number of post-initial convenes.
     pub fn convened_count(&self) -> usize {
-        self.post_initial_instances().count()
+        self.convened
     }
 
     /// Number of per-edge live slots — the `|E|` this ledger is dimensioned
@@ -397,15 +573,18 @@ impl MeetingLedger {
 
     /// Wire encoding of one instance — the unit [`MeetingLedger::save_state`],
     /// the seal cache and [`LedgerSnapshot::encode`] must agree on.
+    ///
+    /// The layout is that of the `Vec` / `BTreeSet` / `Vec` record this one
+    /// replaced — three length-prefixed lists of *processes*, the second
+    /// ascending — so no stored byte moved when the record went flat.
     fn encode_instance(inst: &MeetingInstance, out: &mut Vec<u8>) {
         inst.edge.encode(out);
         inst.convened_step.encode(out);
         wire::put_u64(out, inst.convened_round);
         inst.terminated_step.encode(out);
         wire::put_usize_slice(out, &inst.participants);
-        let essential: Vec<usize> = inst.essential.iter().copied().collect();
-        wire::put_usize_slice(out, &essential);
-        wire::put_usize_slice(out, &inst.left_by);
+        inst.essential.encode(&inst.participants, out);
+        inst.left_by.encode(&inst.participants, out);
     }
 
     /// Wire encoding of everything after the instance list: live slots,
@@ -479,21 +658,48 @@ impl MeetingLedger {
     }
 
     /// Decode a ledger written by [`MeetingLedger::save_state`], rebuilding
-    /// `live_sorted` and re-validating the live set's invariants (every
-    /// live slot names an un-terminated instance of that very edge).
+    /// `live_sorted` and the convene count and re-validating the rest: every
+    /// live slot names an un-terminated instance of that very edge, every
+    /// member list is strictly ascending, `essential` is an ascending and
+    /// `left_by` a duplicate-free selection *of the participants*. Only
+    /// blobs `save_state` can write decode, so decode-then-encode is the
+    /// identity.
     pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
         // ≥ 38 bytes per instance (all three member lists empty).
         let count = r.count(38)?;
         let mut instances = Vec::with_capacity(count);
+        // Instances of one committee share one handle again. A map, not a
+        // table: a dissolved committee's label may exceed `|E|`, and nothing
+        // read from input may size an allocation.
+        let mut handles: BTreeMap<EdgeId, Members> = BTreeMap::new();
+        let mut list = Vec::new();
         for _ in 0..count {
+            let edge = EdgeId::decode(r)?;
+            let convened_step = Option::<u64>::decode(r)?;
+            let convened_round = r.u64()?;
+            let terminated_step = Option::<u64>::decode(r)?;
+            list.clear();
+            for _ in 0..r.count(8)? {
+                list.push(r.usize()?);
+            }
+            let participants = match handles.get(&edge) {
+                Some(m) if **m == *list => m.clone(),
+                _ => {
+                    let m = Members::new(&list)?;
+                    handles.insert(edge, m.clone());
+                    m
+                }
+            };
+            let essential = Positions::decode(r, &participants, true)?;
+            let left_by = Positions::decode(r, &participants, false)?;
             instances.push(MeetingInstance {
-                edge: EdgeId::decode(r)?,
-                convened_step: Option::<u64>::decode(r)?,
-                convened_round: r.u64()?,
-                terminated_step: Option::<u64>::decode(r)?,
-                participants: r.usize_vec()?,
-                essential: r.usize_vec()?.into_iter().collect(),
-                left_by: r.usize_vec()?,
+                edge,
+                convened_step,
+                convened_round,
+                terminated_step,
+                participants,
+                essential,
+                left_by,
             });
         }
         let m = r.count(1)?;
@@ -517,14 +723,12 @@ impl MeetingLedger {
         if last_participation.len() != participations.len() {
             return None;
         }
-        let live_sorted = (0..m)
-            .filter(|&ei| live[ei].is_some())
-            .map(|ei| EdgeId(ei as u32))
-            .collect();
         Some(MeetingLedger {
+            convened: instances.iter().filter(|i| i.post_initial()).count(),
             instances,
+            live_sorted: Self::sorted_live(&live),
             live,
-            live_sorted,
+            members: vec![None; m],
             participations,
             last_participation,
             seal: SealCache::new(),
@@ -637,7 +841,7 @@ mod tests {
             ],
         );
         assert!(ev.is_empty(), "still meets: no lifecycle event");
-        assert_eq!(ledger.instances()[0].essential.len(), 2);
+        assert_eq!(ledger.instances()[0].discussants().count(), 2);
 
         // Step 9: professor 3 leaves; the meeting terminates.
         let mut after = done.clone();
@@ -653,7 +857,7 @@ mod tests {
         assert_eq!(ev, vec![LedgerEvent::Terminated(0)]);
         let m = &ledger.instances()[0];
         assert_eq!(m.terminated_step, Some(9));
-        assert_eq!(m.left_by, vec![h.dense_of(3)]);
+        assert_eq!(m.leavers().collect::<Vec<_>>(), vec![h.dense_of(3)]);
         assert!(ledger.live_edges().is_empty());
     }
 
@@ -804,5 +1008,393 @@ mod tests {
         assert_eq!(ledger.participations()[h.dense_of(1)], 0);
         assert_eq!(ledger.last_participation(h.dense_of(3)), Some(1));
         assert_eq!(ledger.convened_count(), 1);
+    }
+
+    /// The record this module replaced: the same fields as owned
+    /// `Vec` / `BTreeSet` / `Vec`.
+    struct OldInstance {
+        edge: EdgeId,
+        convened_step: Option<u64>,
+        convened_round: u64,
+        terminated_step: Option<u64>,
+        participants: Vec<usize>,
+        essential: std::collections::BTreeSet<usize>,
+        left_by: Vec<usize>,
+    }
+
+    /// The PR 13 ledger, reduced to what its `save_state` wrote — the
+    /// reference the flat record is compared against, byte for byte. It
+    /// walks all of history on every mutation and knows no positions.
+    struct OldLedger {
+        instances: Vec<OldInstance>,
+        live: Vec<Option<usize>>,
+        participations: Vec<u64>,
+        last_participation: Vec<Option<u64>>,
+    }
+
+    impl OldLedger {
+        fn new(h: &Hypergraph) -> Self {
+            OldLedger {
+                instances: Vec::new(),
+                live: vec![None; h.m()],
+                participations: vec![0; h.n()],
+                last_participation: vec![None; h.n()],
+            }
+        }
+
+        fn open(&mut self, h: &Hypergraph, e: EdgeId, convened_step: Option<u64>, round: u64) {
+            self.live[e.index()] = Some(self.instances.len());
+            self.instances.push(OldInstance {
+                edge: e,
+                convened_step,
+                convened_round: round,
+                terminated_step: None,
+                participants: h.members(e).to_vec(),
+                essential: Default::default(),
+                left_by: Vec::new(),
+            });
+        }
+
+        fn observe_delta(
+            &mut self,
+            h: &Hypergraph,
+            post: &[Cc1State],
+            step: u64,
+            round: u64,
+            executed: &[(usize, ActionClass, Option<EdgeId>)],
+        ) {
+            for &(p, class, pointer) in executed {
+                let Some(idx) = pointer.and_then(|e| self.live[e.index()]) else {
+                    continue;
+                };
+                match class {
+                    ActionClass::Essential => drop(self.instances[idx].essential.insert(p)),
+                    ActionClass::Leave => self.instances[idx].left_by.push(p),
+                    _ => {}
+                }
+            }
+            for e in h.edge_ids() {
+                match (self.live[e.index()], edge_meets(h, post, e)) {
+                    (None, true) => {
+                        self.open(h, e, Some(step), round);
+                        for &q in h.members(e) {
+                            self.participations[q] += 1;
+                            self.last_participation[q] = Some(step);
+                        }
+                    }
+                    (Some(idx), false) => {
+                        self.live[e.index()] = None;
+                        self.instances[idx].terminated_step = Some(step);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn resync_edge(&mut self, h: &Hypergraph, states: &[Cc1State], e: EdgeId, step: u64) {
+            if let Some(idx) = self.live[e.index()].take() {
+                self.instances[idx].terminated_step = Some(step);
+            }
+            if edge_meets(h, states, e) {
+                self.open(h, e, None, 0);
+            }
+        }
+
+        fn apply_mutation(
+            &mut self,
+            h: &Hypergraph,
+            states: &[Cc1State],
+            delta: &MutationDelta,
+            step: u64,
+        ) {
+            if let Some(idx) = delta.removed().and_then(|e| self.live[e.index()].take()) {
+                self.instances[idx].terminated_step = Some(step);
+            }
+            delta.remap_per_edge(&mut self.live, || None);
+            for inst in &mut self.instances {
+                inst.edge = delta.remap_edge(inst.edge).unwrap_or(inst.edge);
+            }
+            for e in delta.changed_edges() {
+                self.resync_edge(h, states, e, step);
+            }
+        }
+
+        fn save_state(&self, out: &mut Vec<u8>) {
+            wire::put_usize(out, self.instances.len());
+            for inst in &self.instances {
+                inst.edge.encode(out);
+                inst.convened_step.encode(out);
+                wire::put_u64(out, inst.convened_round);
+                inst.terminated_step.encode(out);
+                wire::put_usize_slice(out, &inst.participants);
+                let essential: Vec<usize> = inst.essential.iter().copied().collect();
+                wire::put_usize_slice(out, &essential);
+                wire::put_usize_slice(out, &inst.left_by);
+            }
+            MeetingLedger::encode_footer(
+                out,
+                &self.live,
+                &self.participations,
+                &self.last_participation,
+            );
+        }
+    }
+
+    /// A bare ledger and the reference under one random history: convene,
+    /// essential, leave (members leave in a shuffled order half the time),
+    /// strike, and mutations that change memberships and relocate ids, on
+    /// a graph with committees of 2, 64 (the last inline size), 65 and 70.
+    struct Rig {
+        h: Hypergraph,
+        states: Vec<Cc1State>,
+        ledger: MeetingLedger,
+        old: OldLedger,
+        step: u64,
+        rng: rand::rngs::StdRng,
+    }
+
+    impl Rig {
+        fn new(seed: u64) -> Self {
+            use rand::SeedableRng as _;
+            let mut committees: Vec<Vec<u32>> = (0..80).map(|i| vec![i, (i + 1) % 80]).collect();
+            committees.extend([(0..64).collect(), (8..73).collect(), (5..75).collect()]);
+            let refs: Vec<&[u32]> = committees.iter().map(|c| &c[..]).collect();
+            let h = Hypergraph::new(&refs);
+            let states = vec![Cc1State::idle(); h.n()];
+            Rig {
+                ledger: MeetingLedger::new(&h, &states),
+                old: OldLedger::new(&h),
+                h,
+                states,
+                step: 0,
+                rng: rand::rngs::StdRng::seed_from_u64(seed),
+            }
+        }
+
+        /// A random non-empty selection of `e`'s members, ascending.
+        fn some_members(&mut self, e: EdgeId) -> Vec<usize> {
+            use rand::Rng as _;
+            let members = self.h.members(e).to_vec();
+            let keep = self.rng.random_range(1..=4u32);
+            let mut picked: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|_| self.rng.random_range(0..4u32) < keep)
+                .collect();
+            if picked.is_empty() {
+                picked.push(members[self.rng.random_range(0..members.len())]);
+            }
+            picked
+        }
+
+        fn observe(&mut self, executed: &[(usize, ActionClass, Option<EdgeId>)]) {
+            self.step += 1;
+            let (step, round) = (self.step, self.step / 7);
+            let touched: Vec<EdgeId> = self.h.edge_ids().collect();
+            self.ledger
+                .observe_delta(&self.h, &self.states, step, round, executed, &touched);
+            self.old
+                .observe_delta(&self.h, &self.states, step, round, executed);
+        }
+
+        fn op(&mut self) {
+            use rand::seq::SliceRandom as _;
+            use rand::Rng as _;
+            let any = EdgeId(self.rng.random_range(0..self.h.m()) as u32);
+            let live = self.ledger.live_edges();
+            let busy = live
+                .get(self.rng.random_range(0..live.len().max(1)))
+                .copied();
+            match (self.rng.random_range(0..10u32), busy) {
+                (0..=3, _) | (_, None) => {
+                    // Big committees get their turn: every fourth convene is
+                    // one of the last three.
+                    let e = match self.rng.random_range(0..4u32) {
+                        0 => EdgeId((self.h.m() - 1 - self.rng.random_range(0..3usize)) as u32),
+                        _ => any,
+                    };
+                    for &q in self.h.members(e) {
+                        self.states[q] = s(Status::Waiting, Some(e.0));
+                    }
+                    self.observe(&[]);
+                }
+                (4..=5, Some(e)) => {
+                    let who = self.some_members(e);
+                    let mut executed = Vec::new();
+                    for q in who {
+                        if self.states[q].s == Status::Waiting {
+                            self.states[q].s = Status::Done;
+                            executed.push((q, ActionClass::Essential, Some(e)));
+                        }
+                    }
+                    executed.shuffle(&mut self.rng);
+                    self.observe(&executed);
+                }
+                (6..=7, Some(e)) => {
+                    let mut who = self.some_members(e);
+                    if self.rng.random() {
+                        who.shuffle(&mut self.rng);
+                    }
+                    let executed: Vec<_> = who
+                        .iter()
+                        .map(|&q| (q, ActionClass::Leave, Some(e)))
+                        .collect();
+                    for q in who {
+                        self.states[q] = Cc1State::idle();
+                    }
+                    self.observe(&executed);
+                }
+                (8, Some(e)) => {
+                    // A strike: some members forget the meeting, every
+                    // committee of theirs is re-synced silently.
+                    let struck = self.some_members(e);
+                    let mut edges: Vec<EdgeId> = Vec::new();
+                    for &q in &struck {
+                        self.states[q] = Cc1State::idle();
+                        edges.extend(self.h.incident(q));
+                    }
+                    edges.sort_unstable();
+                    edges.dedup();
+                    for e in edges {
+                        self.ledger.resync_edge(&self.h, &self.states, e, self.step);
+                        self.old.resync_edge(&self.h, &self.states, e, self.step);
+                    }
+                }
+                _ => {
+                    // Half the removals hit a low id, so the last committee
+                    // relocates and history is relabelled.
+                    let mutation = match self.rng.random_range(0..4u32) {
+                        0 => sscc_hypergraph::WorldMutation::RemoveCommittee { edge: any },
+                        _ => sscc_hypergraph::random_mutation(&self.h, &mut self.rng),
+                    };
+                    let Ok(delta) = self.h.apply_mutation(&mutation) else {
+                        return;
+                    };
+                    for (q, state) in self.states.iter_mut().enumerate() {
+                        let kept = state.p.and_then(|e| delta.remap_edge(e));
+                        *state = match kept {
+                            Some(e) if self.h.is_member(q, e) => s(state.s, Some(e.0)),
+                            _ => Cc1State::idle(),
+                        };
+                    }
+                    self.ledger
+                        .apply_mutation(&self.h, &self.states, &delta, self.step);
+                    self.old
+                        .apply_mutation(&self.h, &self.states, &delta, self.step);
+                }
+            }
+        }
+
+        /// `save_state`, checked against `snapshot().encode` (when asked:
+        /// a capture advances the seal) and against the reference.
+        fn bytes(&mut self, capture: bool) -> Vec<u8> {
+            let (mut flat, mut reference, mut captured) = (Vec::new(), Vec::new(), Vec::new());
+            self.ledger.save_state(&mut flat);
+            self.old.save_state(&mut reference);
+            assert!(flat == reference, "step {}: save_state moved", self.step);
+            if capture {
+                self.ledger.snapshot().encode(&mut captured);
+                assert!(flat == captured, "step {}: snapshot moved", self.step);
+            }
+            flat
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn flat_records_write_the_bytes_the_owned_records_wrote(seed in 0u64..u64::MAX) {
+            let mut rig = Rig::new(seed);
+            for i in 0..160 {
+                rig.op();
+                rig.bytes(seed.wrapping_add(i) % 3 == 0);
+            }
+            let blob = rig.bytes(true);
+            let twin = MeetingLedger::restore_state(&mut wire::Reader::new(&blob)).unwrap();
+            let mut again = Vec::new();
+            twin.save_state(&mut again);
+            proptest::prop_assert!(again == blob, "restore → save is the identity");
+            proptest::prop_assert_eq!(twin.instances(), rig.ledger.instances());
+            let convened = rig.ledger.post_initial_instances().count();
+            proptest::prop_assert_eq!(rig.ledger.convened_count(), convened);
+            proptest::prop_assert_eq!(twin.convened_count(), convened);
+        }
+    }
+
+    #[test]
+    fn big_committee_history_fails_closed() {
+        // Seed chosen for a history with spilled records on both fields.
+        let mut rig = Rig::new(0);
+        (0..160).for_each(|_| rig.op());
+        let spilled = |p: &Positions| matches!(p.0, Order::Listed(_));
+        let instances = rig.ledger.instances();
+        assert!(instances.iter().any(|i| i.participants.len() > 64));
+        assert!(instances.iter().any(|i| spilled(&i.essential)));
+        assert!(instances.iter().any(|i| spilled(&i.left_by)));
+        wire::fails_closed(None, &rig.bytes(true), |b| {
+            MeetingLedger::restore_state(&mut wire::Reader::new(b)).is_some()
+        });
+    }
+
+    #[test]
+    fn restore_rejects_discussants_and_leavers_the_meeting_never_had() {
+        // One terminated meeting of fig2's {3, 4} and the footer of an
+        // otherwise empty ledger, with `essential` / `left_by` as given.
+        let h = generators::fig2();
+        let (p3, p4) = (h.dense_of(3), h.dense_of(4));
+        let outsider = h.dense_of(1);
+        let blob = |essential: &[usize], left_by: &[usize]| {
+            let mut out = Vec::new();
+            wire::put_usize(&mut out, 1);
+            EdgeId(2).encode(&mut out);
+            Some(5u64).encode(&mut out);
+            wire::put_u64(&mut out, 1);
+            Some(9u64).encode(&mut out);
+            wire::put_usize_slice(&mut out, &[p3, p4]);
+            wire::put_usize_slice(&mut out, essential);
+            wire::put_usize_slice(&mut out, left_by);
+            MeetingLedger::encode_footer(&mut out, &vec![None; h.m()], &[0; 5], &[None; 5]);
+            out
+        };
+        let accepts = |essential: &[usize], left_by: &[usize]| {
+            let bytes = blob(essential, left_by);
+            MeetingLedger::restore_state(&mut wire::Reader::new(&bytes)).is_some()
+        };
+        assert!(accepts(&[p3, p4], &[p4, p3]), "leavers come in any order");
+        assert!(!accepts(&[p3, outsider], &[p3]), "a discussant outside");
+        assert!(!accepts(&[p3, p3], &[p3]), "a discussant twice");
+        assert!(!accepts(&[p4, p3], &[p3]), "discussants out of set order");
+        assert!(!accepts(&[p3, p4], &[outsider]), "a leaver outside");
+        assert!(!accepts(&[p3, p4], &[p4, p4]), "a leaver twice");
+    }
+
+    #[test]
+    fn mutation_without_a_relocation_leaves_history_and_seal_alone() {
+        // Removing the *last* committee moves no id: the sealed prefix
+        // survives (same shared segment), and the bytes still match.
+        let mut h = generators::ring(6, 2);
+        let idle = vec![Cc1State::idle(); h.n()];
+        let mut met = idle.clone();
+        for &p in h.members(EdgeId(0)) {
+            met[p] = s(Status::Waiting, Some(0));
+        }
+        let mut ledger = MeetingLedger::new(&h, &idle);
+        ledger.observe(&h, &idle, &met, 3, 1, &[]);
+        ledger.observe(&h, &met, &idle, 7, 1, &[]);
+        let before = ledger.snapshot();
+        let last = EdgeId((h.m() - 1) as u32);
+        let mutation = sscc_hypergraph::WorldMutation::RemoveCommittee { edge: last };
+        let delta = h.apply_mutation(&mutation).unwrap();
+        assert!(delta.moved().is_none());
+        ledger.apply_mutation(&h, &idle, &delta, 8);
+        let after = ledger.snapshot();
+        assert!(
+            Arc::ptr_eq(&before.sealed[0], &after.sealed[0]),
+            "seal kept"
+        );
+        let (mut captured, mut flat) = (Vec::new(), Vec::new());
+        after.encode(&mut captured);
+        ledger.save_state(&mut flat);
+        assert_eq!(captured, flat);
     }
 }

@@ -217,7 +217,7 @@ impl SpecMonitor {
                         .participants
                         .iter()
                         .copied()
-                        .filter(|q| !m.essential.contains(q))
+                        .filter(|&q| !m.discussed(q))
                         .collect();
                     if !missing.is_empty() {
                         self.violations.push(Violation::EssentialSkipped {

@@ -41,7 +41,7 @@ fn lemma4_essential_discussion_per_instance() {
         if m.terminated_step.is_some() {
             for q in &m.participants {
                 assert!(
-                    m.essential.contains(q),
+                    m.discussed(*q),
                     "participant p{q} skipped essential discussion in {m:?}"
                 );
             }
@@ -71,8 +71,8 @@ fn lemma5_voluntary_discussion() {
             assert!(!m.left_by.is_empty(), "involuntary termination: {m:?}");
             assert!(t - c >= 2, "lifecycle needs essential before leave: {m:?}");
             // Leavers must have discussed first (2-phase order).
-            for q in &m.left_by {
-                assert!(m.essential.contains(q), "left before discussing: {m:?}");
+            for q in m.leavers() {
+                assert!(m.discussed(q), "left before discussing: {m:?}");
             }
             checked += 1;
         }

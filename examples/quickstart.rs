@@ -73,10 +73,7 @@ fn main() {
             h.members_raw(m.edge),
             m.convened_step,
             m.terminated_step,
-            m.essential
-                .iter()
-                .map(|&q| h.id(q).value())
-                .collect::<Vec<_>>()
+            m.discussants().map(|q| h.id(q).value()).collect::<Vec<_>>()
         );
     }
 }
