@@ -363,7 +363,7 @@ pub struct LatencyRecord {
     pub algo: String,
     /// Topology label (`ring1536x2`, …).
     pub topology: String,
-    /// Engine mode (`par1`, `vl_daemon`, …).
+    /// Engine mode (`par1`, `daemon`, …).
     pub mode: String,
     /// Arrival-process label (`poisson`, `bursty`, `hotspot`).
     pub arrival: String,

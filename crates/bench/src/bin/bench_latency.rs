@@ -12,7 +12,7 @@
 //! # CI smoke (rings n=96/384; the ring384 cells use the same protocol as
 //! # the committed baseline, so the gate joins on identical trajectories):
 //! cargo run -p sscc-bench --release --bin bench_latency -- \
-//!     --quick --modes par1,vl_daemon bench_latency_ci.json
+//!     --quick --modes par1,daemon bench_latency_ci.json
 //!
 //! # Regression gate: exit 1 if any (algo, topology, mode, arrival) pair in
 //! # FRESH has a p99 sojourn more than THRESHOLD (default 0.10) above
@@ -285,7 +285,7 @@ fn main() {
     let mut quick = false;
     // The default pair spans the engine's two serving configurations of
     // interest: the parallel workhorse and the incremental-daemon path.
-    let mut modes: Vec<String> = vec!["par1".into(), "vl_daemon".into()];
+    let mut modes: Vec<String> = vec!["par1".into(), "daemon".into()];
     let mut out_path: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {

@@ -14,7 +14,7 @@
 //! cargo run -p sscc-bench --release --bin perf_record -- \
 //!     --quick --modes @baseline bench_ci.json
 //! cargo run -p sscc-bench --release --bin perf_record -- \
-//!     --modes par1,vl_pool profile.json
+//!     --modes par1,pool profile.json
 //!
 //! # Regression gate: exit 1 if any (algo, topology, mode, threads) pair in
 //! # FRESH regressed more than THRESHOLD (default 0.20) below BASELINE:

@@ -12,16 +12,6 @@ use crate::status::{ActionClass, CommitteeView};
 use sscc_hypergraph::{Hypergraph, MutationDelta};
 use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, ProcessState, StateAccess};
 
-/// Projection bit for the committee-visible part of a composed state (the
-/// [`CommitteeView`] fields: status, pointer, `t`/`l` bits). Neighbors'
-/// committee guards read exactly this slice.
-pub const PROJ_CC: u8 = 1 << 0;
-
-/// Projection bit for the token-substrate part of a composed state. The
-/// token layer's turn/cursor variables are read only by the process itself,
-/// so a tok-only change needs no neighbor re-evaluation.
-pub const PROJ_TOK: u8 = 1 << 1;
-
 /// A committee coordination local algorithm with token inputs/outputs.
 ///
 /// `Sync` (algorithm and state): the composition is evaluated concurrently
@@ -61,47 +51,74 @@ pub trait CommitteeAlgorithm: Sync {
         let _ = on;
     }
 
-    /// Switch the fused evaluator onto its **fact-mirror** fast path: guards
-    /// test per-edge predicate bits maintained by
-    /// [`rebuild_facts`](CommitteeAlgorithm::rebuild_facts) /
-    /// [`refresh_facts`](CommitteeAlgorithm::refresh_facts) instead of
-    /// re-deriving committee predicates from per-member field reads.
-    /// Bit-identical results either way; no-op for algorithms without a
-    /// mirror.
+    /// Inert. The evaluator no longer has a fact-mirror switch: it reads the
+    /// mirror exactly while the engine keeps it in sync
+    /// ([`rebuild_facts`](CommitteeAlgorithm::rebuild_facts) …
+    /// [`drop_facts`](CommitteeAlgorithm::drop_facts)). Kept only because
+    /// the frozen `benchmark/src/replica.rs` calls it; ROADMAP item 1
+    /// deletes it with the benchmark's other pins.
     fn set_value_level(&mut self, on: bool) {
         let _ = on;
     }
 
-    /// Rebuild the committee-fact mirror from a full configuration. Called
-    /// by the composition's `init_commit_notes` before the first evaluation
-    /// under value-level mode and after wholesale state overwrites.
-    fn rebuild_facts<X: StateAccess<Self::State> + ?Sized>(&mut self, h: &Hypergraph, states: &X) {
-        let _ = (h, states);
-    }
+    /// Rebuild the committee-fact mirror (counters and fact bits) from the
+    /// members of every committee of a full configuration. Called through
+    /// the composition's `init_commit_notes`; from here until
+    /// [`drop_facts`](CommitteeAlgorithm::drop_facts) the engine reports
+    /// every write through
+    /// [`apply_write`](CommitteeAlgorithm::apply_write), so
+    /// [`priority_action`](CommitteeAlgorithm::priority_action) may test
+    /// fact bits instead of scanning members.
+    fn rebuild_facts<X: StateAccess<Self::State> + ?Sized>(&mut self, h: &Hypergraph, states: &X);
+
+    /// The engine stopped keeping the mirror in sync: evaluate by member
+    /// scan until the next
+    /// [`rebuild_facts`](CommitteeAlgorithm::rebuild_facts).
+    fn drop_facts(&mut self);
+
+    /// Diagnostic: is the mirror — when live — exactly what
+    /// [`rebuild_facts`](CommitteeAlgorithm::rebuild_facts) would derive
+    /// from `states`? `O(Σ|ε|)`; the incremental upkeep's test oracle.
+    fn facts_in_sync<X: StateAccess<Self::State> + ?Sized>(
+        &self,
+        h: &Hypergraph,
+        states: &X,
+    ) -> bool;
 
     /// Did the *neighbor-visible* part of a committee state change between
-    /// `old` and `new`? Drives the composition's [`PROJ_CC`] bit: when
-    /// `false`, no neighbor's committee guard can change enabledness (and
-    /// no edge fact can move). The default treats the whole state as
-    /// visible; override to exclude self-only fields (e.g. a round-robin
-    /// cursor).
+    /// `old` and `new`? When `false`, no neighbor's committee guard can
+    /// change enabledness and no edge fact can move, so the composition
+    /// skips [`apply_write`](CommitteeAlgorithm::apply_write). The default
+    /// treats the whole state as visible; override to exclude self-only
+    /// fields (e.g. a round-robin cursor).
     fn committee_visible_changed(&self, old: &Self::State, new: &Self::State) -> bool {
         old != new
     }
 
-    /// Incrementally refresh the mirror after a committed step: `changed`
-    /// lists `(process, projection mask)` pairs for every process whose
-    /// state moved; implementations consider the entries whose mask has
-    /// [`PROJ_CC`] set and re-derive the facts of every incident edge from
-    /// the committed configuration, leaving all other edges untouched.
-    fn refresh_facts<X: StateAccess<Self::State> + ?Sized>(
+    /// Process `p`'s committee state visibly changed from `old` to
+    /// `states.state(p)` while the mirror is live (other writes of the same
+    /// step may or may not have landed): apply the old→new delta to the
+    /// counters of `p`'s incident committees — `O(deg(p))`, no member scan.
+    /// Who has to be re-evaluated is decided from the step's *net* effect,
+    /// by [`flush_facts`](CommitteeAlgorithm::flush_facts).
+    fn apply_write<X: StateAccess<Self::State> + ?Sized>(
         &mut self,
         h: &Hypergraph,
         states: &X,
-        changed: &[(usize, u8)],
-    ) {
-        let _ = (h, states, changed);
-    }
+        p: usize,
+        old: &Self::State,
+    );
+
+    /// All writes of the step landed: `mark` the members of every committee
+    /// whose facts net-flipped, and of every still-free committee whose
+    /// local maximum re-pointed (the one neighbor *field* a guard reads
+    /// besides the facts).
+    fn flush_facts<X: StateAccess<Self::State> + ?Sized>(
+        &mut self,
+        h: &Hypergraph,
+        states: &X,
+        mark: impl FnMut(usize),
+    );
 
     /// Sanitize one process's committee state after a topology mutation
     /// (`h` is the post-mutation graph). The committee state's domain is
@@ -125,9 +142,10 @@ pub trait CommitteeAlgorithm: Sync {
 
     /// Repair the committee-fact mirror in place after a topology mutation:
     /// translate the per-edge arrays through
-    /// [`MutationDelta::remap_per_edge`] and recompute the facts of the
-    /// changed committees plus every committee incident to a process whose
-    /// state [`repair_state`](CommitteeAlgorithm::repair_state) altered.
+    /// [`MutationDelta::remap_per_edge`] and re-derive, from members, the
+    /// facts of the changed committees plus every committee incident to a
+    /// process whose state
+    /// [`repair_state`](CommitteeAlgorithm::repair_state) altered.
     /// Returns `true` iff the mirror is again in sync with the committed
     /// configuration; `false` (the default — no mirror, or the mirror was
     /// not live) routes the caller onto the full-rebuild path.

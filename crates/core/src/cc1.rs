@@ -22,13 +22,14 @@
 //! released by holders that cannot use it (`Token2`) — that release is
 //! precisely what buys Maximal Concurrency and forfeits fairness (§3.2).
 
-use crate::algo::{CommitteeAlgorithm, PROJ_CC};
+use crate::algo::CommitteeAlgorithm;
 use crate::choice::{EdgeChoice, MaxMembersDesc};
+use crate::facts::{repair_scope, EdgeFacts, Quantified};
 use crate::oracle::RequestEnv;
 use crate::predicates;
 use crate::status::{ActionClass, CommitteeView, Status};
 use sscc_hypergraph::{EdgeId, Hypergraph};
-use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, MarkSet, StateAccess};
+use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, StateAccess};
 
 /// Per-process CC1 state: `S_p`, `P_p`, `T_p`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,8 +108,9 @@ pub mod action {
     pub const COUNT: usize = 10;
 }
 
-// Committee-fact bits of the value-level mirror, one byte per edge. Each
-// predicate quantifies over *all* members of the edge.
+// Committee-fact bits of the mirror, one byte per edge. Each predicate
+// quantifies over *all* members of the edge; a fact bit holds iff no member
+// falsifies it (see `Quantified`).
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {looking, waiting}` — the committee is ready.
 const F_READY: u8 = 1 << 0;
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {waiting, done}` — the committee is meeting.
@@ -118,56 +120,92 @@ const F_FREE: u8 = 1 << 2;
 /// `∀q ∈ ε : P_q ≠ ε ∨ S_q = done` — members may leave the meeting.
 const F_LEAVE: u8 = 1 << 3;
 
-/// Struct-of-arrays mirror of the committee-shared predicates: one fact
-/// byte and one "max announced-token member" slot per edge, kept in sync
-/// with the committed configuration by
-/// [`CommitteeAlgorithm::rebuild_facts`]/[`CommitteeAlgorithm::refresh_facts`].
-/// The masked fused evaluator tests these bits instead of re-scanning every
-/// member of every incident committee on every guard evaluation.
+impl Quantified<4> for Cc1State {
+    fn falsifies(&self, points: bool) -> u8 {
+        let mut f = 0;
+        if !(points && matches!(self.s, Status::Looking | Status::Waiting)) {
+            f |= F_READY;
+        }
+        if !(points && matches!(self.s, Status::Waiting | Status::Done)) {
+            f |= F_MEETING;
+        }
+        if self.s != Status::Looking {
+            f |= F_FREE;
+        }
+        if points && self.s != Status::Done {
+            f |= F_LEAVE;
+        }
+        f
+    }
+}
+
+/// `max_t` slot of a committee none of whose members announces a token.
+const NO_HOLDER: u32 = u32::MAX;
+
+/// The committee-fact mirror of CC1: the counted fact bytes plus one "max
+/// announced-token member" slot per edge, kept in sync with the committed
+/// configuration through [`CommitteeAlgorithm::rebuild_facts`] /
+/// [`CommitteeAlgorithm::apply_write`]. The masked evaluator tests these
+/// instead of re-scanning every member of every incident committee on every
+/// guard evaluation, and [`CommitteeAlgorithm::flush_facts`] reads off them
+/// which guards a step can have changed.
 #[derive(Clone, Debug, Default)]
 struct Cc1Facts {
-    /// Per-edge fact byte (`F_READY | F_MEETING | F_FREE | F_LEAVE`).
-    bits: Vec<u8>,
+    edges: EdgeFacts<4>,
     /// Per-edge **max member with `T_q` set**, as a dense index
-    /// (`u32::MAX` when no member announces a token). Dense order is
+    /// ([`NO_HOLDER`] when no member announces a token). Dense order is
     /// identifier order, so the maximum dense member is the maximum-id
-    /// member.
+    /// member. Updated in place; the members are rescanned only when the
+    /// current maximum drops its `T`.
     max_t: Vec<u32>,
-    /// Edge dedup scratch for incremental refresh.
-    touched: MarkSet,
+    /// Edges whose `max_t` moved since the last flush (with repeats).
+    t_moved: Vec<usize>,
+    /// Processes whose pointer changed since the last flush.
+    repointed: Vec<usize>,
 }
 
 impl Cc1Facts {
-    fn recompute<X: StateAccess<Cc1State> + ?Sized>(
-        &mut self,
-        h: &Hypergraph,
-        states: &X,
-        e: EdgeId,
-    ) {
-        let mut bits = F_READY | F_MEETING | F_FREE | F_LEAVE;
-        let mut max_t = u32::MAX;
-        for &q in h.members(e) {
-            let s = states.state(q);
-            let points = s.p == Some(e);
-            if !(points && matches!(s.s, Status::Looking | Status::Waiting)) {
-                bits &= !F_READY;
-            }
-            if !(points && matches!(s.s, Status::Waiting | Status::Done)) {
-                bits &= !F_MEETING;
-            }
-            if s.s != Status::Looking {
-                bits &= !F_FREE;
-            }
-            if points && s.s != Status::Done {
-                bits &= !F_LEAVE;
-            }
-            if s.t {
-                // Members ascend, so the last announcer is the max.
-                max_t = q as u32;
+    /// Derive everything from the members of every committee.
+    fn rebuild<X: StateAccess<Cc1State> + ?Sized>(&mut self, h: &Hypergraph, states: &X) {
+        self.edges.rebuild(h, states);
+        self.max_t.clear();
+        self.max_t
+            .extend(h.edge_ids().map(|e| Self::scan_max_t(h, states, e)));
+        self.t_moved.clear();
+        self.repointed.clear();
+    }
+
+    /// The max announcing member of `e`, by member scan (descending: the
+    /// first announcer found is the maximum).
+    fn scan_max_t<X: StateAccess<Cc1State> + ?Sized>(h: &Hypergraph, states: &X, e: EdgeId) -> u32 {
+        h.members(e)
+            .iter()
+            .rev()
+            .find(|&&q| states.state(q).t)
+            .map_or(NO_HOLDER, |&q| q as u32)
+    }
+
+    /// `p` flipped its `T` bit (the new value is already in `states`).
+    fn retoken<X: StateAccess<Cc1State> + ?Sized>(&mut self, h: &Hypergraph, states: &X, p: usize) {
+        let announces = states.state(p).t;
+        for &e in h.incident(p) {
+            let slot = self.max_t[e.index()];
+            let now = if announces {
+                if slot == NO_HOLDER || (p as u32) > slot {
+                    p as u32
+                } else {
+                    slot
+                }
+            } else if slot == p as u32 {
+                Self::scan_max_t(h, states, e)
+            } else {
+                slot
+            };
+            if now != slot {
+                self.t_moved.push(e.index());
+                self.max_t[e.index()] = now;
             }
         }
-        self.bits[e.index()] = bits;
-        self.max_t[e.index()] = max_t;
     }
 }
 
@@ -180,8 +218,6 @@ pub struct Cc1<Ch = MaxMembersDesc> {
     /// fused single-pass evaluator (the PR-1 baseline; bit-identical, just
     /// slower — kept as the differential-testing reference).
     reference_eval: bool,
-    /// Evaluate through the fact mirror (`EvalPath::ValueLevel`).
-    value_level: bool,
     facts: Cc1Facts,
 }
 
@@ -198,7 +234,6 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         Cc1 {
             choice,
             reference_eval: false,
-            value_level: false,
             facts: Cc1Facts::default(),
         }
     }
@@ -433,14 +468,14 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         None
     }
 
-    /// The masked evaluator (`EvalPath::ValueLevel`): same guard cascade as
-    /// [`Cc1::priority_action_fused`], but every committee-shared predicate
-    /// is a bit test against the [`Cc1Facts`] mirror instead of a member
-    /// scan — `O(|E_p|)` bit probes per evaluation instead of
-    /// `O(Σ|ε|)` state reads. Max-candidate selection compares dense
-    /// indices directly (dense order is identifier order). Bit-identical to
-    /// both other evaluators; `debug_assert`ed against the reference on
-    /// every evaluation in debug builds.
+    /// The masked evaluator (run while the engine keeps the mirror in
+    /// sync): same guard cascade as [`Cc1::priority_action_fused`], but
+    /// every committee-shared predicate is a bit test against the
+    /// [`Cc1Facts`] mirror instead of a member scan — `O(|E_p|)` bit probes
+    /// per evaluation instead of `O(Σ|ε|)` state reads. Max-candidate
+    /// selection compares dense indices directly (dense order is identifier
+    /// order). Bit-identical to both other evaluators; `debug_assert`ed
+    /// against the reference on every evaluation in debug builds.
     fn priority_action_masked<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
         &self,
         ctx: &Ctx<'_, Cc1State, E, A>,
@@ -455,7 +490,7 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         let mut max_any: Option<usize> = None;
         let mut max_t: Option<usize> = None;
         for &e in h.incident(me) {
-            let b = self.facts.bits[e.index()];
+            let b = self.facts.edges.bits(e);
             ready |= b & F_READY != 0;
             meeting |= b & F_MEETING != 0;
             if b & F_FREE != 0 {
@@ -466,14 +501,14 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
                     max_any = Some(mm);
                 }
                 let mt = self.facts.max_t[e.index()];
-                if mt != u32::MAX && max_t.is_none_or(|b| mt as usize > b) {
+                if mt != NO_HOLDER && max_t.is_none_or(|b| mt as usize > b) {
                     max_t = Some(mt as usize);
                 }
             }
         }
         let max_cand = max_t.or(max_any);
         let lm =
-            st.p.is_some_and(|e| h.is_member(me, e) && self.facts.bits[e.index()] & F_LEAVE != 0);
+            st.p.is_some_and(|e| h.is_member(me, e) && self.facts.edges.bits(e) & F_LEAVE != 0);
         let idle_ok = st.s != Status::Idle || st.p.is_none();
         let wait_ok = st.s != Status::Waiting || ready || meeting;
         let done_ok = st.s != Status::Done || meeting || lm;
@@ -501,8 +536,7 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
                     return Some(STEP21);
                 }
             } else if let Some(e) = max_cand.and_then(|mx| ctx.state_of(mx).p) {
-                if st.p != Some(e) && h.is_member(me, e) && self.facts.bits[e.index()] & F_FREE != 0
-                {
+                if st.p != Some(e) && h.is_member(me, e) && self.facts.edges.bits(e) & F_FREE != 0 {
                     return Some(STEP22);
                 }
             }
@@ -584,38 +618,77 @@ impl<Ch: EdgeChoice> CommitteeAlgorithm for Cc1<Ch> {
         self.reference_eval = on;
     }
 
-    fn set_value_level(&mut self, on: bool) {
-        self.value_level = on;
-    }
-
     fn rebuild_facts<X: StateAccess<Cc1State> + ?Sized>(&mut self, h: &Hypergraph, states: &X) {
-        self.facts.bits.clear();
-        self.facts.bits.resize(h.m(), 0);
-        self.facts.max_t.clear();
-        self.facts.max_t.resize(h.m(), u32::MAX);
-        self.facts.touched = MarkSet::new(h.m());
-        for e in h.edge_ids() {
-            self.facts.recompute(h, states, e);
-        }
+        self.facts.rebuild(h, states);
     }
 
-    fn refresh_facts<X: StateAccess<Cc1State> + ?Sized>(
+    fn drop_facts(&mut self) {
+        self.facts.edges.invalidate();
+    }
+
+    fn facts_in_sync<X: StateAccess<Cc1State> + ?Sized>(&self, h: &Hypergraph, states: &X) -> bool {
+        let mut fresh = Cc1Facts::default();
+        fresh.rebuild(h, states);
+        !self.facts.edges.live()
+            || (self.facts.edges.same_as(&fresh.edges) && self.facts.max_t == fresh.max_t)
+    }
+
+    #[inline]
+    fn apply_write<X: StateAccess<Cc1State> + ?Sized>(
         &mut self,
         h: &Hypergraph,
         states: &X,
-        changed: &[(usize, u8)],
+        p: usize,
+        old: &Cc1State,
     ) {
-        for &(p, m) in changed {
-            if m & PROJ_CC == 0 {
-                continue;
+        let new = states.state(p);
+        self.facts.edges.apply(h, p, old, new);
+        if old.t != new.t {
+            self.facts.retoken(h, states, p);
+        }
+        if old.p != new.p {
+            self.facts.repointed.push(p);
+        }
+    }
+
+    #[inline]
+    fn flush_facts<X: StateAccess<Cc1State> + ?Sized>(
+        &mut self,
+        h: &Hypergraph,
+        _states: &X,
+        mut mark: impl FnMut(usize),
+    ) {
+        let Cc1Facts {
+            edges,
+            max_t,
+            t_moved,
+            repointed,
+        } = &mut self.facts;
+        let mut members = |e: EdgeId| h.members(e).iter().for_each(|&q| mark(q));
+        // A guard reads the facts of its incident committees …
+        edges.flush(|e, was, now| {
+            if was != now {
+                members(e);
             }
-            for &e in h.incident(p) {
-                self.facts.touched.insert(e.index());
+        });
+        // … the max announced holder of the free ones …
+        for i in t_moved.drain(..) {
+            let e = EdgeId(i as u32);
+            if edges.bits(e) & F_FREE != 0 {
+                members(e);
             }
         }
-        let mut touched = std::mem::take(&mut self.facts.touched);
-        touched.drain(|ei| self.facts.recompute(h, states, EdgeId(ei as u32)));
-        self.facts.touched = touched;
+        // … and the pointer of its local maximum (Step22): the max member
+        // or max announced holder of a free committee.
+        for q in repointed.drain(..) {
+            for &e in h.incident(q) {
+                if edges.bits(e) & F_FREE != 0
+                    && (h.max_member(e) == q || max_t[e.index()] == q as u32)
+                {
+                    members(e);
+                }
+            }
+        }
     }
 
     fn repair_state(
@@ -639,25 +712,14 @@ impl<Ch: EdgeChoice> CommitteeAlgorithm for Cc1<Ch> {
         states: &X,
         repaired: &[usize],
     ) -> bool {
-        if self.facts.bits.len() != delta.old_m() {
-            // The mirror was never built (or is stale for other reasons):
-            // leave it to the caller's full-rebuild path.
+        let f = &mut self.facts;
+        if !f.edges.repair(h, delta, states, repaired) {
             return false;
         }
-        delta.remap_per_edge(&mut self.facts.bits, || 0);
-        delta.remap_per_edge(&mut self.facts.max_t, || u32::MAX);
-        self.facts.touched = MarkSet::new(h.m());
-        for e in delta.changed_edges() {
-            self.facts.recompute(h, states, e);
+        delta.remap_per_edge(&mut f.max_t, || NO_HOLDER);
+        for e in repair_scope(h, delta, repaired) {
+            f.max_t[e.index()] = Cc1Facts::scan_max_t(h, states, e);
         }
-        for &p in repaired {
-            for &e in h.incident(p) {
-                self.facts.touched.insert(e.index());
-            }
-        }
-        let mut touched = std::mem::take(&mut self.facts.touched);
-        touched.drain(|ei| self.facts.recompute(h, states, EdgeId(ei as u32)));
-        self.facts.touched = touched;
         true
     }
 
@@ -672,7 +734,7 @@ impl<Ch: EdgeChoice> CommitteeAlgorithm for Cc1<Ch> {
                 .rev()
                 .find(|&a| self.guard(ctx, token, a));
         }
-        let fused = if self.value_level {
+        let fused = if self.facts.edges.live() {
             self.priority_action_masked(ctx, token)
         } else {
             self.priority_action_fused(ctx, token)
@@ -1091,12 +1153,11 @@ mod tests {
     fn value_level_mirror_matches_reference_under_surgery() {
         // Random configurations, incremental single-process surgery: the
         // masked evaluator must agree with the per-guard reference at every
-        // process, and the incrementally refreshed mirror must equal a
+        // process, and the mirror kept by counter deltas must equal a
         // from-scratch rebuild.
         use rand::SeedableRng as _;
         let h = fig2();
         let mut cc = Cc1::new();
-        cc.set_value_level(true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let mut states: Vec<S> = (0..h.n()).map(|p| S::arbitrary(&mut rng, &h, p)).collect();
         cc.rebuild_facts(&h, states.as_slice());
@@ -1111,14 +1172,12 @@ mod tests {
                 }
             }
             let p = (round * 13 + 5) % h.n();
-            let old = states[p];
-            states[p] = S::arbitrary(&mut rng, &h, p);
-            let mask = if old == states[p] { 0 } else { PROJ_CC };
-            cc.refresh_facts(&h, states.as_slice(), &[(p, mask)]);
-            let mut fresh = Cc1::new();
-            fresh.rebuild_facts(&h, states.as_slice());
-            assert_eq!(cc.facts.bits, fresh.facts.bits, "round {round}");
-            assert_eq!(cc.facts.max_t, fresh.facts.max_t, "round {round}");
+            let old = std::mem::replace(&mut states[p], S::arbitrary(&mut rng, &h, p));
+            if old != states[p] {
+                cc.apply_write(&h, states.as_slice(), p, &old);
+            }
+            cc.flush_facts(&h, states.as_slice(), |_| {});
+            assert!(cc.facts_in_sync(&h, states.as_slice()), "round {round}");
         }
     }
 

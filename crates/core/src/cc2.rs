@@ -26,13 +26,14 @@
 //! (`FreeEdges` excludes locked/token processes), preserving as much
 //! concurrency as fairness allows (§5.1, Figure 4).
 
-use crate::algo::{CommitteeAlgorithm, PROJ_CC};
+use crate::algo::CommitteeAlgorithm;
 use crate::choice::{EdgeChoice, MinSizeFirst};
+use crate::facts::{EdgeFacts, Quantified};
 use crate::oracle::RequestEnv;
 use crate::predicates;
 use crate::status::{ActionClass, CommitteeView, Status};
 use sscc_hypergraph::{EdgeId, Hypergraph};
-use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, MarkSet, StateAccess};
+use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, StateAccess};
 
 /// Per-process CC2/CC3 state: `S_p`, `P_p`, `T_p`, `L_p` (+ the CC3
 /// selection cursor, inert under CC2).
@@ -184,62 +185,53 @@ impl Selector for RoundRobinSelector {
     }
 }
 
-// Committee-fact bits of the value-level mirror, one byte per edge.
+// Committee-fact bits of the mirror, one byte per edge; a fact bit holds iff
+// no member falsifies it (see `Quantified`).
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {looking, waiting}` — the committee is ready.
 const F_READY: u8 = 1 << 0;
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {waiting, done}` — the committee is meeting.
 const F_MEETING: u8 = 1 << 1;
 /// `∀q ∈ ε : S_q = looking ∧ ¬L_q ∧ ¬T_q` — the committee is free.
 const F_FREE: u8 = 1 << 2;
-/// `∃q ∈ ε : P_q = ε ∧ T_q ∧ S_q = looking` — a token holder pins `ε`
-/// (the `TPointingEdges` membership test).
-const F_TPE: u8 = 1 << 3;
+/// `∀q ∈ ε : ¬(P_q = ε ∧ T_q ∧ S_q = looking)` — **no** token holder pins
+/// `ε`: the negation of the `TPointingEdges` membership test.
+const F_UNPINNED: u8 = 1 << 3;
 /// `∀q ∈ ε : P_q ≠ ε ∨ S_q ≠ waiting` — nobody still waits on `ε` (the
 /// quantified part of CC2's `LeaveMeeting`).
 const F_NOWAIT: u8 = 1 << 4;
 
-/// Struct-of-arrays mirror of CC2/CC3's committee-shared predicates (the
-/// CC2 twin of `Cc1Facts` — see `cc1.rs`). No per-edge max-token slot is
-/// needed: free committees exclude announced holders by definition, so the
-/// local maximum ranges over plain members, and the Step12 follow target is
-/// only derived inside `execute` (off the evaluation hot path).
-#[derive(Clone, Debug, Default)]
-struct Cc2Facts {
-    /// Per-edge fact byte (`F_READY | F_MEETING | F_FREE | F_TPE | F_NOWAIT`).
-    bits: Vec<u8>,
-    /// Edge dedup scratch for incremental refresh.
-    touched: MarkSet,
+impl Quantified<5> for Cc2State {
+    fn falsifies(&self, points: bool) -> u8 {
+        let mut f = 0;
+        if !(points && matches!(self.s, Status::Looking | Status::Waiting)) {
+            f |= F_READY;
+        }
+        if !(points && matches!(self.s, Status::Waiting | Status::Done)) {
+            f |= F_MEETING;
+        }
+        if !(self.s == Status::Looking && !self.l && !self.t) {
+            f |= F_FREE;
+        }
+        if points && self.t && self.s == Status::Looking {
+            f |= F_UNPINNED;
+        }
+        if points && self.s == Status::Waiting {
+            f |= F_NOWAIT;
+        }
+        f
+    }
 }
 
-impl Cc2Facts {
-    fn recompute<X: StateAccess<Cc2State> + ?Sized>(
-        &mut self,
-        h: &Hypergraph,
-        states: &X,
-        e: EdgeId,
-    ) {
-        let mut bits = F_READY | F_MEETING | F_FREE | F_NOWAIT;
-        for &q in h.members(e) {
-            let s = states.state(q);
-            let points = s.p == Some(e);
-            if !(points && matches!(s.s, Status::Looking | Status::Waiting)) {
-                bits &= !F_READY;
-            }
-            if !(points && matches!(s.s, Status::Waiting | Status::Done)) {
-                bits &= !F_MEETING;
-            }
-            if !(s.s == Status::Looking && !s.l && !s.t) {
-                bits &= !F_FREE;
-            }
-            if points && s.s == Status::Waiting {
-                bits &= !F_NOWAIT;
-            }
-            if points && s.t && s.s == Status::Looking {
-                bits |= F_TPE;
-            }
-        }
-        self.bits[e.index()] = bits;
-    }
+/// The committee-fact mirror of CC2/CC3 (the twin of `Cc1Facts` — see
+/// `cc1.rs`). No per-edge max-token slot is needed: free committees exclude
+/// announced holders by definition, so the local maximum ranges over plain
+/// members, and the Step12 follow target is only derived inside `execute`
+/// (off the evaluation hot path).
+#[derive(Clone, Debug, Default)]
+struct Cc2Facts {
+    edges: EdgeFacts<5>,
+    /// Processes whose pointer changed since the last flush.
+    repointed: Vec<usize>,
 }
 
 /// Algorithm CC2 (or CC3, depending on the selector), parameterized by the
@@ -252,8 +244,6 @@ pub struct Cc2<Sel = MinEdgeSelector, Ch = MinSizeFirst> {
     /// fused single-pass evaluator (the PR-1 baseline; bit-identical, just
     /// slower — kept as the differential-testing reference).
     reference_eval: bool,
-    /// Evaluate through the fact mirror (`EvalPath::ValueLevel`).
-    value_level: bool,
     facts: Cc2Facts,
 }
 
@@ -281,7 +271,6 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
             selector,
             choice,
             reference_eval: false,
-            value_level: false,
             facts: Cc2Facts::default(),
         }
     }
@@ -574,14 +563,14 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         None
     }
 
-    /// The masked evaluator (`EvalPath::ValueLevel`): same guard cascade as
-    /// [`Cc2::priority_action_fused`], but every committee-shared predicate
-    /// is a bit test against the [`Cc2Facts`] mirror instead of a member
-    /// scan. The local maximum of the free nodes compares dense indices
-    /// directly (dense order is identifier order), using the hypergraph's
-    /// `max_member`. Bit-identical to both other evaluators;
-    /// `debug_assert`ed against the reference on every evaluation in debug
-    /// builds.
+    /// The masked evaluator (run while the engine keeps the mirror in
+    /// sync): same guard cascade as [`Cc2::priority_action_fused`], but
+    /// every committee-shared predicate is a bit test against the
+    /// [`Cc2Facts`] mirror instead of a member scan. The local maximum of
+    /// the free nodes compares dense indices directly (dense order is
+    /// identifier order), using the hypergraph's `max_member`. Bit-identical
+    /// to both other evaluators; `debug_assert`ed against the reference on
+    /// every evaluation in debug builds.
     fn priority_action_masked<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
         &self,
         ctx: &Ctx<'_, Cc2State, E, A>,
@@ -596,7 +585,7 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         let (mut any_tpe, mut p_tpe) = (false, false);
         let mut max_free: Option<usize> = None;
         for &e in h.incident(me) {
-            let b = self.facts.bits[e.index()];
+            let b = self.facts.edges.bits(e);
             ready |= b & F_READY != 0;
             meeting |= b & F_MEETING != 0;
             if b & F_FREE != 0 {
@@ -607,7 +596,7 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
                     max_free = Some(mm);
                 }
             }
-            if b & F_TPE != 0 {
+            if b & F_UNPINNED == 0 {
                 any_tpe = true;
                 p_tpe |= st.p == Some(e);
             }
@@ -616,7 +605,7 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         let lm = st.s == Status::Done
             && st
                 .p
-                .is_some_and(|e| h.is_member(me, e) && self.facts.bits[e.index()] & F_NOWAIT != 0);
+                .is_some_and(|e| h.is_member(me, e) && self.facts.edges.bits(e) & F_NOWAIT != 0);
         let wait_ok = st.s != Status::Waiting || ready || meeting;
         let done_ok = st.s != Status::Done || meeting || lm;
         if !(wait_ok && done_ok) {
@@ -640,8 +629,7 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
                     return Some(STEP13);
                 }
             } else if let Some(e) = max_free.and_then(|mx| ctx.state_of(mx).p) {
-                if st.p != Some(e) && h.is_member(me, e) && self.facts.bits[e.index()] & F_FREE != 0
-                {
+                if st.p != Some(e) && h.is_member(me, e) && self.facts.edges.bits(e) & F_FREE != 0 {
                     return Some(STEP14);
                 }
             }
@@ -735,7 +723,7 @@ impl<Sel: Selector, Ch: EdgeChoice> CommitteeAlgorithm for Cc2<Sel, Ch> {
                 .rev()
                 .find(|&a| self.guard(ctx, token, a));
         }
-        let fused = if self.value_level {
+        let fused = if self.facts.edges.live() {
             self.priority_action_masked(ctx, token)
         } else {
             self.priority_action_fused(ctx, token)
@@ -754,36 +742,60 @@ impl<Sel: Selector, Ch: EdgeChoice> CommitteeAlgorithm for Cc2<Sel, Ch> {
         self.reference_eval = on;
     }
 
-    fn set_value_level(&mut self, on: bool) {
-        self.value_level = on;
-    }
-
     fn rebuild_facts<X: StateAccess<Cc2State> + ?Sized>(&mut self, h: &Hypergraph, states: &X) {
-        self.facts.bits.clear();
-        self.facts.bits.resize(h.m(), 0);
-        self.facts.touched = MarkSet::new(h.m());
-        for e in h.edge_ids() {
-            self.facts.recompute(h, states, e);
-        }
+        self.facts.edges.rebuild(h, states);
+        self.facts.repointed.clear();
     }
 
-    fn refresh_facts<X: StateAccess<Cc2State> + ?Sized>(
+    fn drop_facts(&mut self) {
+        self.facts.edges.invalidate();
+    }
+
+    fn facts_in_sync<X: StateAccess<Cc2State> + ?Sized>(&self, h: &Hypergraph, states: &X) -> bool {
+        let mut fresh = EdgeFacts::default();
+        fresh.rebuild(h, states);
+        !self.facts.edges.live() || self.facts.edges.same_as(&fresh)
+    }
+
+    #[inline]
+    fn apply_write<X: StateAccess<Cc2State> + ?Sized>(
         &mut self,
         h: &Hypergraph,
         states: &X,
-        changed: &[(usize, u8)],
+        p: usize,
+        old: &Cc2State,
     ) {
-        for &(p, m) in changed {
-            if m & PROJ_CC == 0 {
-                continue;
+        let new = states.state(p);
+        self.facts.edges.apply(h, p, old, new);
+        if old.p != new.p {
+            self.facts.repointed.push(p);
+        }
+    }
+
+    #[inline]
+    fn flush_facts<X: StateAccess<Cc2State> + ?Sized>(
+        &mut self,
+        h: &Hypergraph,
+        _states: &X,
+        mut mark: impl FnMut(usize),
+    ) {
+        let Cc2Facts { edges, repointed } = &mut self.facts;
+        let mut members = |e: EdgeId| h.members(e).iter().for_each(|&q| mark(q));
+        // A guard reads the facts of its incident committees …
+        edges.flush(|e, was, now| {
+            if was != now {
+                members(e);
             }
-            for &e in h.incident(p) {
-                self.facts.touched.insert(e.index());
+        });
+        // … and the pointer of its local maximum (Step14): the max member
+        // of a free committee.
+        for q in repointed.drain(..) {
+            for &e in h.incident(q) {
+                if edges.bits(e) & F_FREE != 0 && h.max_member(e) == q {
+                    members(e);
+                }
             }
         }
-        let mut touched = std::mem::take(&mut self.facts.touched);
-        touched.drain(|ei| self.facts.recompute(h, states, EdgeId(ei as u32)));
-        self.facts.touched = touched;
     }
 
     fn repair_state(
@@ -815,23 +827,7 @@ impl<Sel: Selector, Ch: EdgeChoice> CommitteeAlgorithm for Cc2<Sel, Ch> {
         states: &X,
         repaired: &[usize],
     ) -> bool {
-        if self.facts.bits.len() != delta.old_m() {
-            return false;
-        }
-        delta.remap_per_edge(&mut self.facts.bits, || 0);
-        self.facts.touched = MarkSet::new(h.m());
-        for e in delta.changed_edges() {
-            self.facts.recompute(h, states, e);
-        }
-        for &p in repaired {
-            for &e in h.incident(p) {
-                self.facts.touched.insert(e.index());
-            }
-        }
-        let mut touched = std::mem::take(&mut self.facts.touched);
-        touched.drain(|ei| self.facts.recompute(h, states, EdgeId(ei as u32)));
-        self.facts.touched = touched;
-        true
+        self.facts.edges.repair(h, delta, states, repaired)
     }
 
     fn committee_visible_changed(&self, old: &Cc2State, new: &Cc2State) -> bool {
@@ -1155,11 +1151,10 @@ mod tests {
         // CC2 and CC3 twins of cc1's mirror test: random configurations
         // with incremental single-process surgery — the masked evaluator
         // must agree with the per-guard reference everywhere, and the
-        // refreshed mirror must equal a from-scratch rebuild.
+        // mirror kept by counter deltas must equal a from-scratch rebuild.
         use rand::SeedableRng as _;
-        fn run<Sel: Selector + Clone, Ch: EdgeChoice + Clone>(mut cc: Cc2<Sel, Ch>, seed: u64) {
+        fn run<Sel: Selector, Ch: EdgeChoice>(mut cc: Cc2<Sel, Ch>, seed: u64) {
             let h = generators::fig4();
-            cc.set_value_level(true);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut states: Vec<S> = (0..h.n()).map(|p| S::arbitrary(&mut rng, &h, p)).collect();
             cc.rebuild_facts(&h, states.as_slice());
@@ -1177,17 +1172,12 @@ mod tests {
                     }
                 }
                 let p = (round * 11 + 3) % h.n();
-                let old = states[p];
-                states[p] = S::arbitrary(&mut rng, &h, p);
-                let mask = if cc.committee_visible_changed(&old, &states[p]) {
-                    crate::algo::PROJ_CC
-                } else {
-                    0
-                };
-                cc.refresh_facts(&h, states.as_slice(), &[(p, mask)]);
-                let mut fresh = cc.clone();
-                fresh.rebuild_facts(&h, states.as_slice());
-                assert_eq!(cc.facts.bits, fresh.facts.bits, "round {round}");
+                let old = std::mem::replace(&mut states[p], S::arbitrary(&mut rng, &h, p));
+                if cc.committee_visible_changed(&old, &states[p]) {
+                    cc.apply_write(&h, states.as_slice(), p, &old);
+                }
+                cc.flush_facts(&h, states.as_slice(), |_| {});
+                assert!(cc.facts_in_sync(&h, states.as_slice()), "round {round}");
             }
         }
         run(Cc2::new(), 11);

@@ -14,7 +14,7 @@
 //! for safety, only for progress/fairness, so CC's safety properties hold
 //! from the very first step.
 
-use crate::algo::{CommitteeAlgorithm, PROJ_CC, PROJ_TOK};
+use crate::algo::CommitteeAlgorithm;
 use crate::oracle::RequestEnv;
 use sscc_hypergraph::Hypergraph;
 use sscc_runtime::prelude::{
@@ -240,42 +240,46 @@ where
         next
     }
 
-    // --- Read-set descriptor -------------------------------------------
+    // --- Commit notes ---------------------------------------------------
     //
     // Neighbors read exactly two projections of a composed state: the
-    // committee view (status/pointer/T/L — every committee guard) and the
-    // visible substrate slice (the wave token's k/fb — KCopy/Certify/
-    // Advance guards). The `turn` bit and any self-only layer fields (a
-    // round-robin cursor, the wave `done` flag) are read by nobody else,
-    // so a step that only touches those re-enqueues just the process that
-    // moved — the engine always marks a changed process itself.
-
-    fn changed_projections(&self, old: &Self::State, new: &Self::State) -> u8 {
-        let mut mask = 0;
-        if self.cc.committee_visible_changed(&old.cc, &new.cc) {
-            mask |= PROJ_CC;
-        }
-        if self.tl.changed_visible(&old.tok, &new.tok) {
-            mask |= PROJ_TOK;
-        }
-        mask
-    }
+    // committee view (status/pointer/T/L — every committee guard, through
+    // the committee facts) and the visible substrate slice (the wave
+    // token's k/fb — KCopy/Certify/Advance guards, along tree edges). The
+    // `turn` bit and any self-only layer fields (a round-robin cursor, the
+    // wave `done` flag) are read by nobody else, so a step that only
+    // touches those re-enqueues just the process that moved — the engine
+    // always marks a changed process itself.
 
     fn init_commit_notes(&mut self, h: &Hypergraph, states: &[Self::State]) {
-        let pc = ProjCc::new(states);
-        self.cc.rebuild_facts(h, &pc);
+        self.cc.rebuild_facts(h, &ProjCc::new(states));
     }
 
-    fn refresh_commit_notes(
+    fn drop_commit_notes(&mut self) {
+        self.cc.drop_facts();
+    }
+
+    #[inline]
+    fn note_write(
         &mut self,
         h: &Hypergraph,
         states: &[Self::State],
-        changed: &[(usize, u8)],
+        p: usize,
+        old: &Self::State,
+        mut mark: impl FnMut(usize),
     ) {
-        if changed.iter().any(|&(_, m)| m & PROJ_CC != 0) {
-            let pc = ProjCc::new(states);
-            self.cc.refresh_facts(h, &pc, changed);
+        let new = &states[p];
+        if self.cc.committee_visible_changed(&old.cc, &new.cc) {
+            self.cc.apply_write(h, &ProjCc::new(states), p, &old.cc);
         }
+        if self.tl.changed_visible(&old.tok, &new.tok) {
+            self.tl.visible_readers(h, p, &mut mark);
+        }
+    }
+
+    #[inline]
+    fn flush_writes(&mut self, h: &Hypergraph, states: &[Self::State], mark: impl FnMut(usize)) {
+        self.cc.flush_facts(h, &ProjCc::new(states), mark);
     }
 
     fn repair_after_mutation(
@@ -296,7 +300,7 @@ where
                 repaired.push(p);
             }
         }
-        // 3. Fact mirror: incremental remap + recompute of changed edges.
+        // 3. Fact mirror: remap in place, re-derive the changed committees.
         let pc = ProjCc::new(&*states);
         self.cc.repair_facts(h, delta, &pc, &repaired)
     }

@@ -37,6 +37,7 @@ pub mod cc1;
 pub mod cc2;
 pub mod choice;
 pub mod compose;
+mod facts;
 pub mod liveness;
 pub mod meetings;
 pub mod oracle;

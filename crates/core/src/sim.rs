@@ -51,7 +51,7 @@ pub enum StopReason {
 /// let mut sim = Sim::builder(Arc::clone(&h), Cc1::new(), WaveToken::new(&h))
 ///     .seed(42)
 ///     .max_disc(1)
-///     .mode("vl") // any `ModeRegistry` name or `EngineConfig`
+///     .mode("daemon") // any `ModeRegistry` name or `EngineConfig`
 ///     .build()
 ///     .unwrap();
 /// sim.run(2000);
@@ -249,13 +249,13 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         if cfg.distributed() {
             wcfg.drain = Drain::Sequential;
         }
-        // The evaluator lives inside the algorithm. Under
-        // [`EvalPath::ValueLevel`] the engine diffs read sets at commit and
-        // the evaluator reads the committee fact mirror, which the engine's
-        // commit-note lifecycle keeps in sync with the configuration.
-        let cc = &mut self.world.algo_mut().cc;
-        cc.set_reference_eval(cfg.eval == EvalPath::Reference);
-        cc.set_value_level(cfg.eval == EvalPath::ValueLevel);
+        // The per-guard reference evaluator lives inside the algorithm.
+        // (Which of the other two runs — fact mirror or member scan — is
+        // not configured: the engine's commit-note lifecycle decides it.)
+        self.world
+            .algo_mut()
+            .cc
+            .set_reference_eval(cfg.eval == EvalPath::Reference);
         if cfg.eval == EvalPath::Reference {
             // The engine side of the PR-1 baseline is the plain sequential
             // incremental drain.
@@ -284,7 +284,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     }
 
     /// [`Sim::configure`] with a mode label — any [`ModeRegistry`] name or
-    /// compositional config string (`"vl_pool"`, `"par2+trusted"`, …).
+    /// compositional config string (`"pool"`, `"par2+trusted"`, …).
     pub fn configure_mode(&mut self, mode: &str) -> Result<(), ConfigError>
     where
         C: 'static,
@@ -987,11 +987,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         if obs.len() != n {
             return None;
         }
-        // `notes_stale` travels for observability; the rebuilt world always
-        // recomputes its commit notes from the restored states (the
-        // recomputation is a pure function of the configuration, so the
-        // continuation is unaffected).
-        let _notes_stale = r.bool()?;
+        let notes_stale = r.bool()?;
         let policy_stale = r.bool()?;
         let flagged = r.usize_vec()?;
         if flagged.iter().any(|&p| p >= n) {
@@ -1063,6 +1059,13 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         };
         sim.refresh_view_from_cc();
         sim.configure(&cfg).ok()?;
+        // The commit notes are a pure function of the configuration, so
+        // when they are rebuilt cannot move the continuation — but the blob
+        // records whether they were fresh, and a restored sim must
+        // re-encode to the bytes it came from.
+        if !notes_stale {
+            sim.world.sync_notes();
+        }
         sim.world.restore_observation(&obs);
         sim.world.set_step_count(steps);
         // A distributed mode was rebuilt by `configure` from the restored
@@ -1663,7 +1666,7 @@ mod tests {
         assert!(sim.rounds() >= rounds, "round history survives");
         assert!(sim.monitor().clean(), "{:?}", sim.monitor().violations());
 
-        // Hop again: pooled → value-level with an incremental daemon view.
+        // Hop again: pooled → sequential with an incremental daemon view.
         let before = sim.ledger().convened_count();
         sim.migrate_mode("daemon").unwrap();
         sim.run(600);

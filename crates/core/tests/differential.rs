@@ -299,38 +299,62 @@ churn_differential_suite!(
 );
 
 /// Checkpoint/restore lockstep: for **every registered engine mode**,
-/// freezing a mid-run simulation to bytes (`Sim::save_state`) and
-/// rehydrating it (`Sim::restore`) must continue bit-identically with the
-/// uninterrupted original — same step progress, configurations, flags,
-/// traces, ledger and monitor for the rest of the run. One differential
-/// row per registry mode; a mode whose scheduler, pool or guard cache
-/// holds state the snapshot misses diverges at the first step that reads
-/// it.
+/// from a clean boot, an arbitrary boot and right after a mid-run strike,
+/// freezing a simulation to bytes (`Sim::save_state`) and rehydrating it
+/// (`Sim::restore`) must
+///
+/// * re-encode to **the bytes it came from** — restore loses and invents
+///   nothing the blob records, lazily rebuilt engine state (the commit
+///   notes' freshness) included — and
+/// * continue bit-identically with the uninterrupted original — same step
+///   progress, configurations, flags, traces, ledger and monitor.
+///
+/// One differential row per registry mode; a mode whose scheduler, pool or
+/// guard cache holds state the snapshot misses diverges at the first step
+/// that reads it.
 macro_rules! checkpoint_differential_suite {
     ($name:ident, $cc:expr, $algo:literal) => {
         #[test]
         fn $name() {
             let h = Arc::new(generators::fig2());
-            let n = h.n();
             for mode in ModeRegistry::all() {
-                for seed in [3u64, 17] {
-                    let label = format!("{}/{}/seed{seed}", $algo, mode.name);
-                    let mut sim = Sim::new(
-                        Arc::clone(&h),
-                        $cc,
-                        WaveToken::new(&h),
-                        default_daemon(seed, n),
-                        Box::new(EagerPolicy::new(n, 1)),
-                    );
-                    sim.configure(&mode.config.forced_fanout())
+                for (boot, seed) in [
+                    ("clean", 3u64),
+                    ("clean", 17),
+                    ("arbitrary", 5),
+                    ("struck", 11),
+                ] {
+                    // Distributed sims take faults at boot only.
+                    if boot == "struck" && mode.config.distributed() {
+                        continue;
+                    }
+                    let label = format!("{}/{}/{boot}/seed{seed}", $algo, mode.name);
+                    let b = Sim::builder(Arc::clone(&h), $cc, WaveToken::new(&h))
+                        .seed(seed)
+                        .max_disc(1)
+                        .engine(mode.config.forced_fanout())
+                        .trace();
+                    let b = if boot == "arbitrary" {
+                        b.arbitrary(seed)
+                    } else {
+                        b
+                    };
+                    let mut sim = b
+                        .build()
                         .unwrap_or_else(|e| panic!("{label}: configure: {e}"));
-                    sim.enable_trace();
                     sim.run(250);
+                    if boot == "struck" {
+                        sim.strike(seed, 0.4)
+                            .unwrap_or_else(|e| panic!("{label}: strike: {e}"));
+                    }
                     let mut blob = Vec::new();
                     assert!(sim.save_state(&mut blob), "{label}: checkpoint");
                     let mut twin = Sim::restore(Arc::clone(&h), $cc, WaveToken::new(&h), &blob)
                         .unwrap_or_else(|| panic!("{label}: restore"));
                     assert_eq!(sim.steps(), twin.steps(), "{label}: restored cursor");
+                    let mut again = Vec::new();
+                    assert!(twin.save_state(&mut again), "{label}: re-checkpoint");
+                    assert!(again == blob, "{label}: save → restore → save moved bytes");
                     for step in 0..250u64 {
                         let a = sim.step();
                         let b = twin.step();
@@ -542,14 +566,10 @@ fn lockstep_engine_count_matches_registry() {
             "par4",
             "daemon",
             "pool",
-            "vl",
-            "vl_daemon",
             "dist2",
             "dist4",
             "trusted",
             "daemon_inc",
-            "vl_par2",
-            "vl_pool",
         ],
         "the lockstep engine set changed"
     );

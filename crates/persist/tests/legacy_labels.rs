@@ -1,0 +1,40 @@
+//! Checkpoints written while value-level invalidation was still a mode of
+//! its own carry its label (`"vl"`, `"vl_daemon"`). It is the default path
+//! now, trajectory-identical by the differential suite, so those artifacts
+//! must keep restoring — onto the default path — and continue exactly as
+//! the run that wrote them did.
+//!
+//! The two blobs under `golden/` were written by the commit before the mode
+//! was folded (PR 15's tree: CC2 `fig1` seed 11 under `vl`, CC1 `fig1` seed
+//! 5 under `vl_daemon`, 120 steps each); the expected continuations are that
+//! commit's own ledger bytes 300 steps later.
+
+use sscc_persist::Checkpoint;
+use sscc_runtime::wire::fnv1a64;
+
+fn ledger_digest(ledger: &sscc_core::MeetingLedger) -> (usize, u64) {
+    let mut bytes = Vec::new();
+    ledger.save_state(&mut bytes);
+    (bytes.len(), fnv1a64(&bytes))
+}
+
+#[test]
+fn vl_labelled_checkpoints_restore_onto_the_default_path() {
+    let ckpt = Checkpoint::from_bytes(include_bytes!("golden/cc2_vl.ckpt")).unwrap();
+    let mut sim = ckpt.restore_cc2().expect("a `vl` blob still restores");
+    assert_eq!(sim.config().to_string(), "par1", "the label is not kept");
+    assert_eq!(sim.steps(), 120);
+    sim.run(300);
+    assert_eq!(ledger_digest(sim.ledger()), (5_479, 0x0554_827e_bd7e_bf0b));
+    // What it writes from now on names the surviving mode.
+    let again = Checkpoint::capture_cc2(&sim).unwrap();
+    assert!(again.restore_cc2().is_ok());
+
+    let ckpt = Checkpoint::from_bytes(include_bytes!("golden/cc1_vl_daemon.ckpt")).unwrap();
+    let mut sim = ckpt
+        .restore_cc1()
+        .expect("a `vl_daemon` blob still restores");
+    assert_eq!(sim.config().to_string(), "daemon");
+    sim.run(300);
+    assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
+}

@@ -84,8 +84,9 @@ pub trait GuardedAlgorithm: Sync {
     /// **Dependency footprint**: the processes whose priority guard may
     /// change enabledness when the *state* of `p` changes, ascending.
     ///
-    /// The incremental scheduler re-evaluates exactly this set after `p`
-    /// executes, instead of scanning all `n` guards. The default — the
+    /// The incremental scheduler re-evaluates this set after `p`'s state
+    /// changes (unless [`note_write`](GuardedAlgorithm::note_write) names
+    /// a tighter one), instead of scanning all `n` guards. The default — the
     /// closed hyperedge neighborhood `N[p]` — is correct for every
     /// algorithm expressible in the locally shared memory model, because
     /// guards may only read the closed neighborhood of their own process
@@ -105,59 +106,69 @@ pub trait GuardedAlgorithm: Sync {
         h.singleton(p)
     }
 
-    // --- Read-set descriptor (value-level invalidation) -----------------
+    // --- Commit notes (value-level invalidation) ------------------------
     //
     // Guards read only small *projections* of neighbor state (a committee
-    // view, a token variable, …). The three hooks below let an algorithm
-    // declare those projections so the engine, under
-    // `EvalPath::ValueLevel`, can diff committed old/new states per
-    // projection and re-enqueue only the processes whose actual read set
-    // changed — instead of the whole topological neighborhood. All
-    // defaults preserve the conservative topological behavior exactly.
+    // predicate, a token variable, …). The four hooks below let an
+    // algorithm keep derived **commit notes** about those projections (e.g.
+    // per-committee fact bits) and tell the engine, after each committed
+    // write, exactly which other guards read something that changed —
+    // instead of re-enqueueing the whole topological neighborhood. The
+    // engine keeps the notes in sync with the configuration
+    // (`init` → `note_write`* → `flush_writes` per step) or tells the
+    // algorithm it stopped doing so (`drop`). All defaults preserve the
+    // conservative topological behavior exactly.
 
-    /// **Read-set diff**: a bitmask with bit `i` set iff projection `i` of
-    /// the state — the slice of `p`'s state that *other* processes' guards
-    /// may read — differs between `old` and `new`.
-    ///
-    /// Fields read only by the process itself (cursors, turn bits) need no
-    /// projection: the engine always re-enqueues the process whose own
-    /// state changed. The default declares a single projection 0 covering
-    /// the whole state, which makes value-level invalidation degenerate to
-    /// the topological footprint for algorithms that do not override it.
-    fn changed_projections(&self, old: &Self::State, new: &Self::State) -> u8 {
-        u8::from(old != new)
-    }
-
-    /// The processes whose priority guard reads projection `proj` of `p`'s
-    /// state, ascending. Must be a subset of
-    /// [`state_footprint`](GuardedAlgorithm::state_footprint); the default
-    /// returns that footprint unchanged (safe for every projection).
-    fn projection_footprint<'h>(&self, h: &'h Hypergraph, p: usize, proj: u32) -> &'h [usize] {
-        let _ = proj;
-        self.state_footprint(h, p)
-    }
-
-    /// Rebuild any derived *commit notes* (e.g. a bitset mirror of shared
-    /// committee predicates) from a full committed configuration. The
-    /// engine calls this under `EvalPath::ValueLevel` before the first
-    /// guard evaluation and after any wholesale state overwrite; the
-    /// default keeps no notes.
+    /// Rebuild the commit notes from a full committed configuration. The
+    /// engine calls this before the first guard evaluation and after any
+    /// wholesale invalidation; from here until
+    /// [`drop_commit_notes`](GuardedAlgorithm::drop_commit_notes) every
+    /// write reaches the algorithm through
+    /// [`note_write`](GuardedAlgorithm::note_write), so guard evaluation
+    /// may read the notes instead of re-deriving them. The default keeps no
+    /// notes.
     fn init_commit_notes(&mut self, h: &Hypergraph, states: &[Self::State]) {
         let _ = (h, states);
     }
 
-    /// Incrementally refresh commit notes after a step commits. Called
-    /// once per step, after **all** writes landed, with the fully
-    /// committed configuration and the list of `(process, changed
-    /// projection mask)` pairs produced by
-    /// [`changed_projections`](GuardedAlgorithm::changed_projections).
-    fn refresh_commit_notes(
+    /// The engine stops keeping the notes in sync (wholesale overwrite,
+    /// reconfiguration, full-scan mode, a mutation the algorithm could not
+    /// repair): guard evaluation must derive everything from the states it
+    /// is handed until the next
+    /// [`init_commit_notes`](GuardedAlgorithm::init_commit_notes).
+    fn drop_commit_notes(&mut self) {}
+
+    /// One committed write while the notes are in sync: `states[p]` holds
+    /// the new value and `old` the (different) one it replaced. Other
+    /// writes of the same step may or may not have landed yet. Update the
+    /// notes by the old→new delta and `mark` every **other** process whose
+    /// guard reads a part of `p`'s state that changed and that can be named
+    /// from this write alone; readers that depend on the step's *net*
+    /// effect on the notes are marked in
+    /// [`flush_writes`](GuardedAlgorithm::flush_writes). The engine
+    /// re-enqueues `p` itself. Marking a superset is always safe, a subset
+    /// is not; the default marks the whole
+    /// [`state_footprint`](GuardedAlgorithm::state_footprint).
+    fn note_write(
         &mut self,
         h: &Hypergraph,
         states: &[Self::State],
-        changed: &[(usize, u8)],
+        p: usize,
+        old: &Self::State,
+        mut mark: impl FnMut(usize),
     ) {
-        let _ = (h, states, changed);
+        let _ = (states, old);
+        for &q in self.state_footprint(h, p) {
+            mark(q);
+        }
+    }
+
+    /// Every write of the step (or of one state surgery) has landed and
+    /// been [`note_write`](GuardedAlgorithm::note_write)n: `mark` the
+    /// readers of whatever net-changed in the notes. The default has no
+    /// notes and marks nothing.
+    fn flush_writes(&mut self, h: &Hypergraph, states: &[Self::State], mark: impl FnMut(usize)) {
+        let _ = (h, states, mark);
     }
 
     /// Repair algorithm-held structures and per-process states after a
@@ -174,8 +185,8 @@ pub trait GuardedAlgorithm: Sync {
     ///    returning `true` iff the notes are again in sync.
     ///
     /// Returning `false` (the default — no notes, or not repaired) makes
-    /// the engine fall back on the `notes_stale` lifecycle: the mirror is
-    /// rebuilt from scratch at the next value-level refresh. Either way
+    /// the engine fall back on the `notes_stale` lifecycle: the notes are
+    /// dropped and rebuilt from scratch at the next refresh. Either way
     /// the engine re-marks every guard dirty, because substrate rebuilds
     /// (a new tour) change guard inputs globally.
     fn repair_after_mutation(

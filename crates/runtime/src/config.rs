@@ -17,7 +17,7 @@
 //!   baseline" composed with the very features it is the baseline for).
 //! * **Serializable** — [`EngineConfig`] round-trips through
 //!   `Display`/`FromStr` using the bench mode labels (`"full_scan"`,
-//!   `"vl_par2"`, `"pool"`, …), so mode names in BENCH records,
+//!   `"par2"`, `"pool"`, …), so mode names in BENCH records,
 //!   CI invocations and CLI flags all parse back into the exact config.
 //! * **Enumerable** — [`ModeRegistry`] lists every supported named config
 //!   exactly once; the bench sweep, the differential suite's lockstep
@@ -42,7 +42,7 @@
 //! assert!(bad.validate().is_err()); // the baseline composes with nothing
 //!
 //! // Every named mode is registered exactly once.
-//! assert!(ModeRegistry::all().len() >= 12);
+//! assert_eq!(ModeRegistry::all().len(), 11);
 //! assert!(ModeRegistry::get("par1").is_some());
 //! ```
 //!
@@ -65,23 +65,22 @@ pub enum EvalPath {
     /// the `Sim` layer, not by a bare [`World`](crate::engine::World).
     /// Not composable with other knobs.
     Reference,
-    /// The incremental dirty-set scheduler with the fused evaluators — the
-    /// default engine since PR 2.
+    /// The incremental dirty-set scheduler with **value-level**
+    /// invalidation — the default engine. A commit diffs each staged state
+    /// against the one it replaces and hands the changed processes to the
+    /// algorithm's commit-note hooks
+    /// ([`GuardedAlgorithm::note_write`] /
+    /// [`GuardedAlgorithm::flush_writes`]), which re-enqueue only the
+    /// guards that read what changed; the committee algorithms keep
+    /// per-committee fact bits in those notes and evaluate through them
+    /// while the engine keeps them in sync.
+    ///
+    /// [`GuardedAlgorithm::note_write`]:
+    ///     crate::algorithm::GuardedAlgorithm::note_write
+    /// [`GuardedAlgorithm::flush_writes`]:
+    ///     crate::algorithm::GuardedAlgorithm::flush_writes
     #[default]
     Incremental,
-    /// The incremental scheduler with **value-level** invalidation: after a
-    /// commit the engine diffs each executed process's old/new state per
-    /// declared read-set projection
-    /// ([`GuardedAlgorithm::changed_projections`]) and only re-enqueues the
-    /// processes whose actual read set changed, and the algorithm keeps a
-    /// bitset mirror of committee-shared predicates (via the commit-note
-    /// hooks) that the fused evaluators test instead of re-reading member
-    /// fields. Composable with every other knob, like
-    /// [`EvalPath::Incremental`].
-    ///
-    /// [`GuardedAlgorithm::changed_projections`]:
-    ///     crate::algorithm::GuardedAlgorithm::changed_projections
-    ValueLevel,
 }
 
 /// How the dirty-guard worklist is drained.
@@ -153,7 +152,8 @@ impl Drain {
 /// A complete, declarative description of one engine variant.
 ///
 /// The default value is the default engine (the `"par1"` registry mode):
-/// sequential incremental drain, fused evaluators, no daemon shortcuts.
+/// sequential incremental drain, value-level invalidation, no daemon
+/// shortcuts.
 /// Build variants with the `with_*` combinators, parse them from mode
 /// labels, or pick them from the [`ModeRegistry`]. Apply
 /// with [`World::configure`](crate::engine::World::configure) (engine-level
@@ -270,11 +270,6 @@ impl EngineConfig {
                     "fewer than two shard actors (a one-shard tier is the sequential drain)",
                 ));
             }
-            if self.eval == EvalPath::ValueLevel {
-                return Err(ConfigError::DistributedUnsupported(
-                    "value-level invalidation (v1 scope: actors track topological footprints)",
-                ));
-            }
             if self.incremental_daemon {
                 return Err(ConfigError::DistributedUnsupported(
                     "incremental daemon view (v1 scope: the coordinator rescans merged deltas)",
@@ -313,9 +308,9 @@ pub enum ConfigError {
     /// configure its view.
     DaemonViewOutsideWorld,
     /// [`Drain::Distributed`] composed with a feature the v1
-    /// message-passing tier does not support (value-level invalidation,
-    /// incremental daemon view), or a degenerate shard count. The payload
-    /// names the offending feature.
+    /// message-passing tier does not support (incremental daemon view,
+    /// mid-run surgery), or a degenerate shard count. The payload names
+    /// the offending feature.
     DistributedUnsupported(&'static str),
     /// [`Drain::Distributed`] applied to a bare
     /// [`World`](crate::engine::World): the shard actors, the boundary
@@ -366,7 +361,7 @@ impl std::error::Error for ConfigError {}
 impl fmt::Display for EngineConfig {
     /// The canonical label: the registry name when this config is a named
     /// mode, otherwise `+`-joined feature tokens (`"par2+trusted"`,
-    /// `"full_scan"`, `"vl+par4b0"`; the all-default config is
+    /// `"full_scan"`, `"par4b0+trusted"`; the all-default config is
     /// `"par1"`). [`FromStr`] parses both forms back, so
     /// `cfg.to_string().parse() == cfg` for every valid config.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -378,7 +373,6 @@ impl fmt::Display for EngineConfig {
             EvalPath::FullScan => parts.push("full_scan".into()),
             EvalPath::Reference => parts.push("incremental".into()),
             EvalPath::Incremental => {}
-            EvalPath::ValueLevel => parts.push("vl".into()),
         }
         if let Drain::Parallel { threads, min_batch } = self.drain {
             if min_batch == DEFAULT_MIN_PARALLEL_BATCH {
@@ -407,17 +401,24 @@ impl fmt::Display for EngineConfig {
 impl FromStr for EngineConfig {
     type Err = ConfigError;
 
-    /// Parse a registry mode name (`"vl_pool"`) or a `+`-joined token
-    /// string (`"vl+par2+trusted"`). Tokens: `full_scan`,
-    /// `incremental`/`pr1`/`reference`, `vl`/`value` (value-level
-    /// invalidation), `par1`, `parN`/`parNbM` (drain with
-    /// optional per-thread min batch), `distN` (distributed drain over N
-    /// shard actors), `trusted`, `daemon_view`/`daemon_inc`, plus the
-    /// composite historical labels `daemon`, `pool`. Parsing does **not**
-    /// validate — call [`EngineConfig::validate`] (the `configure` entry
-    /// points do).
+    /// Parse a registry mode name (`"pool"`) or a `+`-joined token
+    /// string (`"par2+trusted"`). Tokens: `full_scan`,
+    /// `incremental`/`pr1`/`reference`, `par1`, `parN`/`parNbM` (drain
+    /// with optional per-thread min batch), `distN` (distributed drain
+    /// over N shard actors), `trusted`, `daemon_view`/`daemon_inc`, plus
+    /// the composite historical labels `daemon`, `pool`. Parsing does
+    /// **not** validate — call [`EngineConfig::validate`] (the `configure`
+    /// entry points do).
+    ///
+    /// Legacy: value-level invalidation was a mode of its own before it
+    /// became the default path, and checkpoints written then carry its
+    /// label. The `vl`/`value` token and the `vl_` mode prefix
+    /// (`"vl+trusted+daemon_view"`, `"vl_daemon"`) still parse — as
+    /// spellings of the trajectory-identical default path — and
+    /// `Display` never emits them.
     fn from_str(s: &str) -> Result<Self, ConfigError> {
         let s = s.trim();
+        let s = s.strip_prefix("vl_").unwrap_or(s);
         if let Some(mode) = ModeRegistry::get(s) {
             return Ok(mode.config);
         }
@@ -430,7 +431,7 @@ impl FromStr for EngineConfig {
                 "par1" | "seq" => cfg.drain = Drain::Sequential,
                 "full_scan" => cfg.eval = EvalPath::FullScan,
                 "incremental" | "pr1" | "reference" => cfg.eval = EvalPath::Reference,
-                "vl" | "value" => cfg.eval = EvalPath::ValueLevel,
+                "vl" | "value" => {}
                 "trusted" => cfg.trusted_daemon = true,
                 "daemon_view" | "daemon_inc" => cfg.incremental_daemon = true,
                 "daemon" => {
@@ -501,10 +502,10 @@ pub struct Mode {
 pub struct ModeRegistry;
 
 /// The registry table. Order is presentation order (bench records, mode
-/// listings): the baseline BENCH sweep first (the historical modes, the
-/// two value-level ones, and the two distributed message-passing tiers),
-/// then the differential-only compositions.
-static MODES: [Mode; 15] = [
+/// listings): the baseline BENCH sweep first (the historical modes and the
+/// two distributed message-passing tiers), then the differential-only
+/// compositions.
+static MODES: [Mode; 11] = [
     Mode {
         name: "full_scan",
         summary: "legacy O(n) engine: every guard re-evaluated, whole-view observers (reference)",
@@ -519,7 +520,7 @@ static MODES: [Mode; 15] = [
     },
     Mode {
         name: "par1",
-        summary: "default engine: sequential incremental drain, fused evaluators",
+        summary: "default engine: sequential drain, value-level invalidation, committee facts",
         config: BASE,
         baseline: true,
     },
@@ -550,21 +551,6 @@ static MODES: [Mode; 15] = [
         baseline: true,
     },
     Mode {
-        name: "vl",
-        summary: "value-level invalidation + committee bitset mirror, sequential drain",
-        config: BASE.with_eval(EvalPath::ValueLevel),
-        baseline: true,
-    },
-    Mode {
-        name: "vl_daemon",
-        summary: "value-level invalidation on the daemon stack (trusted, delta view)",
-        config: BASE
-            .with_eval(EvalPath::ValueLevel)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
-        baseline: true,
-    },
-    Mode {
         name: "dist2",
         summary: "message-passing tier: 2 shard actors exchanging causal boundary frames",
         config: BASE.with_drain(Drain::distributed(2)),
@@ -586,21 +572,6 @@ static MODES: [Mode; 15] = [
         name: "daemon_inc",
         summary: "daemon fairness bookkeeping fed by enabled-set deltas, sequential",
         config: BASE.with_incremental_daemon(true),
-        baseline: false,
-    },
-    Mode {
-        name: "vl_par2",
-        summary: "value-level invalidation under the pooled 2-thread drain",
-        config: EngineConfig::parallel(2).with_eval(EvalPath::ValueLevel),
-        baseline: false,
-    },
-    Mode {
-        name: "vl_pool",
-        summary: "value-level invalidation on the pool stack (2 threads, trusted, delta view)",
-        config: EngineConfig::parallel(2)
-            .with_eval(EvalPath::ValueLevel)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
         baseline: false,
     },
 ];
@@ -673,7 +644,6 @@ mod tests {
         assert!(dist.with_trusted_daemon(true).validate().is_ok());
         for bad in [
             BASE.with_drain(Drain::distributed(1)),
-            dist.with_eval(EvalPath::ValueLevel),
             dist.with_incremental_daemon(true),
         ] {
             assert!(
@@ -709,10 +679,24 @@ mod tests {
 
     #[test]
     fn compositional_labels_roundtrip() {
-        for label in ["par2+trusted", "vl+par4b0", "daemon_view+trusted+par2"] {
+        for label in ["par2+trusted", "par4b0", "daemon_view+trusted+par2"] {
             let cfg: EngineConfig = label.parse().unwrap();
             let again: EngineConfig = cfg.to_string().parse().unwrap();
             assert_eq!(cfg, again, "{label}");
+        }
+        // Labels of the former value-level modes are spellings of the
+        // default path: old artifacts parse, nothing prints them.
+        for (legacy, now) in [
+            ("vl", "par1"),
+            ("value", "par1"),
+            ("vl+trusted+daemon_view", "daemon"),
+            ("vl_daemon", "daemon"),
+            ("vl_par2", "par2"),
+            ("vl_pool", "pool"),
+            ("vl+par4b0", "par4b0"),
+        ] {
+            let cfg: EngineConfig = legacy.parse().unwrap();
+            assert_eq!(cfg.to_string(), now, "{legacy}");
         }
         // The commit-strategy tokens and modes are gone, not aliased: a
         // label recorded before their removal must not silently select the

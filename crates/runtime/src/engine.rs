@@ -13,12 +13,18 @@
 //! `p`'s dependency footprint (its closed hyperedge neighborhood by
 //! default — see [`GuardedAlgorithm::state_footprint`]). The engine
 //! therefore keeps a persistent per-process cache of priority actions plus
-//! a dirty set, and re-evaluates only the footprints of executed processes
-//! (plus explicitly invalidated ones, e.g. after environment changes
-//! reported through [`World::invalidate_env_of`]). The result is
-//! `O(affected)` work per step instead of `O(n)`, with **bit-identical**
-//! [`StepOutcome`] sequences to the full-scan path — enforce it with
-//! `World::configure(&EngineConfig::full_scan())` plus a differential test.
+//! a dirty set. A commit diffs every staged state against the one it
+//! replaces at write-back and hands each *changed* process to the
+//! algorithm ([`GuardedAlgorithm::note_write`] /
+//! [`GuardedAlgorithm::flush_writes`]), which names the guards that read
+//! what changed — the whole footprint by default, only the readers of a
+//! flipped committee fact for the committee algorithms. Those (plus
+//! explicitly invalidated ones, e.g. after environment changes reported
+//! through [`World::invalidate_env_of`]) are all that is re-evaluated. The
+//! result is `O(affected)` work per step instead of `O(n)`, with
+//! **bit-identical** [`StepOutcome`] sequences to the full-scan path —
+//! enforce it with `World::configure(&EngineConfig::full_scan())` plus a
+//! differential test.
 //!
 //! Engine variants are configured declaratively through
 //! [`EngineConfig`] / [`World::configure`]; every *named* variant lives in
@@ -240,13 +246,6 @@ struct StepScratch<S> {
     added: Vec<usize>,
     /// Daemon-view feed: processes disabled since the last observation.
     removed: Vec<usize>,
-    /// Value-level invalidation: pre-step states of the selected
-    /// processes (parallel to `selected`), captured before the commit so
-    /// the post-commit diff can compare old/new per projection.
-    pre: Vec<S>,
-    /// Value-level invalidation: `(process, changed projection mask)` of
-    /// the processes whose committed state actually differs.
-    changed: Vec<(usize, u8)>,
 }
 
 impl<S> StepScratch<S> {
@@ -256,8 +255,6 @@ impl<S> StepScratch<S> {
             next: Vec::new(),
             added: Vec::new(),
             removed: Vec::new(),
-            pre: Vec::new(),
-            changed: Vec::new(),
         }
     }
 }
@@ -339,13 +336,12 @@ pub struct World<A: GuardedAlgorithm> {
     /// Trust the daemon's `Selection` promises: skip release-mode subset
     /// validation (see [`World::trusted_daemon`]).
     trusted: bool,
-    /// Value-level invalidation ([`EvalPath::ValueLevel`]): diff committed
-    /// old/new states per declared read-set projection and enqueue only
-    /// the processes whose actual read set changed.
-    value_level: bool,
-    /// The algorithm's commit notes (e.g. a committee-predicate mirror)
-    /// must be rebuilt from the full configuration before the next guard
-    /// evaluation. Set on boot and after any wholesale invalidation.
+    /// The algorithm's commit notes (e.g. a committee-fact mirror) are not
+    /// in sync with the configuration: the algorithm was told to drop them
+    /// ([`GuardedAlgorithm::drop_commit_notes`]) and the next incremental
+    /// refresh rebuilds them. Set on boot and after any wholesale
+    /// invalidation; permanently set under [`EvalPath::FullScan`], whose
+    /// evaluations never read notes.
     notes_stale: bool,
 }
 
@@ -358,9 +354,10 @@ impl<A: GuardedAlgorithm> World<A> {
 
     /// Boot a world in an explicit configuration (e.g. an adversarial one:
     /// snap-stabilization experiments start *anywhere*).
-    pub fn with_states(h: Arc<Hypergraph>, algo: A, states: Vec<A::State>) -> Self {
+    pub fn with_states(h: Arc<Hypergraph>, mut algo: A, states: Vec<A::State>) -> Self {
         assert_eq!(states.len(), h.n(), "one state per process");
         let n = h.n();
+        algo.drop_commit_notes();
         World {
             h,
             algo,
@@ -371,7 +368,6 @@ impl<A: GuardedAlgorithm> World<A> {
             full_scan: false,
             par: None,
             trusted: false,
-            value_level: false,
             notes_stale: true,
         }
     }
@@ -396,8 +392,55 @@ impl<A: GuardedAlgorithm> World<A> {
     /// guard evaluation — the engine cannot see what changed.
     pub fn algo_mut(&mut self) -> &mut A {
         self.sched.mark_all();
-        self.notes_stale = true;
+        self.drop_notes();
         &mut self.algo
+    }
+
+    /// Stop keeping the algorithm's commit notes in sync: evaluations fall
+    /// back on the states alone until the next [`World::sync_notes`].
+    fn drop_notes(&mut self) {
+        self.notes_stale = true;
+        self.algo.drop_commit_notes();
+    }
+
+    /// Rebuild the algorithm's commit notes from the current configuration
+    /// if they are stale — what every incremental refresh does first.
+    /// Public as the persistence seam: a restored world reaches the
+    /// `notes_stale` reading its checkpoint recorded without evaluating a
+    /// guard. No-op under [`EvalPath::FullScan`], which never reads notes.
+    pub fn sync_notes(&mut self) {
+        if self.notes_stale && !self.full_scan {
+            self.algo.init_commit_notes(&self.h, &self.states);
+            self.notes_stale = false;
+        }
+    }
+
+    /// Write `s` to `states[p]` and enqueue every guard that may read the
+    /// change: `p` itself and, while the commit notes are `live`, the
+    /// readers the algorithm names from the old→new delta (callers follow
+    /// up with [`GuardedAlgorithm::flush_writes`]) — otherwise the whole
+    /// topological footprint.
+    fn write(
+        h: &Hypergraph,
+        algo: &mut A,
+        states: &mut [A::State],
+        sched: &mut Scheduler,
+        live: bool,
+        p: usize,
+        s: A::State,
+    ) {
+        if states[p] == s {
+            return;
+        }
+        let old = std::mem::replace(&mut states[p], s);
+        sched.mark(p);
+        if live {
+            algo.note_write(h, states, p, &old, |q| sched.mark(q));
+        } else {
+            for &q in algo.state_footprint(h, p) {
+                sched.mark(q);
+            }
+        }
     }
 
     /// Current configuration (one state per process, dense order).
@@ -410,50 +453,56 @@ impl<A: GuardedAlgorithm> World<A> {
         &self.states[p]
     }
 
+    /// Write the staged states back, diffing each against the one it
+    /// replaces: only a process whose state actually changed can change
+    /// anyone's enabledness, and only for the guards that read what changed
+    /// (see [`World::write`]).
+    ///
+    /// Out of line on purpose, with the algorithm's note-keeping chain
+    /// (`note_write` → … → the counter update) marked `#[inline]` so it
+    /// lands *here* as one body: left to the inliner, the chain ends up in
+    /// [`World::step_into`]'s select/execute loop in some builds and in
+    /// pieces in others, a 10–20 % swing on the ring workloads (measured in
+    /// both the root and the `benchmark/` build).
+    #[inline(never)]
+    fn commit(
+        h: &Hypergraph,
+        algo: &mut A,
+        states: &mut [A::State],
+        sched: &mut Scheduler,
+        live: bool,
+        staged: &mut Vec<(usize, A::State)>,
+    ) {
+        for (p, s) in staged.drain(..) {
+            Self::write(h, algo, states, sched, live, p, s);
+        }
+        if live {
+            algo.flush_writes(h, states, |q| sched.mark(q));
+        }
+    }
+
     /// Overwrite the state of process `p` (fault injection / fixtures).
+    /// Live commit notes are repaired in sync, like a one-process commit.
     pub fn set_state(&mut self, p: usize, s: A::State) {
-        if self.value_level && !self.notes_stale {
-            // Value-level surgery: diff the overwrite per declared
-            // projection and keep the commit notes fresh for the very
-            // next guard evaluation.
-            let old = std::mem::replace(&mut self.states[p], s);
-            let World {
-                h,
-                algo,
-                states,
-                sched,
-                scratch,
-                ..
-            } = self;
-            if old == states[p] {
-                return;
-            }
-            let mask = algo.changed_projections(&old, &states[p]);
-            if !sched.all_dirty {
-                sched.mark(p);
-                let mut m = mask;
-                while m != 0 {
-                    let proj = m.trailing_zeros();
-                    for &q in algo.projection_footprint(h, p, proj) {
-                        sched.mark(q);
-                    }
-                    m &= m - 1;
-                }
-            }
-            scratch.changed.clear();
-            scratch.changed.push((p, mask));
-            algo.refresh_commit_notes(h, states, &scratch.changed);
-            scratch.changed.clear();
+        if self.notes_stale && self.sched.all_dirty {
+            // Nothing to keep in sync: every guard is re-evaluated and the
+            // notes are rebuilt before the next evaluation anyway (boot-time
+            // strikes; the distributed tier mirroring its commits back).
+            self.states[p] = s;
             return;
         }
-        self.states[p] = s;
-        if self.sched.all_dirty {
-            return;
-        }
-        // `p`'s inputs may now differ for every guard in its footprint.
-        let World { h, algo, sched, .. } = self;
-        for &q in algo.state_footprint(h, p) {
-            sched.mark(q);
+        let World {
+            h,
+            algo,
+            states,
+            sched,
+            notes_stale,
+            ..
+        } = self;
+        let live = !*notes_stale;
+        Self::write(h, algo, states, sched, live, p, s);
+        if live {
+            algo.flush_writes(h, states, |q| sched.mark(q));
         }
     }
 
@@ -462,7 +511,7 @@ impl<A: GuardedAlgorithm> World<A> {
         assert_eq!(states.len(), self.h.n());
         self.states = states;
         self.sched.mark_all();
-        self.notes_stale = true;
+        self.drop_notes();
     }
 
     /// Number of steps executed so far.
@@ -473,9 +522,9 @@ impl<A: GuardedAlgorithm> World<A> {
     /// Must the algorithm's commit notes be rebuilt from the full
     /// configuration before the next guard evaluation? Observability for
     /// the fault/mutation regression tests: state surgery and topology
-    /// mutations must either repair the notes in sync (value-level
-    /// fast paths, [`GuardedAlgorithm::repair_after_mutation`]) or mark
-    /// them stale here — never leave them silently stale-but-unmarked.
+    /// mutations must either repair the notes in sync
+    /// ([`World::set_state`], [`GuardedAlgorithm::repair_after_mutation`])
+    /// or drop them and say so here — never leave them silently stale.
     pub fn notes_stale(&self) -> bool {
         self.notes_stale
     }
@@ -572,7 +621,7 @@ impl<A: GuardedAlgorithm> World<A> {
     /// an escape hatch the engine cannot see).
     pub fn invalidate_all(&mut self) {
         self.sched.mark_all();
-        self.notes_stale = true;
+        self.drop_notes();
     }
 
     /// Apply a topology mutation and repair every engine-held cache.
@@ -606,16 +655,11 @@ impl<A: GuardedAlgorithm> World<A> {
         let repaired = self
             .algo
             .repair_after_mutation(&self.h, &delta, &mut self.states);
-        if self.value_level && !repaired {
-            self.notes_stale = true;
+        if !repaired {
+            self.drop_notes();
         }
         self.sched.mark_all();
         Ok(delta)
-    }
-
-    /// Is value-level invalidation active (see [`EvalPath::ValueLevel`])?
-    pub fn value_level(&self) -> bool {
-        self.value_level
     }
 
     /// The processes currently queued for guard re-evaluation, in
@@ -658,7 +702,9 @@ impl<A: GuardedAlgorithm> World<A> {
     /// evaluated against the current configuration.
     ///
     /// This is a *pure* full evaluation (no cache involvement) — the
-    /// reference the incremental scheduler is tested against.
+    /// reference the incremental scheduler is tested against. The
+    /// algorithm reads its commit notes only while the engine keeps them
+    /// in sync, so the answer is the same after any surgery.
     pub fn priority_actions(&self, env: &A::Env) -> Vec<Option<ActionId>> {
         (0..self.h.n())
             .map(|p| self.algo.priority_action(&self.ctx(p, env)))
@@ -681,16 +727,9 @@ impl<A: GuardedAlgorithm> World<A> {
     /// configured ([`Drain::Parallel`]); results are merged through the
     /// same maintained enabled set, so both drains are bit-identical.
     fn refresh(&mut self, env: &A::Env) {
-        if self.value_level && self.notes_stale {
-            // Commit notes (e.g. the committee-predicate mirror) must
-            // reflect the full configuration before any guard evaluation
-            // reads them.
-            let World {
-                h, algo, states, ..
-            } = self;
-            algo.init_commit_notes(h, states);
-            self.notes_stale = false;
-        }
+        // Commit notes (e.g. the committee-fact mirror) must reflect the
+        // full configuration before any guard evaluation reads them.
+        self.sync_notes();
         let World {
             h,
             algo,
@@ -768,6 +807,18 @@ impl<A: GuardedAlgorithm> World<A> {
             }
         }
         sched.repair_enabled();
+        // The evaluators cross-check the guards that *were* evaluated; a
+        // dirtiness-filter bug is a guard that was not. Every debug-build
+        // refresh checks the whole cache against a fresh evaluation.
+        if cfg!(debug_assertions) {
+            for p in 0..h.n() {
+                let fresh = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
+                assert_eq!(
+                    sched.cache[p], fresh,
+                    "process {p} changed its priority action without being re-enqueued"
+                );
+            }
+        }
     }
 
     /// Evaluate a worklist concurrently on the persistent worker pool: the
@@ -832,6 +883,15 @@ impl<A: GuardedAlgorithm> World<A> {
         &self.sched.enabled
     }
 
+    /// The priority action of every process of the *current* configuration
+    /// (`None` = disabled), through the incremental cache — what
+    /// [`World::priority_actions`] computes from scratch, and the two must
+    /// agree: the soundness statement of the dirtiness filter.
+    pub fn actions_now(&mut self, env: &A::Env) -> &[Option<ActionId>] {
+        self.enabled_now(env);
+        &self.sched.cache
+    }
+
     /// Execute one step under `daemon`, writing what happened into `out`
     /// (buffers are reused — no allocation in the common case). If the
     /// configuration is terminal nothing changes.
@@ -871,24 +931,10 @@ impl<A: GuardedAlgorithm> World<A> {
             states,
             sched,
             scratch,
-            value_level,
+            notes_stale,
             ..
         } = self;
-        let StepScratch {
-            selected,
-            next,
-            pre,
-            changed,
-            ..
-        } = scratch;
-        if *value_level {
-            // Capture the pre-step states of the selection so the
-            // post-commit diff can compare old/new per projection.
-            pre.clear();
-            for &p in selected.iter() {
-                pre.push(states[p].clone());
-            }
-        }
+        let StepScratch { selected, next, .. } = scratch;
         next.clear();
         for &p in selected.iter() {
             let a = sched.cache[p].expect("selected ⊆ enabled");
@@ -896,40 +942,7 @@ impl<A: GuardedAlgorithm> World<A> {
             out.executed.push((p, a));
             next.push((p, s));
         }
-        for (p, s) in next.drain(..) {
-            states[p] = s;
-        }
-        // Only the footprints of executed processes can change enabledness
-        // — and under value-level invalidation, only the slices of those
-        // footprints whose declared read projections actually changed.
-        if *value_level {
-            changed.clear();
-            for (i, &p) in selected.iter().enumerate() {
-                if pre[i] != states[p] {
-                    changed.push((p, algo.changed_projections(&pre[i], &states[p])));
-                }
-            }
-            for &(p, mask) in changed.iter() {
-                // The process's own guard reads its whole state; neighbors
-                // read only the changed projections.
-                sched.mark(p);
-                let mut m = mask;
-                while m != 0 {
-                    let proj = m.trailing_zeros();
-                    for &q in algo.projection_footprint(h, p, proj) {
-                        sched.mark(q);
-                    }
-                    m &= m - 1;
-                }
-            }
-            algo.refresh_commit_notes(h, states, changed);
-        } else {
-            for &(p, _) in out.executed.iter() {
-                for &q in algo.state_footprint(h, p) {
-                    sched.mark(q);
-                }
-            }
-        }
+        Self::commit(h, algo, states, sched, !*notes_stale, next);
         self.steps += 1;
     }
 
@@ -1024,10 +1037,9 @@ impl<A: GuardedAlgorithm> World<A> {
             return Err(ConfigError::DistributedOutsideSim);
         }
         self.apply_full_scan(cfg.eval == EvalPath::FullScan);
-        self.value_level = cfg.eval == EvalPath::ValueLevel;
         // Any commit notes must be rebuilt against the current
         // configuration before the next evaluation reads them.
-        self.notes_stale = true;
+        self.drop_notes();
         match cfg.drain {
             // Distributed is rejected above; unreachable here.
             Drain::Sequential | Drain::Distributed { .. } => {
@@ -1329,9 +1341,9 @@ mod tests {
 
     #[test]
     fn value_level_matches_default_stepwise() {
-        // MaxProp keeps the default read-set descriptor (one projection
-        // covering the whole state), so value-level invalidation must be
-        // bit-identical to the topological default — including across
+        // MaxProp keeps the default commit-note hooks (a changed state
+        // re-enqueues its whole footprint), so diffing at write-back must
+        // be bit-identical to the full-scan oracle — including across
         // mid-run state surgery, which exercises the set_state diff path.
         for seed in 0..20u32 {
             let h = Arc::new(generators::ring(24, 2));
@@ -1339,9 +1351,7 @@ mod tests {
             let mut wv = World::new(Arc::clone(&h), MaxProp);
             wd.set_state(0, 90 + seed);
             wv.set_state(0, 90 + seed);
-            wv.configure(&EngineConfig::default().with_eval(EvalPath::ValueLevel))
-                .unwrap();
-            assert!(wv.value_level());
+            wd.configure(&EngineConfig::full_scan()).unwrap();
             let mut dd = WeaklyFair::new(DistributedRandom::new(seed as u64, 0.4), 3);
             let mut dv = WeaklyFair::new(DistributedRandom::new(seed as u64, 0.4), 3);
             for step in 0..300 {
@@ -1362,14 +1372,12 @@ mod tests {
 
     #[test]
     fn value_level_dirty_queue_stays_within_neighborhoods() {
-        // After a value-level step, every queued process must lie in the
-        // closed neighborhood of some executed process, and every executed
-        // process whose state changed must itself be queued.
+        // After a step, every queued process must lie in the closed
+        // neighborhood of some process whose state changed, and every such
+        // process must itself be queued.
         let h = Arc::new(generators::ring(24, 2));
         let mut w = World::new(Arc::clone(&h), MaxProp);
         w.set_state(0, 99);
-        w.configure(&EngineConfig::default().with_eval(EvalPath::ValueLevel))
-            .unwrap();
         let mut d = Central::new(7);
         for _ in 0..100 {
             let before = w.states().to_vec();

@@ -114,19 +114,28 @@ impl GuardedAlgorithm for SplitAlgo {
             _ => unreachable!(),
         }
     }
-    fn changed_projections(&self, old: &Split, new: &Split) -> u8 {
-        // Projection 0: the neighbor-visible `shared` field. `private`
-        // needs no projection — only the process itself reads it.
-        u8::from(old.shared != new.shared)
+    fn note_write(
+        &mut self,
+        h: &Hypergraph,
+        states: &[Split],
+        p: usize,
+        old: &Split,
+        mut mark: impl FnMut(usize),
+    ) {
+        // Neighbors read only `shared`; `private` is read by the process
+        // itself, which the engine re-enqueues anyway.
+        if old.shared != states[p].shared {
+            h.closed_neighborhood(p).iter().for_each(|&q| mark(q));
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Value-level invalidation under a declared read-set descriptor: the
-    /// engine stays bit-identical to the topological default, and after
-    /// every step the dirty queue is a superset of the processes whose
+    /// Value-level invalidation under a declared reader set: the engine
+    /// stays bit-identical to the full-scan oracle, and after every step
+    /// the dirty queue is a superset of the processes whose
     /// state changed and a subset of the union of their closed
     /// neighborhoods — collapsing to exactly the changed processes when
     /// only self-read fields moved.
@@ -138,8 +147,7 @@ proptest! {
         let hot = Split { shared: 50 + boot, private: 0 };
         wd.set_state(0, hot);
         wv.set_state(0, hot);
-        wv.configure(&EngineConfig::default().with_eval(EvalPath::ValueLevel))
-            .unwrap();
+        wd.configure(&EngineConfig::full_scan()).unwrap();
         let mut dd = WeaklyFair::new(DistributedRandom::new(seed, 0.5), 4);
         let mut dv = WeaklyFair::new(DistributedRandom::new(seed, 0.5), 4);
         for _ in 0..250 {

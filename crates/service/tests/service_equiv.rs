@@ -174,7 +174,7 @@ fn engine_mode_does_not_change_the_served_trajectory() {
     // The registry modes are trajectory-equivalent; the service on top
     // must preserve that (same admissions, same meetings, same sojourns).
     let base = run_service(5, "par1", false);
-    for mode in ["incremental", "vl_daemon", "pool"] {
+    for mode in ["incremental", "daemon", "pool"] {
         let other = run_service(5, mode, false);
         assert_eq!(
             base.sim().ledger().instances(),
@@ -263,7 +263,7 @@ fn service_survives_fault_and_churn_campaigns() {
             h,
             seed,
             1,
-            "vl_daemon",
+            "daemon",
             Box::new(gen),
             ServiceConfig::default(),
         )

@@ -92,6 +92,17 @@ pub trait TokenLayer: Sync {
     fn changed_visible(&self, old: &Self::State, new: &Self::State) -> bool {
         old != new
     }
+
+    /// `mark` every other process whose `Token`/internal guard reads the
+    /// neighbor-visible part of `p`'s substrate state — who to re-enqueue
+    /// when [`changed_visible`](TokenLayer::changed_visible) says it
+    /// moved. The default is the closed neighborhood (always sound);
+    /// override when the substrate reads along a sparser structure.
+    fn visible_readers(&self, h: &Hypergraph, p: usize, mut mark: impl FnMut(usize)) {
+        for &q in h.closed_neighborhood(p) {
+            mark(q);
+        }
+    }
 }
 
 /// Count the token holders in a configuration — the measurement behind all

@@ -226,6 +226,17 @@ impl TokenLayer for WaveToken {
         old.k != new.k || old.fb != new.fb
     }
 
+    fn visible_readers(&self, _h: &Hypergraph, p: usize, mut mark: impl FnMut(usize)) {
+        // `k`/`fb` travel along tree edges only: `KCopy` reads the parent's
+        // `k`, `cond` (Certify/Advance) the children's `k` and `fb`.
+        if let Some(parent) = self.tree.parent(p) {
+            mark(parent);
+        }
+        for &c in self.tree.children(p) {
+            mark(c);
+        }
+    }
+
     fn internal_priority_action<E: ?Sized, A: StateAccess<WaveState> + ?Sized>(
         &self,
         ctx: &Ctx<'_, WaveState, E, A>,
