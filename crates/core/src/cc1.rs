@@ -114,7 +114,7 @@ pub mod action {
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {looking, waiting}` — the committee is ready.
 const F_READY: u8 = 1 << 0;
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {waiting, done}` — the committee is meeting.
-const F_MEETING: u8 = 1 << 1;
+pub(crate) const F_MEETING: u8 = 1 << 1;
 /// `∀q ∈ ε : S_q = looking` — the committee is free.
 const F_FREE: u8 = 1 << 2;
 /// `∀q ∈ ε : P_q ≠ ε ∨ S_q = done` — members may leave the meeting.

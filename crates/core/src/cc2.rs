@@ -190,7 +190,7 @@ impl Selector for RoundRobinSelector {
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {looking, waiting}` — the committee is ready.
 const F_READY: u8 = 1 << 0;
 /// `∀q ∈ ε : P_q = ε ∧ S_q ∈ {waiting, done}` — the committee is meeting.
-const F_MEETING: u8 = 1 << 1;
+pub(crate) const F_MEETING: u8 = 1 << 1;
 /// `∀q ∈ ε : S_q = looking ∧ ¬L_q ∧ ¬T_q` — the committee is free.
 const F_FREE: u8 = 1 << 2;
 /// `∀q ∈ ε : ¬(P_q = ε ∧ T_q ∧ S_q = looking)` — **no** token holder pins

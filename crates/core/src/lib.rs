@@ -56,7 +56,7 @@ pub use oracle::{
     restore_policy, splitmix64, EagerPolicy, InfiniteMeetingPolicy, OpenLoopPolicy, OraclePolicy,
     PolicyView, RequestEnv, RequestFlags, ScriptedPolicy, StochasticPolicy,
 };
-pub use sim::{default_daemon, Cc1Sim, Cc2Sim, Cc3Sim, Sim, SimBuilder, StopReason};
+pub use sim::{default_daemon, Cc1Sim, Cc2Sim, Cc3Sim, ObserverWork, Sim, SimBuilder, StopReason};
 pub use spec::{SpecMonitor, Violation};
 pub use sscc_dist::{BoundaryTransport, DistDrive, DistEngine, MessageStats};
 pub use status::{ActionClass, CommitteeView, Status};

@@ -372,13 +372,18 @@ impl MeetingLedger {
     }
 
     /// Delta-aware variant of [`MeetingLedger::observe`]: only `touched`
-    /// edges (those incident to an executed process, ascending) can change
-    /// meets-status, so only they are re-checked — `O(affected)` instead of
-    /// `O(|E|)`. `executed` carries each action's semantic class and the
-    /// executing process's **pre-step** pointer (attribution target).
+    /// edges are re-checked — `O(affected)` instead of `O(|E|)`. `touched`
+    /// is **any ascending superset of the committees whose meets-status
+    /// changed** in this step; the simulator passes the committees for which
+    /// some executed member started or stopped upholding `Meeting`'s
+    /// conjunct ([`crate::predicates::upholds_meeting`]), at most two per
+    /// executed process. `executed` carries each action's semantic class and
+    /// the executing process's **pre-step** pointer (attribution target).
     ///
     /// Produces the exact event sequence of the full scan: `touched` is
-    /// ascending and unaffected edges cannot produce events.
+    /// ascending and a committee outside it produces no event. One that
+    /// *did* change and is left out desynchronizes the live set for good
+    /// (debug builds of the simulator check for that every step).
     pub fn observe_delta<S: CommitteeView>(
         &mut self,
         h: &Hypergraph,
@@ -396,7 +401,24 @@ impl MeetingLedger {
         for &e in touched {
             self.transition(h, post, e, step, round, &mut events);
         }
+        self.debug_check_conservation();
         events
+    }
+
+    /// Debug builds: the derived indexes agree with what they index —
+    /// `live_sorted` lists exactly the occupied slots of `live`, and
+    /// `convened` is the number of post-initial instances.
+    #[inline]
+    fn debug_check_conservation(&self) {
+        debug_assert!(
+            Self::live_slots(&self.live).eq(self.live_sorted.iter().copied()),
+            "live_sorted lists exactly the live slots"
+        );
+        debug_assert_eq!(
+            self.convened,
+            self.post_initial_instances().count(),
+            "convened counts the post-initial instances"
+        );
     }
 
     /// Compare edge `e`'s recorded liveness with the configuration `post`
@@ -450,6 +472,7 @@ impl MeetingLedger {
         if edge_meets(h, states, e) {
             self.open(h, e, None, 0);
         }
+        self.debug_check_conservation();
     }
 
     /// Repair the ledger after a topology mutation so its live set again
@@ -495,16 +518,17 @@ impl MeetingLedger {
                 }
             }
         }
-        self.live_sorted = Self::sorted_live(&self.live);
+        self.live_sorted = Self::live_slots(&self.live).collect();
         for e in delta.changed_edges() {
             self.resync_edge(h, states, e, step);
         }
+        self.debug_check_conservation();
     }
 
     /// The edges with a live slot, ascending.
-    fn sorted_live(live: &[Option<usize>]) -> Vec<EdgeId> {
+    fn live_slots(live: &[Option<usize>]) -> impl Iterator<Item = EdgeId> + '_ {
         let ids = (0..live.len()).filter(|&ei| live[ei].is_some());
-        ids.map(|ei| EdgeId(ei as u32)).collect()
+        ids.map(|ei| EdgeId(ei as u32))
     }
 
     /// All recorded instances, in creation order.
@@ -518,7 +542,8 @@ impl MeetingLedger {
     }
 
     /// Is committee `e` currently meeting? `O(1)` — the ledger maintains
-    /// per-edge meets status from the touched edges of every step, so this
+    /// per-edge meets status from the touched edges of every step (every
+    /// committee whose status moved is among them), so this
     /// mirrors `edge_meets(h, states, e)` without rescanning `e`'s
     /// members. The simulator's `Meeting(p)` view maintenance leans on
     /// exactly this equivalence (and `debug_assert`s it).
@@ -726,7 +751,7 @@ impl MeetingLedger {
         Some(MeetingLedger {
             convened: instances.iter().filter(|i| i.post_initial()).count(),
             instances,
-            live_sorted: Self::sorted_live(&live),
+            live_sorted: Self::live_slots(&live).collect(),
             live,
             members: vec![None; m],
             participations,

@@ -153,11 +153,14 @@ pub trait OraclePolicy {
 
     /// Delta-aware tick: `changed` lists every process whose *inputs* in
     /// `view` (status or `Meeting(p)`) may differ from the previous tick —
-    /// the simulator passes the executed processes' footprints. A process
-    /// outside `changed` is guaranteed unchanged, so a delta-aware policy
-    /// only re-derives flags for `changed` plus its own pending timers
-    /// (`O(affected)` instead of `O(n)`), producing **identical flag
-    /// trajectories** to [`OraclePolicy::update`]. A superset of the truly
+    /// the simulator passes the executed processes whose status or pointer
+    /// changed, the participants of every committee that convened or
+    /// terminated, and the processes whose flags flipped since the last
+    /// tick. A process outside `changed` is guaranteed unchanged, so a
+    /// delta-aware policy only re-derives flags for `changed` plus its own
+    /// pending timers (`O(affected)` instead of `O(n)`), producing
+    /// **identical flag trajectories** to [`OraclePolicy::update`]. A
+    /// superset of the truly
     /// changed processes is always safe. The default falls back to the full
     /// tick, which is correct for every policy. Randomized policies can be
     /// delta-aware too if their draws are *event-indexed* rather than
@@ -401,9 +404,9 @@ impl OraclePolicy for InfiniteMeetingPolicy {
     fn update_delta(&mut self, flags: &mut RequestFlags, view: &PolicyView, changed: &[usize]) {
         // Memoryless: a process's flags depend only on its own view entry,
         // so unchanged entries keep their flags. `changed` must cover
-        // `Meeting(p)` flips too — the simulator passes the executed
-        // processes' closed neighborhoods, which is exactly where
-        // participation can change.
+        // `Meeting(p)` flips too — the simulator passes the participants
+        // of every committee that convened or terminated, next to the
+        // processes that re-pointed: the only places participation moves.
         for &p in changed {
             flags.set_in(p, true);
             flags.set_out(p, view.status[p] == Status::Done && !view.in_meeting[p]);

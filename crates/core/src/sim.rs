@@ -27,15 +27,30 @@ pub enum StopReason {
     Budget,
 }
 
+/// Cumulative work the facade handed its observers — deterministic per
+/// seed, so a marking rule that re-grows shows as a count, not as noise.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObserverWork {
+    /// Committees whose meets-status the ledger re-derived from members.
+    pub edges_rechecked: u64,
+    /// [`PolicyView`] entries re-derived (and handed to the policy as
+    /// changed, next to the flag flips).
+    pub views_rederived: u64,
+}
+
 /// A running composed simulation with full observability.
 ///
 /// The step loop is **delta-aware** by default: it keeps a persistent
 /// mirror of the committee-layer configuration and the [`PolicyView`]
-/// caches, updating only the entries touched by executed processes, and
-/// feeds the ledger/monitor only the affected edges — `O(affected)` per
-/// step, against the engine's incremental guard scheduler. The legacy
-/// full-scan path (whole-configuration clones and `O(n + |E|)` observers)
-/// is kept behind [`EvalPath::FullScan`] for differential testing.
+/// caches, and after each step diffs the mirror against the committed state
+/// of every executed process. The observers read only `S_p` and `P_p`, so
+/// the diff names exactly what they must look at again: the ledger/monitor
+/// get the committees an executed member started or stopped upholding
+/// `Meeting`'s conjunct for, the policy the processes whose status, pointer
+/// or meeting changed — `O(|executed|)` per step, against the engine's
+/// incremental guard scheduler. The legacy full-scan path
+/// (whole-configuration clones and `O(n + |E|)` observers) is kept behind
+/// [`EvalPath::FullScan`] for differential testing.
 ///
 /// Engine variants are configured declaratively: build with
 /// [`Sim::builder`] (or apply an [`EngineConfig`] / registry mode through
@@ -72,7 +87,9 @@ pub struct Sim<C: CommitteeAlgorithm, TL: TokenLayer> {
     policy_stale: bool,
     /// Reused step outcome (no per-step allocation).
     out: StepOutcome,
-    /// Persistent mirror of the committee-layer configuration.
+    /// Persistent mirror of the committee-layer configuration. At step
+    /// entry it *is* the pre-step configuration the executed processes are
+    /// diffed against, so everything that writes states refreshes it.
     cc_view: Vec<C::State>,
     /// Maintained status / `Meeting(p)` caches fed to the policy.
     view: PolicyView,
@@ -80,12 +97,14 @@ pub struct Sim<C: CommitteeAlgorithm, TL: TokenLayer> {
     executed_procs: Vec<usize>,
     /// Scratch: committee actions with pre-step pointers (ledger input).
     executed_cc: Vec<(usize, ActionClass, Option<EdgeId>)>,
-    /// Scratch: edges incident to an executed process (ascending), with the
-    /// dedup set backing it.
+    /// Scratch: committees some executed member started or stopped
+    /// upholding `Meeting`'s conjunct for (ascending) — the only ones whose
+    /// meets-status can have moved.
     touched_edges: Vec<EdgeId>,
-    touched_mark: MarkSet,
-    /// Scratch: processes whose `Meeting(p)` cache must be recomputed.
+    /// Scratch: processes whose [`PolicyView`] entry must be re-derived.
     recheck: MarkSet,
+    /// What the observers were handed so far (see [`Sim::observer_work`]).
+    work: ObserverWork,
     /// Processes whose request flags flipped since the last policy tick
     /// (policy flips drained at step start, plus external scripting through
     /// [`Sim::flags_mut`]). A full policy tick re-derives *every* flag, so
@@ -177,7 +196,6 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         mut policy: Box<dyn OraclePolicy>,
     ) -> Self {
         let n = world.h().n();
-        let m = world.h().m();
         let initial_cc: Vec<C::State> = world.states().iter().map(|s| s.cc.clone()).collect();
         let ledger = MeetingLedger::new(world.h(), &initial_cc);
         // Prime the environment: the request predicates have values in γ0
@@ -210,8 +228,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             executed_procs: Vec::new(),
             executed_cc: Vec::new(),
             touched_edges: Vec::new(),
-            touched_mark: MarkSet::new(m),
             recheck: MarkSet::new(n),
+            work: ObserverWork::default(),
             flag_changed: MarkSet::new(n),
             last_events: Vec::new(),
             cfg: EngineConfig::default(),
@@ -326,16 +344,21 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
 
     /// Mutable access to the world, for experiment-specific surgery
     /// (engineered configurations, partial faults). Call
-    /// [`Sim::reset_observers`] afterwards so the ledger baseline matches
-    /// the new configuration.
+    /// [`Sim::reset_observers`] afterwards — **before the next step**: the
+    /// step diffs each executed process against the facade's mirror of the
+    /// pre-step configuration, so a state written behind its back makes the
+    /// ledger and the policy view miss transitions (debug builds abort at
+    /// that step). [`Sim::set_cc_state`], [`Sim::strike`] and
+    /// [`Sim::mutate`] keep the mirror themselves.
     pub fn world_mut(&mut self) -> &mut World<Composed<C, TL>> {
         &mut self.world
     }
 
-    /// Rebuild ledger, monitor and round tracking from the *current*
-    /// configuration — required after mutating states through
-    /// [`Sim::world_mut`] (the mutated configuration becomes the "initial"
-    /// one in the snap-stabilization sense).
+    /// Rebuild ledger, monitor, round tracking, the committee mirror and
+    /// the policy view from the *current* configuration — required after
+    /// mutating states through [`Sim::world_mut`] (the mutated
+    /// configuration becomes the "initial" one in the snap-stabilization
+    /// sense, and the mirror the next step diffs against is load-bearing).
     pub fn reset_observers(&mut self) {
         let initial_cc: Vec<C::State> = self.world.states().iter().map(|s| s.cc.clone()).collect();
         self.ledger = MeetingLedger::new(self.world.h(), &initial_cc);
@@ -426,8 +449,6 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             .apply_mutation(self.world.h(), &self.cc_view, &delta, step);
         self.monitor
             .resync_live_conflicts(self.world.h(), &self.ledger);
-        // Per-edge scratch is dimensioned by |E|.
-        self.touched_mark = MarkSet::new(self.world.h().m());
         self.refresh_view_from_cc();
         self.policy_stale = true;
         self.last_events.clear();
@@ -467,19 +488,18 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         for (p, v) in self.cc_view.iter_mut().enumerate() {
             *v = self.world.state(p).cc.clone();
         }
-        // Only edges incident to a struck process can change meets-status.
-        self.touched_mark.clear();
+        // Only edges incident to a struck process can change meets-status
+        // (resynced in first-touched order: it is the ledger's record order).
+        let mut touched = MarkSet::new(self.world.h().m());
         for &p in &struck {
             for &e in self.world.h().incident(p) {
-                self.touched_mark.insert(e.index());
+                touched.insert(e.index());
             }
         }
-        let mut touched = std::mem::take(&mut self.touched_mark);
         touched.drain(|ei| {
             self.ledger
                 .resync_edge(self.world.h(), &self.cc_view, EdgeId(ei as u32), step);
         });
-        self.touched_mark = touched;
         self.monitor
             .resync_live_conflicts(self.world.h(), &self.ledger);
         self.refresh_view_from_cc();
@@ -493,10 +513,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     fn refresh_view_from_cc(&mut self) {
         for (p, v) in self.cc_view.iter().enumerate() {
             self.view.status[p] = v.status();
-            self.view.in_meeting[p] = match v.pointer() {
-                Some(e) => self.world.h().is_member(p, e) && self.ledger.is_live(e),
-                None => false,
-            };
+            self.view.in_meeting[p] = in_live_meeting(self.world.h(), &self.ledger, p, v);
         }
     }
 
@@ -527,6 +544,12 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     /// Steps executed.
     pub fn steps(&self) -> u64 {
         self.world.steps()
+    }
+
+    /// Committees re-checked and view entries re-derived since this `Sim`
+    /// was built or restored (not persisted).
+    pub fn observer_work(&self) -> ObserverWork {
+        self.work
     }
 
     /// The recorded trace, if enabled.
@@ -573,6 +596,14 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
 
     /// The delta-aware step: `O(affected)` observer and cache maintenance.
     fn step_incremental(&mut self) -> bool {
+        debug_assert!(
+            self.cc_view
+                .iter()
+                .zip(self.world.states())
+                .all(|(v, s)| *v == s.cc),
+            "the committee mirror is not the pre-step configuration: state \
+             surgery through `world_mut` must be followed by `reset_observers`"
+        );
         self.last_events.clear();
         // Apply environment invalidations recorded since the last step —
         // the policy update at the end of the previous step, or external
@@ -635,93 +666,80 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             }
             return false;
         }
-        // Collect executed processes, their committee actions (with
-        // *pre-step* pointers, read from the not-yet-updated mirror), the
-        // incident edges whose meets-status may have changed, and the
-        // processes whose `Meeting(p)` cache entry may have changed.
+        // One pass over the executed processes. A step writes only its own
+        // variables and the observers read only `S_p` and `P_p` of them, so
+        // diffing the pre-step mirror against the committed state — by
+        // value, never by action id — names everything they must look at
+        // again:
+        // * a committee's meets-status can move only if some member started
+        //   or stopped upholding `Meeting`'s conjunct for it — at most the
+        //   committee `p` pointed at before and the one it points at now
+        //   (a `looking` re-point, a `waiting → done` or a token action
+        //   names none);
+        // * a `PolicyView` entry can move only for a process whose status
+        //   or pointer changed, or whose committee convened or terminated
+        //   (added below, from the ledger's events).
+        // The same pass refreshes the mirror and collects the committee
+        // actions with their *pre-step* pointers (ledger attribution).
         self.executed_procs.clear();
         self.executed_cc.clear();
         self.touched_edges.clear();
+        let h = self.world.h();
         for &(p, a) in &self.out.executed {
             self.executed_procs.push(p);
+            let new = &self.world.state(p).cc;
+            let old = std::mem::replace(&mut self.cc_view[p], new.clone());
             if let Some(i) = Composed::<C, TL>::committee_action(a) {
                 let class = self.world.algo().cc.action_class(i);
-                self.executed_cc.push((p, class, self.cc_view[p].pointer()));
+                self.executed_cc.push((p, class, old.pointer()));
             }
-            for &e in self.world.h().incident(p) {
-                if self.touched_mark.insert(e.index()) {
-                    self.touched_edges.push(e);
-                }
+            if old.status() == new.status() && old.pointer() == new.pointer() {
+                continue;
             }
-            for &q in self.world.h().closed_neighborhood(p) {
-                self.recheck.insert(q);
-            }
+            self.view.status[p] = new.status();
+            self.recheck.insert(p);
+            moved_conjuncts(h, p, &old, new, &mut self.touched_edges);
         }
-        // Ascending order without a comparison sort when the touched set is
-        // dense: a rank-order gather over the mark bitmap is `O(m)` against
-        // the sort's `O(k log k)`, and on busy steps `k` approaches `m`
-        // (same crossover heuristic as the engine's dirty-set refresh and
-        // [`MarkSet::sort`]).
-        let k = self.touched_edges.len();
-        let m = self.touched_mark.universe();
-        if (k as u64) * u64::from(k.max(2).ilog2()) >= m as u64 {
-            self.touched_edges.clear();
-            self.touched_edges.extend(
-                (0..m)
-                    .filter(|&e| self.touched_mark.contains(e))
-                    .map(|e| EdgeId(e as u32)),
-            );
-        } else {
-            self.touched_edges.sort_unstable();
-        }
-        self.recheck.sort();
+        self.touched_edges.sort_unstable();
+        self.touched_edges.dedup();
         self.rounds.record_executed(&self.executed_procs);
         let step_idx = self.world.steps() - 1;
 
-        // Refresh the committee-layer mirror for executed processes only.
-        for &p in &self.executed_procs {
-            self.cc_view[p] = self.world.state(p).cc.clone();
-        }
         let events = self.ledger.observe_delta(
-            self.world.h(),
+            h,
             &self.cc_view,
             step_idx,
             self.rounds.rounds(),
             &self.executed_cc,
             &self.touched_edges,
         );
-        self.monitor.observe_incremental(
-            self.world.h(),
-            &self.cc_view,
-            step_idx,
-            &self.ledger,
-            &events,
-        );
+        #[cfg(debug_assertions)]
+        self.assert_no_committee_skipped();
+        self.monitor
+            .observe_incremental(h, &self.cc_view, step_idx, &self.ledger, &events);
+        // A convene or a terminate moves `Meeting(q)` of every participant.
+        for &(LedgerEvent::Convened(idx) | LedgerEvent::Terminated(idx)) in &events {
+            for &q in &self.ledger.instances()[idx].participants {
+                self.recheck.insert(q);
+            }
+        }
         self.last_events = events;
 
-        // Maintain the policy view: statuses change only for executed
-        // processes, `Meeting(q)` only inside their footprints.
-        for &p in &self.executed_procs {
-            self.view.status[p] = self.cc_view[p].status();
-        }
+        // Maintain the policy view (statuses were refreshed by the pass).
+        self.recheck.sort();
         for &q in self.recheck.as_slice() {
-            // `participates(q)` = q points at an incident committee that
-            // currently meets. The ledger already maintains per-edge meets
-            // status (updated above from this step's touched edges), so
-            // the edge-member rescan inside `predicates::participates`
-            // collapses to an O(1) lookup.
-            let in_meeting = match self.cc_view[q].pointer() {
-                Some(e) => self.world.h().is_member(q, e) && self.ledger.is_live(e),
-                None => false,
-            };
+            let in_meeting = in_live_meeting(h, &self.ledger, q, &self.cc_view[q]);
             debug_assert_eq!(
                 in_meeting,
-                predicates::participates(self.world.h(), &self.cc_view, q),
+                predicates::participates(h, &self.cc_view, q),
                 "ledger live-status diverged from edge_meets for process {q}"
             );
             self.view.in_meeting[q] = in_meeting;
         }
-        self.touched_mark.clear();
+        self.work.edges_rechecked += self.touched_edges.len() as u64;
+        self.work.views_rederived += self.recheck.len() as u64;
+        #[cfg(debug_assertions)]
+        self.assert_no_view_skipped();
         // The recheck set is exactly where the policy's *view* inputs can
         // have moved; union in the processes whose flags flipped since the
         // last tick (a full tick would re-derive them too). The resulting
@@ -742,6 +760,43 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             t.record(step_idx, self.rounds.rounds(), &self.out.executed);
         }
         true
+    }
+
+    /// Debug builds: no committee in an executed process's footprint that
+    /// the diff left alone has changed meets-status — the ledger's recorded
+    /// liveness of every incident committee equals a fresh derivation. A
+    /// marking rule that skips one aborts at the step that skipped it.
+    #[cfg(debug_assertions)]
+    fn assert_no_committee_skipped(&self) {
+        let h = self.world.h();
+        for &p in &self.executed_procs {
+            for &e in h.incident(p) {
+                assert_eq!(
+                    self.ledger.is_live(e),
+                    predicates::edge_meets(h, &self.cc_view, e),
+                    "committee {e:?} (incident to executed process {p}) was not re-checked"
+                );
+            }
+        }
+    }
+
+    /// Debug builds: the same for the policy view — every closed-neighbour
+    /// entry of an executed process equals a fresh derivation.
+    #[cfg(debug_assertions)]
+    fn assert_no_view_skipped(&self) {
+        let h = self.world.h();
+        for &p in &self.executed_procs {
+            for &q in h.closed_neighborhood(p) {
+                assert_eq!(
+                    (self.view.status[q], self.view.in_meeting[q]),
+                    (
+                        self.cc_view[q].status(),
+                        predicates::participates(h, &self.cc_view, q)
+                    ),
+                    "view entry of {q} (neighbour of executed process {p}) was not re-derived"
+                );
+            }
+        }
     }
 
     /// The legacy full-scan step: whole-configuration clones, `O(n + |E|)`
@@ -801,6 +856,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         };
         self.policy.update(&mut self.flags, &view);
         self.flags.drain_changed(|_| {});
+        self.work.edges_rechecked += self.world.h().m() as u64;
+        self.work.views_rederived += post.len() as u64;
 
         if let Some(t) = &mut self.trace {
             t.record(step_idx, self.rounds.rounds(), &out.executed);
@@ -1050,8 +1107,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             executed_procs: Vec::new(),
             executed_cc: Vec::new(),
             touched_edges: Vec::new(),
-            touched_mark: MarkSet::new(m),
             recheck: MarkSet::new(n),
+            work: ObserverWork::default(),
             flag_changed: MarkSet::new(n),
             last_events,
             cfg: EngineConfig::default(),
@@ -1240,6 +1297,41 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> SimBuilder<C, TL> {
             sim.enable_trace();
         }
         Ok(sim)
+    }
+}
+
+/// `participates(q)` — `q` points at an incident committee that currently
+/// meets — off the ledger's per-edge live bit (kept in sync from every
+/// step's touched edges), so the member rescan inside
+/// [`predicates::participates`] collapses to an `O(1)` lookup.
+fn in_live_meeting<S: CommitteeView>(
+    h: &Hypergraph,
+    ledger: &MeetingLedger,
+    q: usize,
+    state: &S,
+) -> bool {
+    state
+        .pointer()
+        .is_some_and(|e| h.is_member(q, e) && ledger.is_live(e))
+}
+
+/// Append the committees whose meets-status the write `old → new` of process
+/// `p` can have moved: those `p` is a member of and started or stopped
+/// upholding `Meeting`'s conjunct for — at most the one it pointed at before
+/// and the one it points at now (possibly twice the same).
+fn moved_conjuncts<S: CommitteeView>(
+    h: &Hypergraph,
+    p: usize,
+    old: &S,
+    new: &S,
+    out: &mut Vec<EdgeId>,
+) {
+    for e in [old.pointer(), new.pointer()].into_iter().flatten() {
+        if predicates::upholds_meeting(old, e) != predicates::upholds_meeting(new, e)
+            && h.is_member(p, e)
+        {
+            out.push(e);
+        }
     }
 }
 
@@ -1739,5 +1831,380 @@ mod tests {
             .is_none(),
             "dimension mismatch must fail closed"
         );
+    }
+
+    // ---- the observer delta: what the step hands the ledger and the policy
+
+    use crate::oracle::{EagerPolicy, RequestEnv as _};
+    use crate::{Cc1, Cc1State, Cc2, Cc3};
+    use sscc_token::WaveToken;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every cache the facade maintains against a from-scratch derivation.
+    fn assert_observers_exact<C, TL>(sim: &Sim<C, TL>, label: &str)
+    where
+        C: CommitteeAlgorithm,
+        TL: TokenLayer,
+    {
+        let cc = sim.cc_states();
+        let h = sim.h();
+        assert!(sim.cc_view == cc, "{label}: committee mirror");
+        for p in 0..h.n() {
+            assert_eq!(
+                (sim.view.status[p], sim.view.in_meeting[p]),
+                (cc[p].status(), predicates::participates(h, &cc, p)),
+                "{label}: view entry of {p}"
+            );
+        }
+        assert_eq!(
+            sim.ledger.live_edge_set(),
+            predicates::meeting_edges(h, &cc),
+            "{label}: live set"
+        );
+    }
+
+    /// The processes whose enabled action belongs to the token substrate.
+    fn substrate_enabled<C, TL>(sim: &Sim<C, TL>) -> Vec<usize>
+    where
+        C: CommitteeAlgorithm,
+        TL: TokenLayer,
+    {
+        let actions = sim.world.priority_actions(&sim.flags);
+        let substrate = |a: &Option<ActionId>| {
+            a.is_some_and(|a| Composed::<C, TL>::committee_action(a).is_none())
+        };
+        (0..actions.len())
+            .filter(|&p| substrate(&actions[p]))
+            .collect()
+    }
+
+    /// One run of the sweep: arbitrary boot, then steps interleaved with
+    /// strikes, mutations, scripted flag flips and token-only selections,
+    /// the caches checked against scratch after every one of them.
+    fn observers_stay_exact<C>(mk_cc: fn() -> C, h: Hypergraph, seed: u64, steps: u64)
+    where
+        C: CommitteeAlgorithm + 'static,
+        C::State: StateCodec,
+    {
+        use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
+        let h = Arc::new(h);
+        let n = h.n();
+        // Strikes and mutations fail closed on the distributed tier (the
+        // `Err` is the exercised path there); flips and token-only steps
+        // run on all three.
+        let mode = ["par1", "incremental", "dist2"][(seed % 3) as usize];
+        let label = format!("{mode}/n{n}/seed{seed}");
+        let mut sim = Sim::builder(Arc::clone(&h), mk_cc(), WaveToken::new(&h))
+            .seed(seed)
+            .arbitrary(seed)
+            .mode(mode)
+            .build()
+            .unwrap();
+        assert_observers_exact(&sim, &label);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0b5e);
+        for step in 0..steps {
+            let mut token_only = None;
+            match rng.random_range(0..12u32) {
+                0 => {
+                    let _ = sim.strike(rng.random(), 0.2);
+                }
+                1 => {
+                    let proposal = sscc_hypergraph::random_mutation(sim.h(), &mut rng);
+                    let _ = sim.mutate(&proposal);
+                }
+                2..=4 => {
+                    for _ in 0..rng.random_range(1..4usize) {
+                        let p = rng.random_range(0..n);
+                        sim.flags_mut().set_in(p, rng.random_bool(0.7));
+                        sim.flags_mut().set_out(p, rng.random_bool(0.6));
+                    }
+                }
+                5..=7 => token_only = Some(substrate_enabled(&sim)).filter(|s| !s.is_empty()),
+                _ => {}
+            }
+            assert_observers_exact(&sim, &format!("{label}: before step {step}"));
+            let before = sim.observer_work();
+            match token_only {
+                Some(sel) => {
+                    let regular =
+                        std::mem::replace(&mut sim.daemon, Box::new(Scripted::new([sel.clone()])));
+                    sim.step();
+                    sim.daemon = regular;
+                    assert!(
+                        sim.out
+                            .executed
+                            .iter()
+                            .all(|&(_, a)| Composed::<C, WaveToken>::committee_action(a).is_none()),
+                        "{label}: step {step} is token-only"
+                    );
+                    assert_eq!(sim.observer_work(), before, "{label}: step {step}");
+                }
+                None => {
+                    sim.step();
+                }
+            }
+            assert_observers_exact(&sim, &format!("{label}: after step {step}"));
+        }
+    }
+
+    /// The five topology families of the sweep.
+    fn family(ix: u64, s: u64) -> Hypergraph {
+        match ix % 5 {
+            0 => generators::fig1(),
+            1 => generators::fig2(),
+            2 => generators::ring(12, 2 + (s % 2) as usize),
+            3 => generators::grid_pairs(4, 5),
+            _ => generators::power_law(96, 144, s),
+        }
+    }
+
+    #[test]
+    fn observers_stay_exact_under_everything() {
+        for seed in 0..30u64 {
+            observers_stay_exact(Cc1::new, family(seed, seed % 9), seed, 200);
+            observers_stay_exact(Cc2::new, family(seed + 1, seed % 9), seed, 200);
+            observers_stay_exact(Cc3::new_cc3, family(seed + 2, seed % 9), seed, 200);
+        }
+    }
+
+    #[test]
+    fn only_started_or_stopped_conjuncts_are_touched() {
+        // Path of pairs: e0 = {0,1}, e1 = {1,2}, e2 = {2,3}.
+        let h = Hypergraph::new(&[&[0, 1], &[1, 2], &[2, 3]]);
+        let (e0, e1, e2) = (EdgeId(0), EdgeId(1), EdgeId(2));
+        let st = |s, p| Cc1State { s, p, t: false };
+        let touched = |p: usize, old: Cc1State, new: Cc1State| {
+            let mut out = Vec::new();
+            moved_conjuncts(&h, p, &old, &new, &mut out);
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        use Status::*;
+        // A `looking` process upholds nothing wherever it points.
+        assert_eq!(touched(1, st(Looking, Some(e0)), st(Looking, Some(e1))), []);
+        assert_eq!(touched(1, st(Looking, None), st(Looking, Some(e1))), []);
+        // `waiting → done` keeps upholding the same conjunct.
+        assert_eq!(touched(1, st(Waiting, Some(e0)), st(Done, Some(e0))), []);
+        // Starting and stopping name the one committee pointed at.
+        assert_eq!(
+            touched(1, st(Looking, Some(e0)), st(Waiting, Some(e0))),
+            [e0]
+        );
+        assert_eq!(touched(1, st(Done, Some(e1)), st(Idle, None)), [e1]);
+        assert_eq!(touched(1, st(Waiting, Some(e1)), st(Looking, None)), [e1]);
+        // No statement of CC1/CC2/CC3 re-points a waiting/done process, but
+        // the rule reads values, not action ids: both committees move.
+        assert_eq!(
+            touched(1, st(Waiting, Some(e0)), st(Waiting, Some(e1))),
+            [e0, e1]
+        );
+        assert_eq!(
+            touched(1, st(Done, Some(e1)), st(Waiting, Some(e0))),
+            [e0, e1]
+        );
+        // A committee the process is no member of does not read its state.
+        assert_eq!(touched(0, st(Waiting, Some(e2)), st(Looking, None)), []);
+        assert_eq!(
+            touched(0, st(Waiting, Some(e2)), st(Waiting, Some(e0))),
+            [e0]
+        );
+    }
+
+    /// What each policy tick was handed (`None` = a full tick).
+    type TickLog = Rc<RefCell<Vec<Option<Vec<usize>>>>>;
+
+    /// Records it.
+    struct Recording {
+        inner: EagerPolicy,
+        log: TickLog,
+    }
+
+    impl OraclePolicy for Recording {
+        fn update(&mut self, flags: &mut RequestFlags, view: &PolicyView) {
+            self.log.borrow_mut().push(None);
+            self.inner.update(flags, view);
+        }
+        fn update_delta(&mut self, flags: &mut RequestFlags, view: &PolicyView, changed: &[usize]) {
+            self.log.borrow_mut().push(Some(changed.to_vec()));
+            self.inner.update_delta(flags, view, changed);
+        }
+        fn quiescence_horizon(&self) -> u64 {
+            self.inner.quiescence_horizon()
+        }
+    }
+
+    /// CC1 on the path of pairs `e0 = {0,1}, e1 = {1,2}, e2 = {2,3}`, every
+    /// committee state engineered, observers reset on it.
+    fn engineered(states: [Cc1State; 4]) -> (Cc1Sim, TickLog) {
+        let h = Arc::new(Hypergraph::new(&[&[0, 1], &[1, 2], &[2, 3]]));
+        let log = TickLog::default();
+        let policy = Recording {
+            inner: EagerPolicy::new(4, 1),
+            log: Rc::clone(&log),
+        };
+        let mut sim = Sim::new(
+            Arc::clone(&h),
+            Cc1::new(),
+            WaveToken::new(&h),
+            Box::new(Scripted::new([])),
+            Box::new(policy),
+        );
+        for (p, s) in states.into_iter().enumerate() {
+            sim.set_cc_state(p, s);
+        }
+        sim.reset_observers();
+        (sim, log)
+    }
+
+    /// Step `sim` with exactly `sel` selected; the names of what executed.
+    fn step_only(sim: &mut Cc1Sim, sel: &[usize]) -> Vec<(usize, String)> {
+        sim.daemon = Box::new(Scripted::new([sel.to_vec()]));
+        assert!(sim.step());
+        assert_observers_exact(sim, "engineered");
+        let name = |a| match Composed::<Cc1, WaveToken>::committee_action(a) {
+            Some(i) => sim.world.algo().cc.action_name(i),
+            None => "substrate".to_string(),
+        };
+        sim.out
+            .executed
+            .iter()
+            .map(|&(p, a)| (p, name(a)))
+            .collect()
+    }
+
+    #[test]
+    fn a_looking_repoint_touches_nothing() {
+        use Status::Looking;
+        let st = |p| Cc1State {
+            s: Looking,
+            p,
+            t: false,
+        };
+        // 3 is the local maximum and already points at the free e2; 2 points
+        // at e1 and follows it.
+        let (mut sim, _) =
+            engineered([st(None), st(None), st(Some(EdgeId(1))), st(Some(EdgeId(2)))]);
+        let ran = step_only(&mut sim, &[2]);
+        assert_eq!(ran, [(2, "Step22".to_string())]);
+        assert_eq!(sim.cc_view[2], st(Some(EdgeId(2))));
+        assert_eq!(sim.touched_edges, []);
+        assert_eq!(
+            sim.observer_work(),
+            ObserverWork {
+                edges_rechecked: 0,
+                views_rederived: 1
+            }
+        );
+    }
+
+    #[test]
+    fn waiting_to_done_touches_nothing() {
+        use Status::{Done, Idle, Waiting};
+        let st = |s, p| Cc1State { s, p, t: false };
+        let e2 = Some(EdgeId(2));
+        let (mut sim, log) = engineered([
+            st(Idle, None),
+            st(Idle, None),
+            st(Waiting, e2),
+            st(Waiting, e2),
+        ]);
+        assert_eq!(sim.live_meetings(), [EdgeId(2)]);
+        let ran = step_only(&mut sim, &[3]);
+        assert_eq!(ran, [(3, "Step32".to_string())]);
+        assert_eq!(sim.cc_view[3], st(Done, e2));
+        assert_eq!(sim.touched_edges, []);
+        assert_eq!(sim.live_meetings(), [EdgeId(2)], "the meeting goes on");
+        assert!(sim.last_events().is_empty());
+        // The first tick after surgery is a full one; the next is handed
+        // the one process whose status moved.
+        assert_eq!(*log.borrow().last().unwrap(), None);
+        let ran = step_only(&mut sim, &[2]);
+        assert_eq!(ran, [(2, "Step32".to_string())]);
+        assert_eq!(sim.touched_edges, []);
+        assert_eq!(*log.borrow().last().unwrap(), Some(vec![2]));
+    }
+
+    #[test]
+    fn a_stabilized_waiter_touches_the_committee_it_pointed_at() {
+        use Status::{Idle, Looking, Waiting};
+        let st = |s, p| Cc1State { s, p, t: false };
+        // 1 waits on e0, which its other member never pointed at.
+        let (mut sim, _) = engineered([
+            st(Looking, None),
+            st(Waiting, Some(EdgeId(0))),
+            st(Idle, None),
+            st(Idle, None),
+        ]);
+        let ran = step_only(&mut sim, &[1]);
+        assert_eq!(ran, [(1, "Stab2".to_string())]);
+        assert_eq!(sim.cc_view[1], st(Looking, None));
+        assert_eq!(sim.touched_edges, [EdgeId(0)]);
+        assert!(sim.last_events().is_empty(), "e0 never met");
+    }
+
+    #[test]
+    fn a_pointer_at_a_foreign_committee_is_ignored() {
+        use Status::{Idle, Looking, Waiting};
+        let st = |s, p| Cc1State { s, p, t: false };
+        let e2 = Some(EdgeId(2));
+        // 0 is no member of e2 = {2,3}, which meets without it.
+        let (mut sim, _) = engineered([
+            st(Waiting, e2),
+            st(Idle, None),
+            st(Waiting, e2),
+            st(Waiting, e2),
+        ]);
+        assert_eq!(sim.live_meetings(), [EdgeId(2)]);
+        assert!(!sim.view.in_meeting[0]);
+        let ran = step_only(&mut sim, &[0]);
+        assert_eq!(ran, [(0, "Stab2".to_string())]);
+        assert_eq!(sim.cc_view[0], st(Looking, None));
+        assert_eq!(sim.touched_edges, []);
+        assert_eq!(sim.live_meetings(), [EdgeId(2)]);
+    }
+
+    #[test]
+    fn a_token_only_step_hands_the_policy_only_the_flag_flips() {
+        let h = Arc::new(generators::ring(6, 2));
+        let log = TickLog::default();
+        let policy = Recording {
+            inner: EagerPolicy::new(h.n(), 1),
+            log: Rc::clone(&log),
+        };
+        let mut sim = Sim::new(
+            Arc::clone(&h),
+            Cc1::new(),
+            WaveToken::new(&h),
+            default_daemon(5, h.n()),
+            Box::new(policy),
+        );
+        let mut seen = 0;
+        for step in 0..400u64 {
+            let sel = substrate_enabled(&sim);
+            if step % 3 != 0 || sel.is_empty() {
+                sim.step();
+                continue;
+            }
+            // A scripted flip rides along: it is all the policy gets.
+            let q = (step as usize) % h.n();
+            let out = sim.flags().request_out(q);
+            sim.flags_mut().set_out(q, !out);
+            let mut flips = Vec::new();
+            sim.flags.clone().drain_changed(|p| flips.push(p));
+            assert!(flips.contains(&q));
+            let before = sim.observer_work();
+            let regular = std::mem::replace(&mut sim.daemon, Box::new(Scripted::new([sel])));
+            assert!(sim.step());
+            sim.daemon = regular;
+            assert!(sim.executed_cc.is_empty(), "step {step} is token-only");
+            assert_eq!(sim.touched_edges, []);
+            assert_eq!(sim.observer_work(), before);
+            assert_eq!(*log.borrow().last().unwrap(), Some(flips), "step {step}");
+            assert_observers_exact(&sim, "token-only");
+            seen += 1;
+        }
+        assert!(seen > 20, "token-only steps were exercised ({seen})");
     }
 }

@@ -15,15 +15,17 @@
 //!   strikes, mutations and request-flag flips, the cache equals
 //!   `World::priority_actions`, the counters equal a from-scratch rebuild,
 //!   and the trajectory equals `full_scan`'s.
-//! * **Exact work pins** (`dirty_marks_*`): the deterministic number of
-//!   guards the filter enqueues over a fixed run, so it cannot silently
-//!   re-grow.
+//! * **Exact work pins** (`dirty_marks_*`, `observer_work_*`): the
+//!   deterministic number of guards the filter enqueues, and of committees
+//!   and view entries the facade hands its observers, over a fixed run — so
+//!   neither can silently re-grow.
 
 use proptest::prelude::*;
 use sscc_core::compose::ProjCc;
 use sscc_core::sim::{default_daemon, Sim};
 use sscc_core::{
-    Cc1, Cc2, Cc3, CommitteeAlgorithm, Composed, EagerPolicy, EngineConfig, RequestFlags,
+    Cc1, Cc2, Cc3, CommitteeAlgorithm, Composed, EagerPolicy, EngineConfig, ObserverWork,
+    RequestFlags,
 };
 use sscc_hypergraph::{generators, random_mutation, Hypergraph};
 use sscc_runtime::prelude::{
@@ -565,4 +567,57 @@ fn dirty_marks_are_pinned_on_hubs() {
         .build()
         .unwrap();
     assert_eq!(dirty_marks(sim, 500), 28_649);
+}
+
+/// What the facade handed its observers over a fixed run at benchmark size.
+fn observer_work<C, TL>(mut sim: Sim<C, TL>, steps: u64) -> ObserverWork
+where
+    C: CommitteeAlgorithm,
+    TL: TokenLayer,
+{
+    for _ in 0..steps {
+        assert!(sim.step(), "the pinned runs never quiesce");
+    }
+    sim.observer_work()
+}
+
+/// The `cc1-ring` topology: 114 committees re-checked and 382 view entries
+/// re-derived per step. Marking every incident committee and the closed
+/// neighbourhood of every executed process (the facade before PR 17) hands
+/// over 293 354 and 386 866 on the same run — 587 and 774 per step.
+#[test]
+fn observer_work_is_pinned_on_the_ring() {
+    let h = Arc::new(generators::ring(1536, 2));
+    let sim = Sim::builder(Arc::clone(&h), Cc1::new(), WaveToken::new(&h))
+        .seed(7)
+        .build()
+        .unwrap();
+    assert_eq!(
+        observer_work(sim, 500),
+        ObserverWork {
+            edges_rechecked: 56_760,
+            views_rederived: 191_049,
+        }
+    );
+}
+
+/// The `cc2-powerlaw` topology from an arbitrary boot: 123 and 342 per step
+/// against 1 069 and 1 310 (534 649 and 655 009 over the run) — a hub's
+/// closed neighbourhood is most of the graph, its `(P, S)` diff names at
+/// most two committees.
+#[test]
+fn observer_work_is_pinned_on_hubs() {
+    let h = Arc::new(generators::power_law(1536, 2304, 7));
+    let sim = Sim::builder(Arc::clone(&h), Cc2::new(), WaveToken::new(&h))
+        .seed(7)
+        .arbitrary(7)
+        .build()
+        .unwrap();
+    assert_eq!(
+        observer_work(sim, 500),
+        ObserverWork {
+            edges_rechecked: 61_288,
+            views_rederived: 171_248,
+        }
+    );
 }

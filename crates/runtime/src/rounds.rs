@@ -16,8 +16,8 @@
 /// 3. call [`RoundTracker::record_executed`] with the activated processes.
 ///
 /// The pending set is a sorted `Vec` (both inputs arrive ascending from the
-/// engine), so the per-step neutralization filter is a linear merge walk —
-/// this tracker sits on the hot path of every step.
+/// engine), so the per-step neutralization and activation filters are each
+/// one linear merge walk — this tracker sits on the hot path of every step.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTracker {
     /// Sorted ascending.
@@ -52,33 +52,43 @@ impl RoundTracker {
             return;
         }
         // Neutralization: pending processes no longer enabled leave the
-        // set. Both sides sorted: one linear merge walk.
-        let mut keep = 0;
-        let mut j = 0;
-        for i in 0..self.pending.len() {
-            let p = self.pending[i];
-            while j < enabled.len() && enabled[j] < p {
-                j += 1;
-            }
-            if j < enabled.len() && enabled[j] == p {
-                self.pending[keep] = p;
-                keep += 1;
-            }
-        }
-        self.pending.truncate(keep);
+        // set.
+        self.filter_pending(enabled, true);
         self.maybe_close(enabled);
     }
 
     /// Observe which processes executed in the step just taken.
     pub fn record_executed(&mut self, executed: &[usize]) {
-        for p in executed {
-            if let Ok(i) = self.pending.binary_search(p) {
-                self.pending.remove(i);
-            }
+        if !executed.is_sorted() {
+            // Not the engine's ascending order (a hand-built list): the
+            // merge walk needs one.
+            let mut sorted = executed.to_vec();
+            sorted.sort_unstable();
+            return self.record_executed(&sorted);
         }
+        // Activation: pending processes that executed leave the set.
+        self.filter_pending(executed, false);
         // Round closure is deferred to the next `begin_step`, because the
         // new round's pending set is the enabled set of the configuration
         // *reached* by this step (not yet observable here).
+    }
+
+    /// Keep the pending processes whose presence in `other` (ascending)
+    /// equals `keep_present`. Both sides sorted: one linear merge walk.
+    fn filter_pending(&mut self, other: &[usize], keep_present: bool) {
+        let mut keep = 0;
+        let mut j = 0;
+        for i in 0..self.pending.len() {
+            let p = self.pending[i];
+            while j < other.len() && other[j] < p {
+                j += 1;
+            }
+            if (j < other.len() && other[j] == p) == keep_present {
+                self.pending[keep] = p;
+                keep += 1;
+            }
+        }
+        self.pending.truncate(keep);
     }
 
     fn maybe_close(&mut self, enabled: &[usize]) {
@@ -188,5 +198,27 @@ mod tests {
         assert_eq!(rt.pending().count(), 3);
         rt.begin_step(&[0, 1, 3]);
         assert_eq!(rt.pending().count(), 3);
+    }
+
+    #[test]
+    fn executed_in_any_order_with_repeats_leaves_the_same_pending() {
+        let enabled: Vec<usize> = (0..40).collect();
+        let (mut sorted, mut shuffled) = (RoundTracker::new(), RoundTracker::new());
+        sorted.begin_step(&enabled);
+        shuffled.begin_step(&enabled);
+        sorted.record_executed(&[3, 7, 8, 21, 39]);
+        shuffled.record_executed(&[21, 3, 39, 8, 3, 7, 21]);
+        assert_eq!(
+            sorted.pending().collect::<Vec<_>>(),
+            shuffled.pending().collect::<Vec<_>>()
+        );
+        assert_eq!(sorted.pending().count(), 35);
+        // Processes outside the pending set (or the universe) are ignored.
+        sorted.record_executed(&[3, 40, 1000]);
+        assert_eq!(sorted.pending().count(), 35);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        sorted.save_state(&mut a);
+        shuffled.save_state(&mut b);
+        assert_eq!(a, b, "same bytes either way");
     }
 }

@@ -307,6 +307,15 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
                 }
             }
         }
+        // Conservation: an accepted request is queued, merged into another,
+        // in flight, or served — never lost, never counted twice.
+        debug_assert_eq!(
+            self.stats.accepted,
+            self.stats.coalesced
+                + self.stats.completed
+                + (self.in_flight_count + self.queue.len()) as u64,
+            "accepted == coalesced + completed + in_flight + queued"
+        );
         progressed
     }
 
