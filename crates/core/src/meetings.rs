@@ -248,6 +248,12 @@ pub struct MeetingLedger {
     /// Post-initial instances recorded — [`MeetingLedger::convened_count`]
     /// without the scan. Derived, so not part of the wire format.
     convened: usize,
+    /// Sum of [`MeetingLedger::record_bound`] over `instances`, kept as they
+    /// open: what lets a checkpoint reserve its buffer once instead of
+    /// doubling its way through the history. Derived, not on the wire.
+    encoded_bound: usize,
+    /// The share of `encoded_bound` the sealed prefix accounts for.
+    sealed_bound: usize,
     /// Per-process participation counter (meetings convened with them in).
     participations: Vec<u64>,
     /// Last step at which each process participated in a convene.
@@ -269,6 +275,8 @@ impl MeetingLedger {
             live_sorted: Vec::new(),
             members: vec![None; h.m()],
             convened: 0,
+            encoded_bound: 0,
+            sealed_bound: 0,
             participations: vec![0; h.n()],
             last_participation: vec![None; h.n()],
             seal: SealCache::new(),
@@ -297,6 +305,7 @@ impl MeetingLedger {
                 .clone(),
         };
         self.convened += usize::from(convened_step.is_some());
+        self.encoded_bound += Self::record_bound(now.len());
         self.instances.push(MeetingInstance {
             edge: e,
             convened_step,
@@ -512,6 +521,7 @@ impl MeetingLedger {
         // re-seal of the terminated prefix are both skipped.
         if let Some((old, new)) = delta.moved() {
             self.seal.reset();
+            self.sealed_bound = 0;
             for inst in &mut self.instances {
                 if inst.edge == old {
                     inst.edge = new;
@@ -596,6 +606,23 @@ impl MeetingLedger {
         self.participations.len()
     }
 
+    /// Most bytes [`MeetingLedger::encode_instance`] writes for a meeting of
+    /// `members`: 54 of fixed fields and list lengths (both steps present),
+    /// and each member listed three times — exact once everyone discussed
+    /// and left.
+    const fn record_bound(members: usize) -> usize {
+        54 + 24 * members
+    }
+
+    /// An upper bound on what [`MeetingLedger::save_state`] appends, in
+    /// `O(1)`: the running per-record bound plus the exact footer. A few
+    /// percent over on a ring (94 bytes written against 102 bounded for the
+    /// usual pair meeting one member left); sizes a buffer, nothing else.
+    pub fn encoded_size_hint(&self) -> usize {
+        let (m, n) = (self.live.len(), self.participations.len());
+        8 + self.encoded_bound + (8 + 9 * m) + (8 + 8 * n) + (8 + 9 * n)
+    }
+
     /// Wire encoding of one instance — the unit [`MeetingLedger::save_state`],
     /// the seal cache and [`LedgerSnapshot::encode`] must agree on.
     ///
@@ -666,12 +693,17 @@ impl MeetingLedger {
             .take_while(|inst| !inst.live())
             .count()
             + covered;
-        let instances = &self.instances;
-        self.seal.extend_to(upto, |buf| {
+        // Room for everything not yet sealed — the records sealed now plus
+        // the live tail behind them: over by that tail, never under.
+        let (instances, mut sealed) = (&self.instances, 0);
+        let unsealed = self.encoded_bound - self.sealed_bound;
+        self.seal.extend_to(upto, unsealed, |buf| {
             for inst in &instances[covered..upto] {
                 Self::encode_instance(inst, buf);
+                sealed += Self::record_bound(inst.participants.len());
             }
         });
+        self.sealed_bound += sealed;
         LedgerSnapshot {
             total: self.instances.len(),
             sealed: self.seal.segments().to_vec(),
@@ -698,6 +730,9 @@ impl MeetingLedger {
         // read from input may size an allocation.
         let mut handles: BTreeMap<EdgeId, Members> = BTreeMap::new();
         let mut list = Vec::new();
+        // The derived counters ride the decode loop: another pass over the
+        // records is another 52 MB through the cache.
+        let (mut convened, mut encoded_bound) = (0, 0);
         for _ in 0..count {
             let edge = EdgeId::decode(r)?;
             let convened_step = Option::<u64>::decode(r)?;
@@ -717,6 +752,8 @@ impl MeetingLedger {
             };
             let essential = Positions::decode(r, &participants, true)?;
             let left_by = Positions::decode(r, &participants, false)?;
+            convened += usize::from(convened_step.is_some());
+            encoded_bound += Self::record_bound(participants.len());
             instances.push(MeetingInstance {
                 edge,
                 convened_step,
@@ -749,7 +786,9 @@ impl MeetingLedger {
             return None;
         }
         Some(MeetingLedger {
-            convened: instances.iter().filter(|i| i.post_initial()).count(),
+            convened,
+            encoded_bound,
+            sealed_bound: 0,
             instances,
             live_sorted: Self::live_slots(&live).collect(),
             live,
@@ -769,7 +808,7 @@ impl MeetingLedger {
 #[derive(Clone, Debug)]
 pub struct LedgerSnapshot {
     total: usize,
-    sealed: Vec<Arc<[u8]>>,
+    sealed: Vec<Arc<Vec<u8>>>,
     tail: Vec<MeetingInstance>,
     live: Vec<Option<usize>>,
     participations: Vec<u64>,
@@ -1317,6 +1356,8 @@ mod tests {
             self.ledger.save_state(&mut flat);
             self.old.save_state(&mut reference);
             assert!(flat == reference, "step {}: save_state moved", self.step);
+            let hint = self.ledger.encoded_size_hint();
+            assert!(flat.len() <= hint, "step {}: hint under", self.step);
             if capture {
                 self.ledger.snapshot().encode(&mut captured);
                 assert!(flat == captured, "step {}: snapshot moved", self.step);
@@ -1343,6 +1384,7 @@ mod tests {
             let convened = rig.ledger.post_initial_instances().count();
             proptest::prop_assert_eq!(rig.ledger.convened_count(), convened);
             proptest::prop_assert_eq!(twin.convened_count(), convened);
+            proptest::prop_assert_eq!(twin.encoded_size_hint(), rig.ledger.encoded_size_hint());
         }
     }
 

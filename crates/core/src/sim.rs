@@ -953,6 +953,19 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         true
     }
 
+    /// Roughly how many bytes [`Sim::save_state`] appends, in `O(1)`, for a
+    /// writer to reserve before calling it. The two histories — all that
+    /// grows with the run — are bounded from above
+    /// ([`MeetingLedger::encoded_size_hint`]; 32 bytes a trace event); the
+    /// per-process and per-committee rest is a generous flat estimate. A
+    /// wrong hint costs the writer a reallocation, never a byte.
+    pub fn encoded_size_hint(&self) -> usize {
+        let state = std::mem::size_of::<crate::compose::CcTok<C::State, TL::State>>();
+        let live = 512 + (2 * state + 128) * self.world.states().len() + 16 * self.h().m();
+        let trace = self.trace.as_ref().map_or(0, |t| 32 * t.events().len());
+        live + self.ledger.encoded_size_hint() + trace
+    }
+
     /// Capture an **online snapshot** at a step boundary: `O(live state)`,
     /// never `O(history)`. Mutable state (per-process states, flags,
     /// counters, live meetings) is cloned — mostly flat `memcpy`s — while

@@ -30,11 +30,13 @@ use sscc_runtime::wire::{self, Envelope, StateCodec};
 
 /// Current frame format version. Frames are never persisted, so a bump
 /// needs no migration: both ends of a channel are the same build.
-pub const FRAME_VERSION: u16 = 2;
+pub const FRAME_VERSION: u16 = 3;
 
-const ENVELOPE: Envelope = Envelope {
+/// Framing of a [`BoundaryFrame`].
+pub const ENVELOPE: Envelope = Envelope {
     magic: &[0x57, 0xD1],
     version: FRAME_VERSION,
+    legacy: None,
 };
 
 /// One batch of boundary states from shard `from` to shard `to`, committed
@@ -151,11 +153,22 @@ mod tests {
         // The pre-envelope layout: u16 magic, u8 version, fields, trailing
         // FNV-1a 64 over everything before it. The fields did not change.
         let mut old = vec![0x57, 0xD1, 1];
-        old.extend_from_slice(&sample().encode()[12..]);
+        old.extend_from_slice(&sample().encode()[ENVELOPE.header_len()..]);
         let sum = wire::fnv1a64(&old);
         wire::put_u64(&mut old, sum);
         assert_eq!(BoundaryFrame::<u32>::decode(&old), None);
-        assert_eq!(FRAME_VERSION, 2);
+        // So is version 2, the same fields under the envelope's previous
+        // checksum: a frame never outlives the build that sent it.
+        let mut v2 = vec![0x57, 0xD1, 2, 0];
+        let payload = &sample().encode()[ENVELOPE.header_len()..];
+        wire::put_u64(&mut v2, wire::fnv1a64(payload));
+        v2.extend_from_slice(payload);
+        assert_eq!(
+            ENVELOPE.open(&v2).err(),
+            Some(wire::EnvelopeError::UnsupportedVersion(2))
+        );
+        assert_eq!(BoundaryFrame::<u32>::decode(&v2), None);
+        assert_eq!(FRAME_VERSION, 3);
     }
 
     #[test]
@@ -170,7 +183,7 @@ mod tests {
             entries: vec![],
         };
         // The varint count is the last byte of an empty frame.
-        let payload = empty.encode().split_off(12);
+        let payload = empty.encode().split_off(ENVELOPE.header_len());
         let (count, fields) = payload.split_last().unwrap();
         assert_eq!(*count, 0, "empty frame carries a zero count");
         let mut bytes = Vec::new();

@@ -10,6 +10,15 @@
 //!
 //! A half-written checkpoint file fails closed — the envelope or the
 //! payload decoder refuses it — instead of restoring a subtly wrong world.
+//!
+//! A [`Checkpoint`] *is* that sealed image, written once: capture encodes
+//! the three fields straight into it, [`Checkpoint::to_bytes`] shares it,
+//! [`Checkpoint::from_bytes`] verifies and then copies it once, and
+//! [`Checkpoint::restore`] decodes from it in place. What is left is one
+//! encode pass over the history, one checksum pass, and on the way back
+//! the one copy of a borrowed input plus the first touch of the record
+//! vector — a full image per checkpoint either way, until the history
+//! itself is checkpointed incrementally.
 
 use crate::topology::{decode_topology, encode_topology};
 use sscc_core::sim::{Cc1Sim, Cc2Sim, Cc3Sim, Sim};
@@ -18,15 +27,19 @@ use sscc_hypergraph::Hypergraph;
 use sscc_runtime::wire::{self, Envelope, EnvelopeError, Reader, StateCodec};
 use sscc_token::TokenLayer;
 use std::fmt;
+use std::io::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Current container format version. Bump on any layout change; decoders
-/// reject versions they do not understand rather than guessing.
-pub const FORMAT_VERSION: u16 = 1;
+/// reject versions they do not understand rather than guessing. (Version 1
+/// is this layout under the envelope's previous checksum; it still opens.)
+pub const FORMAT_VERSION: u16 = 2;
 
 const ENVELOPE: Envelope = Envelope {
     magic: b"SSCCKPT\0",
     version: FORMAT_VERSION,
+    legacy: Some(1),
 };
 
 /// Why a checkpoint failed to decode or restore.
@@ -81,13 +94,16 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// A decoded (or freshly captured) checkpoint: the paired topology and sim
-/// blobs plus the algorithm label, independent of any byte container.
+/// A decoded (or freshly captured) checkpoint: the sealed container image
+/// and where its three fields lie in it. The image is immutable and shared,
+/// so cloning a checkpoint or taking its bytes copies nothing; two
+/// checkpoints are equal when their images are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
-    algo: String,
-    topology: Vec<u8>,
-    sim: Vec<u8>,
+    image: Arc<Vec<u8>>,
+    algo: Range<usize>,
+    topology: Range<usize>,
+    sim: Range<usize>,
 }
 
 impl Checkpoint {
@@ -104,16 +120,33 @@ impl Checkpoint {
         C::State: StateCodec,
         TL::State: StateCodec,
     {
-        let mut sim_blob = Vec::new();
-        if !sim.save_state(&mut sim_blob) {
-            return None;
-        }
-        let mut topology = Vec::new();
-        encode_topology(sim.h(), &mut topology);
-        Some(Checkpoint {
-            algo: algo.to_string(),
+        let mut image = Vec::new();
+        let persistable = ENVELOPE.seal(&mut image, |p| {
+            wire::put_str(p, algo);
+            wire::put_bytes_with(p, |p| encode_topology(sim.h(), p));
+            // Everything that grows with the run comes now: make room once.
+            p.reserve(8 + sim.encoded_size_hint());
+            wire::put_bytes_with(p, |p| sim.save_state(p))
+        });
+        persistable.then(|| Self::locate(image).expect("its own three fields"))
+    }
+
+    /// Wrap a sealed, current-version image, finding the three fields;
+    /// `None` unless the payload is exactly them, the label valid UTF-8.
+    fn locate(image: Vec<u8>) -> Option<Self> {
+        let mut p = Reader::new(&image[ENVELOPE.header_len()..]);
+        let mut field = || {
+            let len = p.bytes()?.len();
+            let end = image.len() - p.remaining();
+            Some(end - len..end)
+        };
+        let (algo, topology, sim) = (field()?, field()?, field()?);
+        let exact = p.is_empty() && std::str::from_utf8(&image[algo.clone()]).is_ok();
+        exact.then(|| Checkpoint {
+            image: Arc::new(image),
+            algo,
             topology,
-            sim: sim_blob,
+            sim,
         })
     }
 
@@ -134,12 +167,12 @@ impl Checkpoint {
 
     /// The algorithm label recorded at capture time.
     pub fn algo(&self) -> &str {
-        &self.algo
+        std::str::from_utf8(&self.image[self.algo.clone()]).expect("checked when located")
     }
 
     /// Decode the topology the checkpoint was taken on.
     pub fn topology(&self) -> Result<Hypergraph, CheckpointError> {
-        let mut r = Reader::new(&self.topology);
+        let mut r = Reader::new(&self.image[self.topology.clone()]);
         let h = decode_topology(&mut r).ok_or(CheckpointError::BadTopology)?;
         if r.is_empty() {
             Ok(h)
@@ -165,15 +198,16 @@ impl Checkpoint {
         let h = Arc::new(self.topology()?);
         let cc = make_cc(&h);
         let tl = make_tl(&h);
-        Sim::restore(Arc::clone(&h), cc, tl, &self.sim).ok_or(CheckpointError::BadSimState)
+        let blob = &self.image[self.sim.clone()];
+        Sim::restore(Arc::clone(&h), cc, tl, blob).ok_or(CheckpointError::BadSimState)
     }
 
     fn check_algo(&self, expected: &'static str) -> Result<(), CheckpointError> {
-        if self.algo == expected {
+        if self.algo() == expected {
             Ok(())
         } else {
             Err(CheckpointError::AlgoMismatch {
-                found: self.algo.clone(),
+                found: self.algo().to_string(),
                 expected,
             })
         }
@@ -197,40 +231,38 @@ impl Checkpoint {
         self.restore(|_| sscc_core::Cc3::new_cc3(), sscc_token::WaveToken::new)
     }
 
-    /// Serialize to the durable container format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.topology.len() + self.sim.len() + 64);
-        ENVELOPE.seal(&mut out, |p| {
-            wire::put_str(p, &self.algo);
-            wire::put_bytes(p, &self.topology);
-            wire::put_bytes(p, &self.sim);
-        });
-        out
+    /// The durable container format: a shared handle on the image this
+    /// checkpoint holds (derefs to `[u8]`) — no encoding, no copy.
+    pub fn to_bytes(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.image)
     }
 
-    /// Parse and verify a container produced by [`Checkpoint::to_bytes`].
+    /// Parse and verify a container produced by [`Checkpoint::to_bytes`]:
+    /// checked before a byte is allocated, then copied once.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut p = ENVELOPE.open(bytes)?;
-        let fields = (|| {
-            Some(Checkpoint {
-                algo: p.str()?.to_string(),
-                topology: p.bytes()?.to_vec(),
-                sim: p.bytes()?.to_vec(),
-            })
-        })();
-        match fields {
-            Some(ckpt) if p.is_empty() => Ok(ckpt),
-            _ => Err(EnvelopeError::Truncated.into()),
-        }
+        let image = ENVELOPE.adopt(bytes)?;
+        Self::locate(image).ok_or(EnvelopeError::Truncated.into())
     }
 
-    /// Atomically-ish write the container to `path` (write to a sibling
-    /// temp file, then rename): a crash mid-write leaves either the old
-    /// checkpoint or none, never a torn one.
+    /// Atomically replace `path` with the container: the image goes to a
+    /// sibling temp file and is synced to disk *before* the rename, and the
+    /// directory is synced (best effort) after it — a crash at any point
+    /// leaves either the old checkpoint or the whole new one, never a torn
+    /// or empty file under `path`.
     pub fn save_file(&self, path: &std::path::Path) -> Result<(), CheckpointError> {
         let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&self.image)?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, path)?;
+        // The rename is durable once its directory is; not every platform
+        // lets a directory be opened and synced, and the data is safe
+        // either way.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Ok(dir) = std::fs::File::open(dir.unwrap_or(std::path::Path::new("."))) {
+            let _ = dir.sync_all();
+        }
         Ok(())
     }
 
@@ -254,20 +286,49 @@ mod tests {
 
     #[test]
     fn container_roundtrips() {
-        let (_, sim) = sample();
+        let (h, sim) = sample();
         let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
         let bytes = ckpt.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
+        assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.algo(), "cc1");
+        assert_eq!(back.topology().unwrap(), *h);
         let twin = back.restore_cc1().unwrap();
         assert_eq!(twin.steps(), sim.steps());
+        // Equality is equality of images: one more step, another checkpoint.
+        let mut later = back.restore_cc1().unwrap();
+        later.run(1);
+        assert_ne!(Checkpoint::capture_cc1(&later).unwrap(), ckpt);
+        assert_ne!(Checkpoint::capture("cc9", &sim).unwrap(), ckpt);
+    }
+
+    #[test]
+    fn image_holds_the_three_fields_in_place() {
+        // The fields are what the separate encoders write, found where the
+        // layout says — and taking the bytes shares the image.
+        let (h, sim) = sample();
+        let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
+        let (mut topology, mut blob) = (Vec::new(), Vec::new());
+        encode_topology(&h, &mut topology);
+        assert!(sim.save_state(&mut blob));
+        let mut want = Vec::new();
+        ENVELOPE.seal(&mut want, |p| {
+            wire::put_str(p, "cc1");
+            wire::put_bytes(p, &topology);
+            wire::put_bytes(p, &blob);
+        });
+        assert_eq!(*ckpt.to_bytes(), want);
+        assert_eq!(ckpt.image[ckpt.topology.clone()], topology[..]);
+        assert_eq!(ckpt.image[ckpt.sim.clone()], blob[..]);
+        assert!(Arc::ptr_eq(&ckpt.to_bytes(), &ckpt.clone().to_bytes()));
+        assert!(blob.len() <= sim.encoded_size_hint(), "the hint is a bound");
     }
 
     #[test]
     fn every_corruption_fails_closed() {
         let (_, sim) = sample();
-        let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
+        let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes().to_vec();
         wire::fails_closed(Some(&ENVELOPE), &bytes, |b| {
             Checkpoint::from_bytes(b).is_ok()
         });
@@ -289,30 +350,61 @@ mod tests {
             EnvelopeError::ChecksumMismatch { .. }
         ));
         assert_eq!(envelope_error(&bytes[..17]), EnvelopeError::Truncated);
-        // A payload whose last length field overruns, under a valid seal:
-        // past the envelope, refused by the payload decoder.
-        let mut b = Vec::new();
-        ENVELOPE.seal(&mut b, |p| p.extend_from_slice(&bytes[18..bytes.len() - 1]));
-        assert!(ENVELOPE.open(&b).is_ok());
-        assert_eq!(envelope_error(&b), EnvelopeError::Truncated);
+        // Under a valid seal, past the envelope, refused by the payload
+        // decoder: a last length field that overruns, and a label that is
+        // not UTF-8.
+        let payload = &bytes[ENVELOPE.header_len()..];
+        let resealed = |payload: &[u8]| {
+            let mut b = Vec::new();
+            ENVELOPE.seal(&mut b, |p| p.extend_from_slice(payload));
+            assert!(ENVELOPE.open(&b).is_ok());
+            b
+        };
+        let cut = resealed(&payload[..payload.len() - 1]);
+        assert_eq!(envelope_error(&cut), EnvelopeError::Truncated);
+        let mut label = payload.to_vec();
+        label[8] = 0xff;
+        assert_eq!(envelope_error(&resealed(&label)), EnvelopeError::Truncated);
     }
 
     #[test]
     fn header_is_byte_identical_to_the_pre_envelope_writer() {
-        // Golden bytes written by the hand-rolled framing this envelope
-        // replaced (magic, version 1, FNV-1a 64 of the payload): the
-        // checksum pins the whole payload, the length its size. (That
+        // Golden bytes written by the hand-rolled framing the envelope
+        // replaced (magic, version 1, FNV-1a 64 of the payload), rebuilt
+        // here the same way: the checksum pins the whole payload, the
+        // length its size. A version-1 file is no longer written, but its
+        // payload layout is still this one, and it still reads. (That
         // writer's default engine kept no commit notes, so the one payload
         // byte recording their freshness read "stale": drop them here to
         // write the same byte.)
         let (_, mut sim) = sample();
         sim.world_mut().invalidate_all();
-        let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
-        assert_eq!(bytes.len(), 2372);
+        let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
+        let v2 = ckpt.to_bytes();
+        let payload = &v2[ENVELOPE.header_len()..];
+        let mut v1 = b"SSCCKPT\0".to_vec();
+        wire::put_u16(&mut v1, 1);
+        wire::put_u64(&mut v1, wire::fnv1a64(payload));
+        v1.extend_from_slice(payload);
+        assert_eq!(v1.len(), 2372);
         assert_eq!(
-            bytes[..18],
+            v1[..18],
             [83, 83, 67, 67, 75, 80, 84, 0, 1, 0, 148, 110, 222, 143, 136, 182, 96, 254]
         );
+        let read = Checkpoint::from_bytes(&v1).expect("a version-1 file still opens");
+        assert_eq!(read, ckpt, "re-sealed as version 2 on the way in");
+        assert_eq!(read.to_bytes()[8..10], [2, 0]);
+        assert_eq!(read.restore_cc1().unwrap().steps(), sim.steps());
+        // Version 2 bytes under the version-1 label: the new checksum does
+        // not vouch for the old version.
+        let mut relabelled = v2.to_vec();
+        relabelled[8] = 1;
+        assert!(matches!(
+            Checkpoint::from_bytes(&relabelled),
+            Err(CheckpointError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
+        ));
     }
 
     #[test]
@@ -332,7 +424,7 @@ mod tests {
         // not silently resume on the default engine.
         let (h, sim) = sample();
         let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
-        let mut r = Reader::new(&ckpt.sim);
+        let mut r = Reader::new(&ckpt.image[ckpt.sim.clone()]);
         assert_eq!(r.str(), Some("par1"));
         let rest = r.take(r.remaining()).unwrap();
         let mut spliced = Vec::new();
@@ -346,11 +438,13 @@ mod tests {
         )
         .is_none());
         // The same blob inside a container whose checksum is valid.
-        let stale = Checkpoint {
-            sim: spliced,
-            ..ckpt
-        };
-        let back = Checkpoint::from_bytes(&stale.to_bytes()).unwrap();
+        let mut stale = Vec::new();
+        ENVELOPE.seal(&mut stale, |p| {
+            p.extend_from_slice(&ckpt.image[ENVELOPE.header_len()..ckpt.sim.start - 8]);
+            wire::put_bytes(p, &spliced);
+        });
+        let back = Checkpoint::from_bytes(&stale).unwrap();
+        assert_eq!(back.topology().unwrap(), *h);
         assert!(matches!(
             back.restore_cc1(),
             Err(CheckpointError::BadSimState)
@@ -367,5 +461,33 @@ mod tests {
         let back = Checkpoint::load_file(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, ckpt);
+    }
+
+    #[test]
+    fn save_file_replaces_the_target_and_leaves_no_temp_file() {
+        let (_, mut sim) = sample();
+        let dir = std::env::temp_dir().join(format!("sscc-persist-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let first = Checkpoint::capture_cc1(&sim).unwrap();
+        first.save_file(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), *first.to_bytes());
+        sim.run(50);
+        let second = Checkpoint::capture_cc1(&sim).unwrap();
+        second.save_file(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), *second.to_bytes());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["run.ckpt"], "the temp file is gone");
+        // A target the temp file cannot be created next to is an error, and
+        // nothing is left behind.
+        let missing = dir.join("no-such-dir").join("run.ckpt");
+        assert!(matches!(
+            second.save_file(&missing),
+            Err(CheckpointError::Io(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

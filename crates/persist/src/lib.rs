@@ -12,7 +12,8 @@
 //!   checkpoint taken *after* dynamic mutations still carries the exact
 //!   world it was taken on;
 //! * [`container`] — the [`Checkpoint`] file format pairing the topology
-//!   blob, the engine configuration and the sim blob;
+//!   blob, the engine configuration and the sim blob: one sealed image,
+//!   encoded once, shared by handle and decoded in place;
 //! * [`steptrace`] — a delta-compressed recording of executed actions
 //!   ([`StepTrace`]) small enough to ship alongside a checkpoint;
 //! * [`replay`] — a driver that re-executes a restored sim and verifies it
@@ -36,10 +37,13 @@
 //! let mut sim = Cc1Sim::standard(Arc::clone(&h), 7, 1);
 //! sim.run(500);
 //!
-//! let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
-//! let bytes = ckpt.to_bytes();                    // durable artifact
+//! let ckpt = Checkpoint::capture_cc1(&sim).unwrap(); // one encode pass
+//! let bytes = ckpt.to_bytes();        // the durable artifact: a shared
+//! assert_eq!(bytes[..7], *b"SSCCKPT");    // handle on the image, no copy
+//! drop(ckpt);
 //!
-//! let back = Checkpoint::from_bytes(&bytes).unwrap();
+//! let back = Checkpoint::from_bytes(&bytes).unwrap(); // verify, then copy
+//! assert_eq!(back.to_bytes(), bytes);
 //! let mut twin = back.restore_cc1().unwrap();     // fresh process, same run
 //! assert_eq!(twin.steps(), sim.steps());
 //! sim.run(500);
@@ -59,6 +63,7 @@ pub use replay::{replay_trace, ReplayError, ReplayReport};
 pub use steptrace::{StepTrace, TraceDecodeError};
 pub use topology::{decode_topology, encode_topology};
 
-/// The FNV-1a 64-bit checksum [`Envelope`](sscc_runtime::wire::Envelope)
-/// seals every artifact with.
+/// FNV-1a 64: the digest of ledger bytes that golden tests and benchmarks
+/// pin, and the checksum of version-1 artifacts (which still open; new
+/// ones carry [`checksum64`](sscc_runtime::wire::checksum64)).
 pub use sscc_runtime::wire::fnv1a64;

@@ -6,7 +6,9 @@
 //! event; process and action ids are small varints. A steady-state SSCC
 //! event costs 4–6 bytes instead of the 32 of the in-memory struct.
 //!
-//! The payload of a [`wire::Envelope`] (magic `b"STRC"`, version 1):
+//! The payload of a [`wire::Envelope`] (magic `b"STRC"`, version 2; version
+//! 1 is the same layout under the envelope's previous checksum and still
+//! opens):
 //!
 //! ```text
 //! count    varint   number of events
@@ -18,9 +20,11 @@ use sscc_runtime::prelude::{Trace, TraceEvent};
 use sscc_runtime::wire::{self, Envelope, EnvelopeError, Reader};
 use std::fmt;
 
-const ENVELOPE: Envelope = Envelope {
+/// Framing of a [`StepTrace`] artifact.
+pub const ENVELOPE: Envelope = Envelope {
     magic: b"STRC",
-    version: 1,
+    version: 2,
+    legacy: Some(1),
 };
 
 /// Why a [`StepTrace`] artifact failed to decode.
@@ -235,8 +239,10 @@ mod tests {
 
     #[test]
     fn bytes_are_identical_to_the_pre_envelope_writer() {
-        // Golden bytes written by the hand-rolled framing this envelope
-        // replaced: b"STRC", version 1, FNV-1a 64 of the body, the body.
+        // Golden bytes written by the hand-rolled framing the envelope
+        // replaced — b"STRC", version 1, FNV-1a 64 of the body, the body —
+        // rebuilt here the same way: the artifact is no longer written, but
+        // the body layout is still this one and a stored file still reads.
         let event = |step, round, process, action| TraceEvent {
             step,
             round,
@@ -248,12 +254,32 @@ mod tests {
             event(3, 0, 200, 2),
             event(3, 1, 5, 4),
         ]);
+        let v2 = t.to_bytes();
+        let body = &v2[ENVELOPE.header_len()..];
+        let mut v1 = b"STRC".to_vec();
+        wire::put_u16(&mut v1, 1);
+        wire::put_u64(&mut v1, wire::fnv1a64(body));
+        v1.extend_from_slice(body);
         assert_eq!(
-            t.to_bytes(),
+            v1,
             [
                 83, 84, 82, 67, 1, 0, 57, 176, 231, 32, 123, 147, 76, 65, 3, 0, 0, 1, 0, 3, 0, 200,
                 1, 2, 0, 1, 5, 4
             ]
         );
+        let read = StepTrace::from_bytes(&v1).expect("a version-1 artifact still opens");
+        assert_eq!(read, t);
+        assert_eq!(read.to_bytes(), v2, "and is written back as version 2");
+        assert_eq!(v2[4..6], [2, 0]);
+        // Version 2 bytes under the version-1 label: the new checksum does
+        // not vouch for the old version.
+        let mut relabelled = v2.clone();
+        relabelled[4] = 1;
+        assert!(matches!(
+            StepTrace::from_bytes(&relabelled),
+            Err(TraceDecodeError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
+        ));
     }
 }

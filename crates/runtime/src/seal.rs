@@ -7,7 +7,9 @@
 //! tick loop whose steps are microseconds.
 //!
 //! A [`SealCache`] keeps the wire encoding of the immutable prefix as a
-//! list of shared, immutable segments (`Arc<[u8]>`). Extending the seal
+//! list of shared, immutable segments (`Arc<Vec<u8>>`: the buffer a segment
+//! was encoded into *is* the segment — an `Arc<[u8]>` would copy it once
+//! more into its own allocation). Extending the seal
 //! encodes only the entries that became immutable since the last capture;
 //! a snapshot then *references* the segments (an `Arc` clone each) instead
 //! of copying or re-encoding them. Assembling the full flat blob — a
@@ -26,7 +28,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct SealCache {
     covered: usize,
-    segments: Vec<Arc<[u8]>>,
+    segments: Vec<Arc<Vec<u8>>>,
 }
 
 impl SealCache {
@@ -42,7 +44,7 @@ impl SealCache {
 
     /// The sealed segments, oldest first. Concatenated, they are exactly
     /// the wire encoding of entries `0..covered()`.
-    pub fn segments(&self) -> &[Arc<[u8]>] {
+    pub fn segments(&self) -> &[Arc<Vec<u8>>] {
         &self.segments
     }
 
@@ -59,16 +61,18 @@ impl SealCache {
     }
 
     /// Seal entries `covered()..upto`: `encode` must append exactly their
-    /// wire encoding to the buffer it is given. No-op when `upto` is not
-    /// ahead of the seal.
-    pub fn extend_to(&mut self, upto: usize, encode: impl FnOnce(&mut Vec<u8>)) {
+    /// wire encoding to the buffer it is given, which is allocated once
+    /// with room for `bound` bytes — an upper bound on that encoding keeps
+    /// the segment from ever moving; a low one costs reallocations, never a
+    /// byte. No-op when `upto` is not ahead of the seal.
+    pub fn extend_to(&mut self, upto: usize, bound: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         if upto <= self.covered {
             return;
         }
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(bound);
         encode(&mut buf);
         if !buf.is_empty() {
-            self.segments.push(Arc::from(buf.into_boxed_slice()));
+            self.segments.push(Arc::new(buf));
         }
         self.covered = upto;
     }
@@ -105,10 +109,11 @@ mod tests {
         for &x in &data {
             wire::put_u64(&mut flat, x);
         }
-        // Seal in three uneven waves.
-        for upto in [13usize, 13, 61, 100] {
+        // Seal in three uneven waves — under an exact bound, a low one and
+        // none at all: the bound sizes the buffer, never the bytes.
+        for (upto, bound) in [(13usize, 8 * 13), (13, 0), (61, 3), (100, 0)] {
             let covered = seal.covered();
-            seal.extend_to(upto, |buf| {
+            seal.extend_to(upto, bound, |buf| {
                 for &x in &data[covered..upto] {
                     wire::put_u64(buf, x);
                 }
@@ -127,7 +132,7 @@ mod tests {
     #[test]
     fn reset_drops_everything() {
         let mut seal = SealCache::new();
-        seal.extend_to(5, |buf| buf.extend_from_slice(b"hello"));
+        seal.extend_to(5, 5, |buf| buf.extend_from_slice(b"hello"));
         assert_eq!(seal.covered(), 5);
         assert_eq!(seal.bytes(), 5);
         seal.reset();
@@ -146,7 +151,7 @@ mod tests {
     #[test]
     fn empty_extension_adds_no_segment() {
         let mut seal = SealCache::new();
-        seal.extend_to(3, |_| {});
+        seal.extend_to(3, 0, |_| {});
         assert_eq!(seal.covered(), 3);
         assert!(seal.segments().is_empty(), "no zero-length segments");
     }

@@ -103,7 +103,8 @@ impl Trace {
         let upto = self.events.len();
         let covered = self.seal.covered();
         let events = &self.events;
-        self.seal.extend_to(upto, |buf| {
+        // 32 bytes an event, exactly.
+        self.seal.extend_to(upto, 32 * (upto - covered), |buf| {
             for e in &events[covered..upto] {
                 Self::encode_event(e, buf);
             }
@@ -152,7 +153,7 @@ impl Trace {
 #[derive(Clone, Debug)]
 pub struct TraceSnapshot {
     total: usize,
-    segments: Vec<Arc<[u8]>>,
+    segments: Vec<Arc<Vec<u8>>>,
 }
 
 impl TraceSnapshot {

@@ -10,10 +10,10 @@
 
 use sscc_hypergraph::EdgeId;
 
-/// FNV-1a 64-bit checksum — the integrity primitive of every durable or
-/// transported artifact in the workspace (checkpoints, step traces, service
-/// frames, boundary frames). Not cryptographic; it guards against
-/// truncation, bit rot and torn writes.
+/// FNV-1a 64-bit hash: the digest of ledger bytes the golden tests and the
+/// benchmark pin, and the checksum of the artifacts written before
+/// [`checksum64`] replaced it ([`Envelope::legacy`]). One multiply per byte
+/// on one dependency chain — 51 MB take 73–99 ms.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -23,38 +23,90 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The checksum [`Envelope::seal`] writes: four independent lanes over the
+/// little-endian `u64` words of `bytes` (word `i` goes to lane `i mod 4`),
+/// so four multiplies are in flight at once and 51 MB take 10–12 ms. Not
+/// cryptographic; like FNV before it, it guards against truncation, bit rot
+/// and torn writes, not an adversary.
+///
+/// One lane step is `lane ← rotl(lane ^ word, 29) · P` with `P` odd: a
+/// bijection of the lane for a fixed word *and* of the word for a fixed
+/// lane. The last 1–7 bytes are zero-padded into a final word; the length
+/// seeds a fifth chain that absorbs the four lanes with the same step, and
+/// the closing xor-shift is a bijection too. Hence **any corruption
+/// confined to one word changes the sum** — the changed word changes its
+/// lane, every later step of that lane and of the closing chain maps
+/// distinct values to distinct values — and in particular every single-bit
+/// flip does, which is what [`fails_closed`] demands of a sealed artifact.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const P: u64 = 0x9e37_79b1_85eb_ca87;
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).rotate_left(29).wrapping_mul(P)
+    }
+    fn word(chunk: &[u8]) -> u64 {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(le)
+    }
+    let mut lanes: [u64; 4] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+        0xd6e8_feb8_6659_fd93,
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(chunk));
+        }
+    }
+    // Fewer than 32 bytes are left: at most four chunks, the last one short.
+    for (lane, chunk) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = step(*lane, word(chunk));
+    }
+    let sum = lanes.into_iter().fold(bytes.len() as u64, step);
+    sum ^ (sum >> 32)
+}
+
 /// Append a `u8`.
+#[inline]
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
 /// Append a `u16` (little-endian).
+#[inline]
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `u32` (little-endian).
+#[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `u64` (little-endian).
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `bool` as one byte.
+#[inline]
 pub fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
 /// Append a `usize` as a `u64`.
+#[inline]
 pub fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
 }
 
 /// Append an LEB128 varint (the compressed integer encoding the step-trace
 /// recorder uses for selected-set and flag-flip deltas).
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -68,17 +120,34 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append a length-prefixed byte blob.
+#[inline]
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_usize(out, bytes.len());
     out.extend_from_slice(bytes);
 }
 
+/// Append a length-prefixed byte blob that `body` writes in place — the
+/// bytes [`put_bytes`] would append for the same content, without building
+/// the content anywhere else first: a length placeholder, the body, then
+/// the length patched in. [`Reader::bytes`] reads it back.
+#[inline]
+pub fn put_bytes_with<R>(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let at = out.len();
+    put_usize(out, 0);
+    let r = body(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    r
+}
+
 /// Append a length-prefixed UTF-8 string.
+#[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
 /// Append a length-prefixed `usize` slice.
+#[inline]
 pub fn put_usize_slice(out: &mut Vec<u8>, v: &[usize]) {
     put_usize(out, v.len());
     for &x in v {
@@ -87,6 +156,7 @@ pub fn put_usize_slice(out: &mut Vec<u8>, v: &[usize]) {
 }
 
 /// Append a length-prefixed `bool` slice.
+#[inline]
 pub fn put_bool_slice(out: &mut Vec<u8>, v: &[bool]) {
     put_usize(out, v.len());
     for &b in v {
@@ -95,6 +165,7 @@ pub fn put_bool_slice(out: &mut Vec<u8>, v: &[bool]) {
 }
 
 /// Append a length-prefixed `u64` slice.
+#[inline]
 pub fn put_u64_slice(out: &mut Vec<u8>, v: &[u64]) {
     put_usize(out, v.len());
     for &x in v {
@@ -103,6 +174,7 @@ pub fn put_u64_slice(out: &mut Vec<u8>, v: &[u64]) {
 }
 
 /// Append a length-prefixed `Option<u64>` slice (policy timer vectors).
+#[inline]
 pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
     put_usize(out, v.len());
     for x in v {
@@ -115,7 +187,7 @@ pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
 /// ```text
 /// magic    N bytes   names the artifact kind
 /// version  u16       layout version of the payload
-/// checksum u64       FNV-1a 64 over the payload bytes
+/// checksum u64       [`checksum64`] over the payload bytes
 /// payload  …         the artifact's own fields, to the end of the buffer
 /// ```
 ///
@@ -127,8 +199,13 @@ pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
 pub struct Envelope {
     /// Magic prefix naming the artifact kind.
     pub magic: &'static [u8],
-    /// Payload layout version; [`Envelope::open`] rejects every other one.
+    /// Payload layout version, the only one [`Envelope::seal`] writes.
     pub version: u16,
+    /// The version the *same payload layout* carried while artifacts were
+    /// sealed with [`fnv1a64`]: [`Envelope::open`] still reads it (under
+    /// that checksum) so files written before the change keep opening; it
+    /// is never written. `None` for an artifact that is never stored.
+    pub legacy: Option<u16>,
 }
 
 /// Why [`Envelope::open`] (or the payload decoder behind it) refused an
@@ -168,38 +245,67 @@ impl std::fmt::Display for EnvelopeError {
 impl std::error::Error for EnvelopeError {}
 
 impl Envelope {
+    /// Bytes before the payload: magic, version, checksum.
+    pub const fn header_len(&self) -> usize {
+        self.magic.len() + 10
+    }
+
     /// Append one sealed artifact to `out`: the header, then whatever
     /// `payload` writes — straight into `out`, no intermediate buffer —
     /// then the checksum patched into the header.
     pub fn seal<R>(&self, out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        let start = out.len();
         out.extend_from_slice(self.magic);
         put_u16(out, self.version);
         put_u64(out, 0);
+        let payload_at = out.len();
         let r = payload(out);
-        let sum_at = start + self.magic.len() + 2;
-        let sum = fnv1a64(&out[sum_at + 8..]);
-        out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+        let sum = checksum64(&out[payload_at..]);
+        out[payload_at - 8..payload_at].copy_from_slice(&sum.to_le_bytes());
         r
     }
 
-    /// Verify magic, version and checksum; the returned reader spans
-    /// exactly the payload.
-    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, EnvelopeError> {
+    /// Verify magic, version and checksum; the version found, and a reader
+    /// spanning exactly the payload.
+    fn verify<'a>(&self, bytes: &'a [u8]) -> Result<(u16, Reader<'a>), EnvelopeError> {
         let mut r = Reader::new(bytes);
         if r.take(self.magic.len()).ok_or(EnvelopeError::Truncated)? != self.magic {
             return Err(EnvelopeError::BadMagic);
         }
         let version = r.u16().ok_or(EnvelopeError::Truncated)?;
-        if version != self.version {
-            return Err(EnvelopeError::UnsupportedVersion(version));
-        }
+        let sum: fn(&[u8]) -> u64 = match version {
+            v if v == self.version => checksum64,
+            v if Some(v) == self.legacy => fnv1a64,
+            v => return Err(EnvelopeError::UnsupportedVersion(v)),
+        };
         let expected = r.u64().ok_or(EnvelopeError::Truncated)?;
-        let actual = fnv1a64(&r.buf[r.pos..]);
+        let actual = sum(&r.buf[r.pos..]);
         if actual != expected {
             return Err(EnvelopeError::ChecksumMismatch { expected, actual });
         }
-        Ok(r)
+        Ok((version, r))
+    }
+
+    /// Verify magic, version and checksum; the returned reader spans
+    /// exactly the payload.
+    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, EnvelopeError> {
+        self.verify(bytes).map(|(_, payload)| payload)
+    }
+
+    /// [`Envelope::open`], then an owned copy of the artifact *as this
+    /// build writes it*: verified before a byte is allocated, copied once,
+    /// and a [`legacy`](Envelope::legacy) artifact re-sealed at the current
+    /// version on the way — the payload layout is the same by definition.
+    /// For a holder that keeps the sealed image rather than decoded fields.
+    pub fn adopt(&self, bytes: &[u8]) -> Result<Vec<u8>, EnvelopeError> {
+        let (version, payload) = self.verify(bytes)?;
+        if version == self.version {
+            return Ok(bytes.to_vec());
+        }
+        let mut out = Vec::with_capacity(bytes.len());
+        self.seal(&mut out, |p| {
+            p.extend_from_slice(&payload.buf[payload.pos..])
+        });
+        Ok(out)
     }
 }
 
@@ -214,7 +320,9 @@ impl Envelope {
 ///   it only ever travels inside an envelope;
 /// * a sealed artifact (`sealed: Some(envelope)`) *rejects* each of those
 ///   too, and refuses a patched magic or version under a still-valid
-///   checksum with the distinct [`EnvelopeError`].
+///   checksum with the distinct [`EnvelopeError`] — the
+///   [`legacy`](Envelope::legacy) version included: the checksum of one
+///   version never vouches for the other.
 ///
 /// Byte positions are exhaustive below 512 and 256 seeded samples (one
 /// seeded bit each) beyond, so a sweep is identical on every run.
@@ -247,13 +355,22 @@ pub fn fails_closed(sealed: Option<&Envelope>, bytes: &[u8], decode: impl Fn(&[u
     foreign[0] ^= 0xff;
     assert_eq!(envelope.open(&foreign).err(), Some(EnvelopeError::BadMagic));
     must_reject(&foreign, format_args!("a foreign magic"));
-    let (mut future, at, next) = (bytes.to_vec(), envelope.magic.len(), envelope.version + 1);
-    future[at..at + 2].copy_from_slice(&next.to_le_bytes());
+    let (mut relabelled, at) = (bytes.to_vec(), envelope.magic.len());
+    let next = envelope.version + 1;
+    relabelled[at..at + 2].copy_from_slice(&next.to_le_bytes());
     assert_eq!(
-        envelope.open(&future).err(),
+        envelope.open(&relabelled).err(),
         Some(EnvelopeError::UnsupportedVersion(next))
     );
-    must_reject(&future, format_args!("a future version"));
+    must_reject(&relabelled, format_args!("a future version"));
+    let Some(legacy) = envelope.legacy else {
+        return;
+    };
+    relabelled[at..at + 2].copy_from_slice(&legacy.to_le_bytes());
+    let refused = envelope.open(&relabelled).err();
+    let mismatch = matches!(refused, Some(EnvelopeError::ChecksumMismatch { .. }));
+    assert!(mismatch, "relabelled as the legacy version: {refused:?}");
+    must_reject(&relabelled, format_args!("the legacy version"));
 }
 
 /// A bounds-checked cursor over a byte buffer; every read is total.
@@ -280,6 +397,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Take the next `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
@@ -288,26 +406,31 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
     /// Read a `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
     }
 
     /// Read a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
     /// Read a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
     /// Read a `bool` (rejecting anything but 0/1).
+    #[inline]
     pub fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
@@ -317,11 +440,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `usize` (stored as `u64`; rejects values over `usize::MAX`).
+    #[inline]
     pub fn usize(&mut self) -> Option<usize> {
         usize::try_from(self.u64()?).ok()
     }
 
     /// Read an LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Option<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -339,12 +464,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a length-prefixed byte blob.
+    #[inline]
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.usize()?;
         self.take(n)
     }
 
     /// Read a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Option<&'a str> {
         std::str::from_utf8(self.bytes()?).ok()
     }
@@ -352,6 +479,7 @@ impl<'a> Reader<'a> {
     /// Read an element count, rejecting one the rest of the buffer cannot
     /// hold at `min_bytes` encoded bytes per element — the check that must
     /// precede any allocation sized by a count read from input.
+    #[inline]
     pub fn count(&mut self, min_bytes: usize) -> Option<usize> {
         let n = self.usize()?;
         (n <= self.remaining() / min_bytes).then_some(n)
@@ -392,45 +520,55 @@ pub trait StateCodec: Sized {
 }
 
 impl StateCodec for bool {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_bool(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         r.bool()
     }
 }
 
 impl StateCodec for u16 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u16(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         r.u16()
     }
 }
 
 impl StateCodec for u32 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         r.u32()
     }
 }
 
 impl StateCodec for u64 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         r.u64()
     }
 }
 
 impl StateCodec for crate::compose::Layer {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u8(out, matches!(self, crate::compose::Layer::B).into());
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         match r.u8()? {
             0 => Some(crate::compose::Layer::A),
@@ -441,9 +579,11 @@ impl StateCodec for crate::compose::Layer {
 }
 
 impl StateCodec for EdgeId {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.0);
     }
+    #[inline]
     fn decode(r: &mut Reader) -> Option<Self> {
         Some(EdgeId(r.u32()?))
     }
@@ -481,6 +621,69 @@ mod tests {
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"), "order-sensitive");
     }
 
+    /// `n` bytes of a fixed non-repeating-per-word pattern.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn checksum64_matches_reference_vectors() {
+        // Computed by an independent implementation of the definition in
+        // the doc comment; a change to any of them is a format change.
+        assert_eq!(checksum64(b""), 0xd912_f97b_98ea_ae1a);
+        assert_eq!(checksum64(b"a"), 0x0181_17a3_e33f_7316);
+        assert_eq!(checksum64(&pattern(31)), 0x4b98_a9d8_b5ed_de90);
+        assert_eq!(checksum64(&pattern(32)), 0xd646_8364_a4e6_ce0e);
+        assert_eq!(checksum64(&pattern(33)), 0xd39a_6a6d_b49c_d72f);
+        assert_eq!(checksum64(&pattern(4096)), 0xfcc1_81f5_9754_1380);
+    }
+
+    #[test]
+    fn checksum64_changes_under_every_single_bit_flip() {
+        // The bijection argument, checked exhaustively: a 4 KiB artifact
+        // (the block loop) and every length 0..=100 (the tail path).
+        let lengths = (0..=100).chain([4096]);
+        for n in lengths {
+            let mut bytes = pattern(n);
+            let sum = checksum64(&bytes);
+            for at in 0..n {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    assert_ne!(checksum64(&bytes), sum, "length {n}, byte {at}, bit {bit}");
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum64_sees_length_and_order() {
+        let bytes = pattern(4096);
+        let sum = checksum64(&bytes);
+        // Truncation at and off a word boundary, and at a block boundary.
+        for cut in [4095, 4088, 4081, 4064, 8, 1, 0] {
+            assert_ne!(checksum64(&bytes[..cut]), sum, "cut to {cut}");
+        }
+        // Zero-extension: the padded words are the same, the length is not.
+        for n in [0usize, 5, 8, 31, 32, 100] {
+            let mut longer = vec![0u8; n];
+            let short = checksum64(&longer);
+            longer.push(0);
+            assert_ne!(checksum64(&longer), short, "{n} zero bytes plus one");
+        }
+        // Two words swapped: in one lane (words 1 and 5), across lanes
+        // (words 1 and 2), and in the tail (the last two of 7 words).
+        let swapped = |len: usize, a: usize, b: usize| {
+            let mut v = pattern(len);
+            let (lo, hi) = v.split_at_mut(8 * b);
+            lo[8 * a..8 * a + 8].swap_with_slice(&mut hi[..8]);
+            checksum64(&v)
+        };
+        assert_ne!(swapped(4096, 1, 5), sum, "same lane");
+        assert_ne!(swapped(4096, 1, 2), sum, "across lanes");
+        assert_ne!(swapped(56, 5, 6), checksum64(&pattern(56)), "tail words");
+    }
+
     #[test]
     fn scalar_roundtrips() {
         let mut out = Vec::new();
@@ -515,6 +718,42 @@ mod tests {
         assert_eq!(r.u64_vec(), Some(vec![9, 8]));
         assert_eq!(r.bytes(), Some(&b"\x00\xff"[..]));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn put_bytes_with_writes_what_put_bytes_writes() {
+        // An empty body, a plain one, and blobs nested in a blob — each
+        // against `put_bytes` of the same content built separately.
+        let mut inner = Vec::new();
+        put_bytes(&mut inner, b"topology");
+        put_bytes(&mut inner, b"");
+        put_u32(&mut inner, 9);
+        let mut want = Vec::new();
+        put_bytes(&mut want, b"");
+        put_bytes(&mut want, b"sim");
+        put_bytes(&mut want, &inner);
+
+        let mut out = Vec::new();
+        put_bytes_with(&mut out, |_| {});
+        put_bytes_with(&mut out, |o| o.extend_from_slice(b"sim"));
+        let answer = put_bytes_with(&mut out, |o| {
+            put_bytes_with(o, |o| o.extend_from_slice(b"topology"));
+            put_bytes_with(o, |_| {});
+            put_u32(o, 9);
+            42
+        });
+        assert_eq!(answer, 42, "the body's result is handed back");
+        assert_eq!(out, want);
+
+        let mut r = Reader::new(&out);
+        assert_eq!(r.bytes(), Some(&b""[..]));
+        assert_eq!(r.bytes(), Some(&b"sim"[..]));
+        let mut nested = Reader::new(r.bytes().unwrap());
+        assert!(r.is_empty());
+        assert_eq!(nested.bytes(), Some(&b"topology"[..]));
+        assert_eq!(nested.bytes(), Some(&b""[..]));
+        assert_eq!(nested.u32(), Some(9));
+        assert!(nested.is_empty());
     }
 
     #[test]
@@ -562,10 +801,22 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    // One bit away from its legacy version, so the harness's flips of the
+    // version field cross over to the other checksum.
     const TEST_ENVELOPE: Envelope = Envelope {
         magic: b"TEST",
         version: 3,
+        legacy: Some(2),
     };
+
+    /// `payload` framed the way the legacy writer did: FNV-1a sealed.
+    fn legacy_sealed(version: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = b"TEST".to_vec();
+        put_u16(&mut out, version);
+        put_u64(&mut out, fnv1a64(payload));
+        out.extend_from_slice(payload);
+        out
+    }
 
     fn sealed_u64s(values: &[u64]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -588,9 +839,10 @@ mod tests {
         put_u64_slice(&mut payload, &[7]);
         let mut want = b"TEST".to_vec();
         put_u16(&mut want, 3);
-        put_u64(&mut want, fnv1a64(&payload));
+        put_u64(&mut want, checksum64(&payload));
         want.extend_from_slice(&payload);
         assert_eq!(bytes, want);
+        assert_eq!(bytes.len(), TEST_ENVELOPE.header_len() + payload.len());
         assert_eq!(open_u64s(&bytes), Ok(vec![7]));
         // Sealing appends: an artifact can follow other bytes in `out`.
         let mut out = vec![0xAA, 0xBB];
@@ -620,6 +872,50 @@ mod tests {
         TEST_ENVELOPE.seal(&mut b, |p| put_usize(p, 9));
         assert!(TEST_ENVELOPE.open(&b).is_ok());
         assert_eq!(open_u64s(&b), Err(EnvelopeError::Truncated));
+    }
+
+    #[test]
+    fn legacy_version_opens_under_its_own_checksum_only() {
+        let mut payload = Vec::new();
+        put_u64_slice(&mut payload, &[4, 5]);
+        let old = legacy_sealed(2, &payload);
+        assert_eq!(open_u64s(&old), Ok(vec![4, 5]));
+        fails_closed(Some(&TEST_ENVELOPE), &sealed_u64s(&[4, 5]), |b| {
+            open_u64s(b).is_ok()
+        });
+        // Neither checksum vouches for the other version's label, and an
+        // older version than the legacy one is not read at all.
+        let mut relabelled = old.clone();
+        relabelled[4] = 3;
+        assert!(matches!(
+            open_u64s(&relabelled),
+            Err(EnvelopeError::ChecksumMismatch { .. })
+        ));
+        assert_eq!(
+            open_u64s(&legacy_sealed(1, &payload)),
+            Err(EnvelopeError::UnsupportedVersion(1))
+        );
+        // No legacy version declared, none read.
+        let strict = Envelope {
+            legacy: None,
+            ..TEST_ENVELOPE
+        };
+        assert_eq!(
+            strict.open(&old).err(),
+            Some(EnvelopeError::UnsupportedVersion(2))
+        );
+    }
+
+    #[test]
+    fn adopt_copies_a_current_artifact_and_reseals_a_legacy_one() {
+        let current = sealed_u64s(&[4, 5]);
+        assert_eq!(TEST_ENVELOPE.adopt(&current), Ok(current.clone()));
+        let old = legacy_sealed(2, &current[TEST_ENVELOPE.header_len()..]);
+        assert_ne!(old, current);
+        assert_eq!(TEST_ENVELOPE.adopt(&old), Ok(current.clone()));
+        let mut torn = old;
+        *torn.last_mut().unwrap() ^= 1;
+        assert!(TEST_ENVELOPE.adopt(&torn).is_err());
     }
 
     #[test]

@@ -49,13 +49,15 @@ pub enum OverloadPolicy {
 }
 
 /// Layout version of the service checkpoint blob. Bump on change; restore
-/// rejects versions it does not understand.
-pub const SERVICE_CHECKPOINT_VERSION: u16 = 1;
+/// rejects versions it does not understand. (Version 1 is this layout under
+/// the envelope's previous checksum; it still restores.)
+pub const SERVICE_CHECKPOINT_VERSION: u16 = 2;
 
 /// Framing of a [`CoordinationService::checkpoint`] blob.
 const ENVELOPE: Envelope = Envelope {
     magic: b"SSCCSRV\0",
     version: SERVICE_CHECKPOINT_VERSION,
+    legacy: Some(1),
 };
 
 /// Scheduled topology churn: every `period` ticks the service proposes one
@@ -474,16 +476,19 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         if !self.source.save_state(&mut source_blob) {
             return None;
         }
-        let mut sim_blob = Vec::new();
-        if !self.sim.save_state(&mut sim_blob) {
-            return None;
-        }
-        let mut topo = Vec::new();
-        sscc_persist::encode_topology(self.sim.h(), &mut topo);
-        let mut out = Vec::with_capacity(topo.len() + sim_blob.len() + source_blob.len() + 256);
-        ENVELOPE.seal(&mut out, |p| {
-            wire::put_bytes(p, &topo);
-            wire::put_bytes(p, &sim_blob);
+        let mut out = Vec::new();
+        let persistable = ENVELOPE.seal(&mut out, |p| {
+            wire::put_bytes_with(p, |p| sscc_persist::encode_topology(self.sim.h(), p));
+            // Everything that grows with the run comes now — the engine's
+            // histories, then the samples and the admission log below: make
+            // room once, and write each straight into the sealed blob.
+            let samples = self.latency.samples().len() + self.queue_wait.samples().len();
+            let rows = self.admissions.len() + self.queue.len() + self.in_flight.len();
+            let own = 512 + 8 * samples + 16 * rows + source_blob.len();
+            p.reserve(8 + self.sim.encoded_size_hint() + own);
+            if !wire::put_bytes_with(p, |p| self.sim.save_state(p)) {
+                return false;
+            }
             // Config.
             wire::put_usize(p, self.cfg.queue_capacity);
             wire::put_usize(p, self.cfg.admit_batch);
@@ -549,8 +554,9 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             }
             wire::put_u64(p, self.churn_events);
             wire::put_bytes(p, &source_blob);
+            true
         });
-        Some(out)
+        persistable.then_some(out)
     }
 
     /// Thaw a [`CoordinationService::checkpoint`] blob. The topology
@@ -938,24 +944,49 @@ mod tests {
 
     #[test]
     fn checkpoint_header_is_byte_identical_to_the_pre_envelope_writer() {
-        // Golden bytes written by the hand-rolled framing this envelope
-        // replaced (magic, version 1, FNV-1a 64 of the payload): the
-        // checksum pins the whole payload, the length its size.
+        // Golden bytes written by the hand-rolled framing the envelope
+        // replaced (magic, version 1, FNV-1a 64 of the payload), rebuilt
+        // here the same way: the checksum pins the whole payload, the
+        // length its size. A version-1 blob is no longer written, but its
+        // payload layout is still this one, and it still restores.
         let h = Arc::new(generators::ring(16, 2));
-        let gen = TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 2_000);
+        let traffic = || TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 2_000);
         let cfg = ServiceConfig::default();
-        let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(gen), cfg).unwrap();
+        let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic()), cfg).unwrap();
         svc.run(100);
         // That writer's default engine kept no commit notes, so the one
         // payload byte recording their freshness read "stale": drop them
         // to write the same byte.
         svc.sim.world_mut().invalidate_all();
-        let blob = svc.checkpoint().unwrap();
-        assert_eq!(blob.len(), 5579);
+        let v2 = svc.checkpoint().unwrap();
+        let payload = &v2[ENVELOPE.header_len()..];
+        let mut v1 = b"SSCCSRV\0".to_vec();
+        wire::put_u16(&mut v1, 1);
+        wire::put_u64(&mut v1, wire::fnv1a64(payload));
+        v1.extend_from_slice(payload);
+        assert_eq!(v1.len(), 5579);
         assert_eq!(
-            blob[..18],
+            v1[..18],
             [83, 83, 67, 67, 83, 82, 86, 0, 1, 0, 174, 134, 64, 66, 121, 103, 170, 238]
         );
+        let revived =
+            cc1_service_restore(Box::new(traffic()), &v1).expect("a version-1 blob still restores");
+        assert_eq!(revived.ticks(), 100);
+        assert_eq!(
+            revived.checkpoint().unwrap(),
+            v2,
+            "written back as version 2"
+        );
+        assert_eq!(v2[8..10], [2, 0]);
+        // Version 2 bytes under the version-1 label: the new checksum does
+        // not vouch for the old version.
+        let mut relabelled = v2.clone();
+        relabelled[8] = 1;
+        assert!(matches!(
+            ENVELOPE.open(&relabelled),
+            Err(wire::EnvelopeError::ChecksumMismatch { .. })
+        ));
+        assert!(cc1_service_restore(Box::new(traffic()), &relabelled).is_none());
     }
 
     #[test]

@@ -1,0 +1,84 @@
+//! A checkpoint is one image written once — measured at the allocator, so
+//! the pin is exact on every host: capturing and taking the bytes requests
+//! barely more than the image (one large block, no second copy, no doubling
+//! through the history), a corrupt image is refused before anything is
+//! copied, and a restore requests the image, the records and per-process
+//! state. A writer that goes back to separate blobs, or a reader that
+//! copies before it verifies, moves these by integer factors.
+
+mod common;
+
+use common::requests_during;
+use sscc::core::sim::Cc1Sim;
+use sscc::hypergraph::generators;
+use sscc::persist::Checkpoint;
+use sscc::service::{cc1_service, cc1_service_restore, Arrivals, ServiceConfig, TrafficGen};
+use std::sync::Arc;
+
+// One test: the recorder is process-wide, so nothing else may run beside it.
+#[test]
+fn checkpoint_round_trip_allocates_one_image() {
+    let h = Arc::new(generators::ring(48, 2));
+    let (n, m) = (h.n(), h.m());
+
+    // A bare sim with enough history that it dominates the image.
+    let mut sim = Cc1Sim::standard(Arc::clone(&h), 5, 1);
+    sim.run(12_000);
+    let records = sim.ledger().instances().len();
+    let probe = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
+    let image = probe.len();
+    assert!(image > 80 * records && records > 5_000, "history dominates");
+    drop(probe);
+
+    let (wrote, bytes) = requests_during(image / 2, || {
+        Checkpoint::capture_cc1(&sim).unwrap().to_bytes()
+    });
+    eprintln!("capture+to_bytes: image {image}, {wrote:?}");
+    assert_eq!(bytes.len(), image);
+    assert!(
+        wrote.total * 100 <= image * 115,
+        "{wrote:?} for a {image}-byte image"
+    );
+    assert_eq!(wrote.big, 1, "one block holds the image: {wrote:?}");
+
+    // Verify before copy: one flipped bit, and nothing of size is requested.
+    let mut torn = bytes.to_vec();
+    torn[image / 2] ^= 0x10;
+    let (refused, result) = requests_during(image / 2, || Checkpoint::from_bytes(&torn));
+    assert!(result.is_err());
+    assert!(refused.total < 1024, "{refused:?} while refusing");
+
+    // The way back: the image once, the record vector once, and state that
+    // is per process and per committee — nothing else grows with the run.
+    let (read, restored) = requests_during(image / 2, || {
+        Checkpoint::from_bytes(&bytes)
+            .unwrap()
+            .restore_cc1()
+            .unwrap()
+    });
+    eprintln!("from_bytes+restore: records {records}, {read:?}");
+    assert_eq!(restored.steps(), sim.steps());
+    let record_vec = std::mem::size_of_val(sim.ledger().instances());
+    let per_world = 1024 * (n + m);
+    assert!(
+        read.total <= image + record_vec + per_world,
+        "{read:?} for {image} bytes of {records} records"
+    );
+    assert_eq!(read.big, 2, "the image and the records: {read:?}");
+
+    // The service checkpoint is the same single pass.
+    let traffic = || TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 50_000);
+    let cfg = ServiceConfig::default();
+    let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic()), cfg).unwrap();
+    svc.run(20_000);
+    let blob = svc.checkpoint().unwrap().len();
+    assert!(blob > 40 * svc.sim().ledger().instances().len());
+    let (wrote, bytes) = requests_during(blob / 2, || svc.checkpoint().unwrap());
+    eprintln!("service checkpoint: blob {blob}, {wrote:?}");
+    assert!(
+        wrote.total * 100 <= blob * 115,
+        "{wrote:?} for a {blob}-byte blob"
+    );
+    assert_eq!(wrote.big, 1, "one block holds the blob: {wrote:?}");
+    assert!(cc1_service_restore(Box::new(traffic()), &bytes).is_some());
+}
