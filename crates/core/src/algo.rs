@@ -13,12 +13,9 @@ use sscc_hypergraph::{Hypergraph, MutationDelta};
 use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, ProcessState, StateAccess};
 
 /// A committee coordination local algorithm with token inputs/outputs.
-///
-/// `Sync` (algorithm and state): the composition is evaluated concurrently
-/// by the engine's parallel dirty-set drain.
-pub trait CommitteeAlgorithm: Sync {
+pub trait CommitteeAlgorithm {
     /// Per-process state.
-    type State: ProcessState + ArbitraryState + CommitteeView + Sync + Send;
+    type State: ProcessState + ArbitraryState + CommitteeView;
 
     /// Number of actions in code order.
     fn action_count(&self) -> usize;

@@ -128,9 +128,8 @@ pub mod action {
 
 /// How the token holder chooses the committee it pins — the only difference
 /// between CC2 (smallest incident committee, Theorems 4–6) and CC3
-/// (sequential round-robin over `E_p`, Theorems 7–8). `Sync`: read
-/// concurrently by the engine's parallel drain.
-pub trait Selector: Sync {
+/// (sequential round-robin over `E_p`, Theorems 7–8).
+pub trait Selector {
     /// The committee the token holder at `me` should pin.
     fn target(&self, h: &Hypergraph, me: usize, st: &Cc2State) -> EdgeId;
     /// Is the current pointer already an acceptable pin? (Guard of Step11

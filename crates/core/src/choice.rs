@@ -11,9 +11,8 @@
 use sscc_hypergraph::{EdgeId, Hypergraph};
 use std::cmp::Ordering;
 
-/// A deterministic selection rule among candidate committees (`Sync`: read
-/// concurrently by the engine's parallel drain).
-pub trait EdgeChoice: Sync {
+/// A deterministic selection rule among candidate committees.
+pub trait EdgeChoice {
     /// Pick one of `candidates` (non-empty, all incident to `me`).
     fn choose(&self, h: &Hypergraph, me: usize, candidates: &[EdgeId]) -> EdgeId;
 }

@@ -29,6 +29,7 @@
 //! assert!(sim.ledger().convened_count() > 0); // and meetings happened
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(deprecated)]
 

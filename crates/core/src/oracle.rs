@@ -19,11 +19,9 @@
 use crate::status::Status;
 use sscc_runtime::wire;
 
-/// The environment interface the algorithms read during guard evaluation.
-///
-/// `Sync`: guard evaluation may happen concurrently in the engine's
-/// parallel drain; the environment is frozen (read-only) during a step.
-pub trait RequestEnv: Sync {
+/// The environment interface the algorithms read during guard evaluation;
+/// the environment is frozen (read-only) during a step.
+pub trait RequestEnv {
     /// `RequestIn(p)`: does the professor want to join a meeting?
     fn request_in(&self, p: usize) -> bool;
     /// `RequestOut(p)`: does the professor want to stop discussing?

@@ -302,7 +302,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     }
 
     /// [`Sim::configure`] with a mode label — any [`ModeRegistry`] name or
-    /// compositional config string (`"pool"`, `"par2+trusted"`, …).
+    /// compositional config string (`"daemon"`, `"dist2+trusted"`, …).
     pub fn configure_mode(&mut self, mode: &str) -> Result<(), ConfigError>
     where
         C: 'static,
@@ -977,6 +977,10 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     ///
     /// Returns `None` under the same conditions as [`Sim::save_state`]
     /// (a daemon or policy without persistence support).
+    // The lint's "`to_vec()` is faster" is wrong for the generic composed
+    // state: its derived `Clone` misses the bulk copy, and `to_vec()`
+    // measures 8–11 × this `memcpy` (EXPERIMENTS.md "Deletion audit").
+    #[allow(clippy::iter_cloned_collect)]
     pub fn snapshot(&mut self) -> Option<Snapshot<C, TL>>
     where
         C::State: Copy,
@@ -992,7 +996,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         }
         Some(Snapshot {
             cfg: self.cfg.to_string(),
-            states: sscc_runtime::seal::memcpy_vec(self.world.states()),
+            states: self.world.states().iter().copied().collect(),
             steps: self.world.steps(),
             observations: self.world.observation_snapshot(),
             notes_stale: self.world.notes_stale(),
@@ -1757,7 +1761,7 @@ mod tests {
         let participations = sim.ledger().participations().to_vec();
         assert!(convened > 0, "history to preserve");
 
-        sim.migrate_mode("pool").unwrap();
+        sim.migrate_mode("dist2").unwrap();
         assert!(
             sim.ledger()
                 .participations()
@@ -1771,7 +1775,7 @@ mod tests {
         assert!(sim.rounds() >= rounds, "round history survives");
         assert!(sim.monitor().clean(), "{:?}", sim.monitor().violations());
 
-        // Hop again: pooled → sequential with an incremental daemon view.
+        // Hop again: distributed → sequential with an incremental daemon view.
         let before = sim.ledger().convened_count();
         sim.migrate_mode("daemon").unwrap();
         sim.run(600);

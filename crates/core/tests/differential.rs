@@ -14,10 +14,9 @@
 //! everywhere.)
 //!
 //! The lockstep engine list is **derived from the [`ModeRegistry`]** — the
-//! same single source of truth the bench sweep records. The `par1` mode
-//! (the default engine) drives; *every other registered mode* is a twin,
-//! with fan-out thresholds forced to zero so the pooled paths actually
-//! exercise on these tiny topologies. A mode added to the registry is
+//! same single source of truth the examples and `benchmark/` select from.
+//! The `par1` mode (the default engine) drives; *every other registered
+//! mode* is a twin. A mode added to the registry is
 //! automatically lockstep-verified here; there is no second list to keep
 //! in sync. Every row must be bit-identical to the reference driver.
 
@@ -41,7 +40,7 @@ fn topologies() -> Vec<(&'static str, Arc<Hypergraph>)> {
 /// The registry mode the reference driver runs: the default engine.
 const REFERENCE_MODE: &str = "par1";
 
-/// One twin per non-reference registry mode, fan-out forced, traced.
+/// One twin per non-reference registry mode, traced.
 fn registry_twins<C, TL>(mk: &impl Fn() -> Sim<C, TL>) -> Vec<(&'static str, Sim<C, TL>)>
 where
     C: CommitteeAlgorithm + 'static,
@@ -54,7 +53,7 @@ where
         .filter(|m| m.name != REFERENCE_MODE)
         .map(|m| {
             let mut s = mk();
-            s.configure(&m.config.forced_fanout())
+            s.configure(&m.config)
                 .unwrap_or_else(|e| panic!("registry mode {} must configure: {e}", m.name));
             s.enable_trace();
             (m.name, s)
@@ -309,7 +308,7 @@ churn_differential_suite!(
 /// * continue bit-identically with the uninterrupted original — same step
 ///   progress, configurations, flags, traces, ledger and monitor.
 ///
-/// One differential row per registry mode; a mode whose scheduler, pool or
+/// One differential row per registry mode; a mode whose scheduler or
 /// guard cache holds state the snapshot misses diverges at the first step
 /// that reads it.
 macro_rules! checkpoint_differential_suite {
@@ -332,7 +331,7 @@ macro_rules! checkpoint_differential_suite {
                     let b = Sim::builder(Arc::clone(&h), $cc, WaveToken::new(&h))
                         .seed(seed)
                         .max_disc(1)
-                        .engine(mode.config.forced_fanout())
+                        .engine(mode.config)
                         .trace();
                     let b = if boot == "arbitrary" {
                         b.arbitrary(seed)
@@ -562,10 +561,7 @@ fn lockstep_engine_count_matches_registry() {
             "full_scan",
             "incremental",
             "par1",
-            "par2",
-            "par4",
             "daemon",
-            "pool",
             "dist2",
             "dist4",
             "trusted",

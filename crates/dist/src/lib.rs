@@ -40,6 +40,7 @@
 //! [`ShardPlan`]: sscc_hypergraph::ShardPlan
 //! [`ShardPlan::frontier_of`]: sscc_hypergraph::ShardPlan::frontier_of
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(deprecated)]
 

@@ -9,7 +9,7 @@ use crate::ids::{EdgeId, ProcessId};
 use crate::sharding::ShardPlan;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Validation failure when constructing a [`Hypergraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,12 +94,11 @@ pub struct Hypergraph {
     /// Identity table `[0, 1, …, n-1]`; `&identity[v..=v]` is the borrowed
     /// singleton slice `[v]` (allocation-free footprints).
     pub(crate) identity: Box<[usize]>,
-    /// Lazily computed shard plans, keyed by shard count (the runtime's
-    /// parallel drain asks for the same plan every refresh — compute once,
+    /// Lazily computed shard plans, keyed by shard count (compute once,
     /// share via `Arc`). Excluded from `Clone`/`PartialEq`: a cache, not
-    /// part of the graph's value. [`crate::mutation`] repairs cached
-    /// entries in place after a topology mutation.
-    pub(crate) plans: parking_lot::Mutex<BTreeMap<usize, Arc<ShardPlan>>>,
+    /// part of the graph's value. [`crate::mutation`] clears it after a
+    /// topology mutation.
+    pub(crate) plans: Mutex<BTreeMap<usize, Arc<ShardPlan>>>,
 }
 
 impl Clone for Hypergraph {
@@ -111,7 +110,7 @@ impl Clone for Hypergraph {
             neighbors: self.neighbors.clone(),
             closed_nbhd: self.closed_nbhd.clone(),
             identity: self.identity.clone(),
-            plans: parking_lot::Mutex::new(BTreeMap::new()),
+            plans: Mutex::default(),
         }
     }
 }
@@ -221,7 +220,7 @@ impl Hypergraph {
             neighbors,
             closed_nbhd,
             identity: (0..n).collect(),
-            plans: parking_lot::Mutex::new(BTreeMap::new()),
+            plans: Mutex::default(),
         };
         if !g.is_connected() {
             return Err(HypergraphError::Disconnected);
@@ -420,9 +419,11 @@ impl Hypergraph {
     }
 
     /// The `shards`-way [`ShardPlan`] over this graph, computed lazily and
-    /// cached (the runtime's parallel drain asks for it on every refresh).
+    /// cached.
     pub fn shard_plan(&self, shards: usize) -> Arc<ShardPlan> {
-        let mut cache = self.plans.lock();
+        // The map is only ever inserted into: a poisoned lock still guards
+        // a consistent memo.
+        let mut cache = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             cache
                 .entry(shards.clamp(1, self.n()))

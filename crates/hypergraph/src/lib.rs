@@ -23,6 +23,7 @@
 //! assert!(a.thm4_bound() >= a.thm5_bound());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod dot;

@@ -7,11 +7,12 @@
 //! transient fault, and every *subsequent* convene must still satisfy the
 //! specification. This module provides the structural half of that story:
 //! a [`WorldMutation`] applied through [`Hypergraph::apply_mutation`]
-//! repairs the cached incidence lists, neighbor sets, closed neighborhoods
-//! and [`ShardPlan`]s *incrementally* — `O(Δ)` in the
-//! touched membership, never a full rebuild — and reports what changed as
-//! a [`MutationDelta`] so higher layers (guard caches, fact mirrors,
-//! meeting ledgers) can repair their own per-edge state the same way.
+//! repairs the cached incidence lists, neighbor sets and closed
+//! neighborhoods *incrementally* — `O(Δ)` in the touched membership, never
+//! a full rebuild — drops the memoized shard plans, and reports what
+//! changed as a [`MutationDelta`] so higher layers (guard caches, fact
+//! mirrors, meeting ledgers) can repair their own per-edge state the same
+//! way.
 //!
 //! ## Design: a fixed vertex set, a churning edge set
 //!
@@ -31,11 +32,10 @@
 
 use crate::hypergraph::Hypergraph;
 use crate::ids::EdgeId;
-use crate::sharding::ShardPlan;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::PoisonError;
 
 /// A structural edit of the committee hypergraph. Processes are named by
 /// their raw identifiers (the same namespace [`Hypergraph::new`] accepts);
@@ -268,13 +268,12 @@ impl MutationDelta {
 
 impl Hypergraph {
     /// Apply a [`WorldMutation`] in place, incrementally repairing the
-    /// cached incidence lists, neighbor sets, closed neighborhoods and any
-    /// memoized [`ShardPlan`]s. Validation is complete before the first
-    /// write: on `Err` the graph is untouched.
+    /// cached incidence lists, neighbor sets and closed neighborhoods and
+    /// dropping any memoized shard plan. Validation is complete before the
+    /// first write: on `Err` the graph is untouched.
     ///
     /// Cost: `O(Σ_{v ∈ touched} deg(v)·|ε|)` for the index repair plus one
-    /// BFS (`O(Σ|ε|)`) when the edit can disconnect the network, plus
-    /// `O(n)` per memoized shard plan.
+    /// BFS (`O(Σ|ε|)`) when the edit can disconnect the network.
     pub fn apply_mutation(
         &mut self,
         mutation: &WorldMutation,
@@ -309,7 +308,12 @@ impl Hypergraph {
                 self.mutate_replace(*edge, new)?
             }
         };
-        self.repair_plans();
+        // Memoized shard plans describe the pre-mutation graph; the next
+        // `shard_plan` call recomputes.
+        self.plans
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         Ok(delta)
     }
 
@@ -564,21 +568,6 @@ impl Hypergraph {
             touched,
         })
     }
-
-    /// Recompute every memoized shard plan against the mutated topology
-    /// (same keys — the runtime's drains re-fetch by thread count and must
-    /// see a plan covering the current graph).
-    fn repair_plans(&mut self) {
-        let keys: Vec<usize> = self.plans.lock().keys().copied().collect();
-        let fresh: Vec<(usize, Arc<ShardPlan>)> = keys
-            .into_iter()
-            .map(|k| (k, Arc::new(ShardPlan::new(self, k))))
-            .collect();
-        let mut cache = self.plans.lock();
-        for (k, plan) in fresh {
-            cache.insert(k, plan);
-        }
-    }
 }
 
 /// Directional pressure on [`random_mutation_with_bias`] proposals.
@@ -660,6 +649,7 @@ pub fn random_mutation_with_bias(
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::sharding::ShardPlan;
     use rand::SeedableRng as _;
 
     fn raw_edges(h: &Hypergraph) -> Vec<Vec<u32>> {

@@ -1,22 +1,20 @@
-//! Footprint-aware sharding of the vertex set, for the runtime's parallel
-//! dirty-set drain.
+//! Footprint-aware sharding of the vertex set, for the message-passing
+//! tier (`sscc-dist`).
 //!
 //! A step by process `p` only re-evaluates guards inside `p`'s closed
-//! hyperedge neighborhood (§2.2 locality), so guard re-evaluation of two
-//! processes with disjoint footprints commutes — the same locality argument
-//! that lets snap-stabilizing protocols tolerate concurrent activations in
-//! message-passing models. A [`ShardPlan`] partitions the vertices into `k`
+//! hyperedge neighborhood (§2.2 locality), so a shard actor that owns a
+//! region of the topology needs, besides its own states, only the states
+//! on the region's rim. A [`ShardPlan`] partitions the vertices into `k`
 //! balanced, neighborhood-contiguous shards along a BFS ordering of the
 //! underlying network: contiguous rank ranges are then contiguous regions of
-//! the topology, so a worker draining one shard touches (mostly) states
-//! that no other worker's footprints overlap, and chunked reads stay
-//! cache-local.
+//! the topology, so most of a shard is *interior* (invisible to its peers)
+//! and only its *boundary* is published, to the peers whose *frontier* it
+//! is on.
 //!
-//! The plan is purely a *scheduling* artifact: guard evaluation against a
-//! frozen configuration is read-only per evaluation and writes only the
-//! evaluated process's own cache slot, so any partition is *correct*; a
-//! neighborhood-contiguous one is merely *fast*. [`ShardPlan::crossing_fraction`]
-//! quantifies how disjoint the shard footprints actually are.
+//! Any partition is *correct*; a neighborhood-contiguous one merely keeps
+//! the boundary — and with it the frame traffic — small.
+//! [`ShardPlan::crossing_fraction`] quantifies how disjoint the shard
+//! footprints actually are.
 
 use crate::hypergraph::Hypergraph;
 use crate::network;
@@ -28,8 +26,6 @@ pub struct ShardPlan {
     /// BFS ordering of the dense vertex indices: `order[r]` = vertex with
     /// locality rank `r`.
     order: Box<[usize]>,
-    /// Inverse permutation: `rank[v]` = position of `v` in `order`.
-    rank: Box<[usize]>,
     /// Shard boundaries into `order`: shard `s` covers
     /// `order[bounds[s]..bounds[s+1]]`. Length `shards + 1`.
     bounds: Box<[usize]>,
@@ -47,10 +43,6 @@ impl ShardPlan {
         // by construction, so this covers every vertex).
         let order = network::bfs_order(h, 0);
         debug_assert_eq!(order.len(), n, "connected hypergraph: BFS covers V");
-        let mut rank = vec![0usize; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v] = r;
-        }
         // Balanced contiguous cuts: the first `n % k` shards get one extra.
         let (base, extra) = (n / k, n % k);
         let mut bounds = Vec::with_capacity(k + 1);
@@ -68,7 +60,6 @@ impl ShardPlan {
         }
         ShardPlan {
             order: order.into_boxed_slice(),
-            rank: rank.into_boxed_slice(),
             bounds: bounds.into_boxed_slice(),
             shard_of: shard_of.into_boxed_slice(),
         }
@@ -90,33 +81,9 @@ impl ShardPlan {
         self.shard_of[v] as usize
     }
 
-    /// Locality rank of dense vertex `v` (its position in the BFS order).
-    #[inline]
-    pub fn rank(&self, v: usize) -> usize {
-        self.rank[v]
-    }
-
     /// The vertices of shard `s`, in locality order.
     pub fn members(&self, s: usize) -> &[usize] {
         &self.order[self.bounds[s]..self.bounds[s + 1]]
-    }
-
-    /// The full BFS locality ordering.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Append the vertices satisfying `pred` to `out`, in locality (rank)
-    /// order — the `O(n)` alternative to sorting a dense worklist by rank
-    /// (`O(k log k)`). The output is identical to sorting the same vertex
-    /// set with [`ShardPlan::rank`] as the key: `rank` is a permutation,
-    /// so both produce the unique rank-ascending ordering.
-    pub fn gather_if(&self, out: &mut Vec<usize>, mut pred: impl FnMut(usize) -> bool) {
-        for &v in self.order.iter() {
-            if pred(v) {
-                out.push(v);
-            }
-        }
     }
 
     /// The **boundary** of shard `s`: its members whose closed hyperedge
@@ -221,15 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_is_inverse_of_order() {
-        let h = generators::fig1();
-        let plan = ShardPlan::new(&h, 3);
-        for (r, &v) in plan.order().iter().enumerate() {
-            assert_eq!(plan.rank(v), r);
-        }
-    }
-
-    #[test]
     fn more_shards_than_vertices_collapses() {
         let h = generators::fig2();
         let plan = ShardPlan::new(&h, 64);
@@ -322,19 +280,5 @@ mod tests {
         assert!(one.frontier_of(&h, 0).is_empty());
         assert!(one.boundary_of(&h, 0).is_empty());
         assert_eq!(one.interior_of(&h, 0).len(), h.n());
-    }
-
-    #[test]
-    fn gather_if_equals_rank_sort() {
-        let h = generators::random_uniform(40, 30, 3, 5);
-        let plan = ShardPlan::new(&h, 4);
-        // An arbitrary subset, in arbitrary order.
-        let subset: Vec<usize> = (0..h.n()).filter(|v| v % 3 != 1).rev().collect();
-        let member = |v: usize| subset.contains(&v);
-        let mut gathered = Vec::new();
-        plan.gather_if(&mut gathered, member);
-        let mut sorted = subset.clone();
-        sorted.sort_unstable_by_key(|&v| plan.rank(v));
-        assert_eq!(gathered, sorted);
     }
 }

@@ -46,7 +46,8 @@ proptest! {
         plan_shards in 1usize..5,
     ) {
         let mut h = seed_topology(family, size, seed);
-        // Prime the plan cache so repair (not lazy recompute) is on trial.
+        // Prime the plan cache: a memo that outlived a mutation would be
+        // served below.
         let _ = h.shard_plan(plan_shards);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
         let mut applied = 0usize;

@@ -1,8 +1,8 @@
 //! Regenerates every experiment table of EXPERIMENTS.md (E1–E13).
 //!
 //! ```sh
-//! cargo run -p sscc-bench --release --bin experiments           # everything
-//! cargo run -p sscc-bench --release --bin experiments e5 e7    # a subset
+//! cargo run -p sscc-metrics --release --bin experiments          # everything
+//! cargo run -p sscc-metrics --release --bin experiments e5 e7   # a subset
 //! ```
 
 use sscc_core::sim::{default_daemon, Sim};

@@ -367,7 +367,7 @@ mod tests {
             PolicyKind::Eager { max_disc: 1 },
             Boot::Clean,
         );
-        sim.configure_mode("pool").unwrap();
+        sim.configure_mode("daemon").unwrap();
         let rep = run_campaign_on(&mut sim, &cfg);
         assert!(rep.mutations_applied > 0, "{rep:?}");
         assert_eq!(

@@ -14,6 +14,7 @@
 //!   (the §3.2 fairness-vs-concurrency trade-off, measured);
 //! * [`report`] — table/CSV rendering for EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

@@ -3,11 +3,11 @@
 //! Every experiment in the suite is "run the same scenario under many seeds
 //! and aggregate" — embarrassingly parallel. We shard the seed range over
 //! scoped worker threads (no `'static` bound needed, results streamed over a
-//! crossbeam channel) and reassemble in seed order so that the output is
+//! channel) and reassemble in seed order so that the output is
 //! bit-identical to a sequential run, regardless of thread count.
 
-use crossbeam::channel;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 /// Map `f` over `seeds` in parallel; results are returned in seed order.
 /// `f` must be deterministic in its seed for reproducibility.
@@ -27,8 +27,8 @@ where
     if workers <= 1 {
         return seeds.map(f).collect();
     }
-    let (tx, rx) = channel::unbounded::<(u64, T)>();
-    let next = Mutex::new(seeds.start);
+    let (tx, rx) = mpsc::channel::<(u64, T)>();
+    let next = AtomicU64::new(seeds.start);
     let end = seeds.end;
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -36,15 +36,12 @@ where
             let next = &next;
             let f = &f;
             scope.spawn(move || loop {
-                let seed = {
-                    let mut guard = next.lock();
-                    if *guard >= end {
-                        return;
-                    }
-                    let s = *guard;
-                    *guard += 1;
-                    s
-                };
+                // Each worker overshoots `end` by at most one ticket, so the
+                // counter cannot wrap.
+                let seed = next.fetch_add(1, Ordering::Relaxed);
+                if seed >= end {
+                    return;
+                }
                 // A worker panic drops `tx`; the collector below then sees a
                 // short channel and the final assert reports the loss.
                 let _ = tx.send((seed, f(seed)));

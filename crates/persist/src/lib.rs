@@ -51,6 +51,7 @@
 //! assert_eq!(sim.ledger().instances(), twin.ledger().instances());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod container;

@@ -2,12 +2,17 @@
 //! its own carry its label (`"vl"`, `"vl_daemon"`). It is the default path
 //! now, trajectory-identical by the differential suite, so those artifacts
 //! must keep restoring — onto the default path — and continue exactly as
-//! the run that wrote them did.
+//! the run that wrote them did. The same holds for the pooled parallel
+//! drain, deleted in PR 23: bit-identical to the sequential drain by
+//! construction, so a blob labelled with it restores onto the sequential
+//! spelling of its mode.
 //!
-//! The two blobs under `golden/` were written by the commit before the mode
-//! was folded (PR 15's tree: CC2 `fig1` seed 11 under `vl`, CC1 `fig1` seed
-//! 5 under `vl_daemon`, 120 steps each); the expected continuations are that
-//! commit's own ledger bytes 300 steps later.
+//! Each blob under `golden/` was written by the commit before its mode was
+//! folded (PR 15's tree: CC2 `fig1` seed 11 under `vl`, CC1 `fig1` seed 5
+//! under `vl_daemon`; PR 20's tree: CC1 `fig1` seed 5 under
+//! `par2b0+trusted+daemon_view`, every refresh through the pool; 120 steps
+//! each); the expected continuations are that commit's own ledger bytes 300
+//! steps later.
 
 use sscc_persist::Checkpoint;
 use sscc_runtime::wire::fnv1a64;
@@ -35,6 +40,18 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
         .restore_cc1()
         .expect("a `vl_daemon` blob still restores");
     assert_eq!(sim.config().to_string(), "daemon");
+    sim.run(300);
+    assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
+
+    // Same seed and stack as the blob above, so the pooled run's own
+    // continuation is the same ledger: the two drains never differed.
+    let blob = include_bytes!("golden/cc1_par2b0_trusted_daemon_view.ckpt");
+    let mut sim = Checkpoint::from_bytes(blob)
+        .unwrap()
+        .restore_cc1()
+        .expect("a pooled-drain blob still restores");
+    assert_eq!(sim.config().to_string(), "daemon");
+    assert_eq!(sim.steps(), 120);
     sim.run(300);
     assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
 }

@@ -26,25 +26,14 @@ impl<T: Clone + PartialEq + std::fmt::Debug> ProcessState for T {}
 /// system (all processes run the same code, §2.2); per-process distinctions
 /// (identifier, incident committees, tour positions, …) are read from the
 /// topology through the [`Ctx`].
-///
-/// The trait (and its state/environment) is `Sync`: guard evaluation is a
-/// pure read of the frozen pre-step configuration, so the engine's parallel
-/// dirty-set drain may evaluate disjoint shards concurrently, each worker
-/// reading the shared algorithm/states/environment and writing only its own
-/// result slots.
-pub trait GuardedAlgorithm: Sync {
+pub trait GuardedAlgorithm {
     /// Per-process state (the process's locally shared variables).
-    ///
-    /// `Sync` lets the parallel drain's workers read the frozen
-    /// configuration concurrently; `Send` lets a world move to another
-    /// thread. Every state in this workspace is small plain data, so both
-    /// hold for free.
-    type State: ProcessState + Sync + Send;
+    type State: ProcessState;
 
     /// External input provider (e.g. the `RequestIn`/`RequestOut` predicates
     /// of the committee coordination problem). Use `()` for closed
     /// algorithms. The environment is read-only during a step.
-    type Env: ?Sized + Sync;
+    type Env: ?Sized;
 
     /// Number of actions in the code-ordered list.
     fn action_count(&self) -> usize;

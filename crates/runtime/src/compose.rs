@@ -139,7 +139,7 @@ impl<PA, PB> FairPair<PA, PB> {
 
 impl<E, PA, PB> GuardedAlgorithm for FairPair<PA, PB>
 where
-    E: ?Sized + Sync,
+    E: ?Sized,
     PA: GuardedAlgorithm<Env = E>,
     PB: GuardedAlgorithm<Env = E>,
 {

@@ -4,25 +4,28 @@
 //!
 //! Four engine revisions (ROADMAP PRs 1–4) each added another boolean
 //! setter, until configuring a run meant hand-sequencing ~10 order-sensitive
-//! `set_*` calls — duplicated across the bench binary, the differential
-//! lockstep suite and the examples, three independently maintained mode
-//! lists that could silently drift. [`EngineConfig`] replaces that surface:
+//! `set_*` calls — duplicated across the then bench binary, the
+//! differential lockstep suite and the examples, three independently
+//! maintained mode lists that could silently drift. [`EngineConfig`]
+//! replaces that surface:
 //!
 //! * **Typed** — the eval path, the drain and the daemon-facing toggles
 //!   are fields of one plain `Copy` struct, applied in one shot by
 //!   [`World::configure`] / `Sim::configure` / `AnySim::configure` (and
 //!   built fluently by `Sim::builder()`).
 //! * **Validated** — [`EngineConfig::validate`] rejects the combinations
-//!   the old setters silently no-op'ed (a one-thread "pool", a "reference
-//!   baseline" composed with the very features it is the baseline for).
+//!   the old setters silently no-op'ed (a one-shard "distributed" tier, a
+//!   "reference baseline" composed with the very features it is the
+//!   baseline for).
 //! * **Serializable** — [`EngineConfig`] round-trips through
-//!   `Display`/`FromStr` using the bench mode labels (`"full_scan"`,
-//!   `"par2"`, `"pool"`, …), so mode names in BENCH records,
-//!   CI invocations and CLI flags all parse back into the exact config.
+//!   `Display`/`FromStr` using the mode labels (`"full_scan"`,
+//!   `"daemon"`, `"dist4"`, …), so mode names in checkpoints, benchmark
+//!   workloads, CI invocations and CLI flags all parse back into the exact
+//!   config.
 //! * **Enumerable** — [`ModeRegistry`] lists every supported named config
-//!   exactly once; the bench sweep, the differential suite's lockstep
-//!   engine list and the examples all derive from it, so a mode added here
-//!   is automatically recorded, lockstep-verified and selectable.
+//!   exactly once; the differential suite's lockstep engine list, the
+//!   examples and `benchmark/` all derive from it, so a mode added here is
+//!   automatically lockstep-verified and selectable.
 //!
 //! Snap-stabilization promises correctness *from any configuration*; that
 //! guarantee is only checkable if every engine variant we ship is
@@ -32,23 +35,22 @@
 //! ```
 //! use sscc_runtime::prelude::*;
 //!
-//! // Parse a bench label, tweak it, print it back.
-//! let cfg: EngineConfig = "pool".parse().unwrap();
+//! // Parse a mode label, check it, print it back.
+//! let cfg: EngineConfig = "daemon".parse().unwrap();
 //! assert!(cfg.validate().is_ok() && cfg.trusted_daemon);
-//! assert_eq!(cfg.to_string(), "pool");
+//! assert_eq!(cfg.to_string(), "daemon");
 //!
 //! // Incoherent combinations fail closed instead of silently no-op'ing.
 //! let bad = EngineConfig::full_scan().with_trusted_daemon(true);
 //! assert!(bad.validate().is_err()); // the baseline composes with nothing
 //!
 //! // Every named mode is registered exactly once.
-//! assert_eq!(ModeRegistry::all().len(), 11);
+//! assert_eq!(ModeRegistry::all().len(), 8);
 //! assert!(ModeRegistry::get("par1").is_some());
 //! ```
 //!
 //! [`World::configure`]: crate::engine::World::configure
 
-use crate::engine::DEFAULT_MIN_PARALLEL_BATCH;
 use std::fmt;
 use std::str::FromStr;
 
@@ -61,9 +63,9 @@ pub enum EvalPath {
     FullScan,
     /// The PR-1 baseline: sequential incremental drain, the per-guard
     /// *reference* evaluator and full `O(n)` policy ticks — the trajectory
-    /// baseline BENCH records measure against. Algorithm-level: applied by
-    /// the `Sim` layer, not by a bare [`World`](crate::engine::World).
-    /// Not composable with other knobs.
+    /// baseline the `BENCH_N.json` records in git history measure against.
+    /// Algorithm-level: applied by the `Sim` layer, not by a bare
+    /// [`World`](crate::engine::World). Not composable with other knobs.
     Reference,
     /// The incremental dirty-set scheduler with **value-level**
     /// invalidation — the default engine. A commit diffs each staged state
@@ -89,17 +91,6 @@ pub enum Drain {
     /// Drain inline on the stepping thread.
     #[default]
     Sequential,
-    /// Fan large refreshes out to a persistent worker pool over
-    /// footprint-contiguous shards (see
-    /// [`World::configure`](crate::engine::World::configure)).
-    Parallel {
-        /// Worker threads (≥ 2; `1` is spelled [`Drain::Sequential`]).
-        threads: usize,
-        /// Minimum dirty guards *per thread* before a refresh fans out;
-        /// `0` forces every refresh through the pool — differential tests
-        /// use that on tiny topologies.
-        min_batch: usize,
-    },
     /// The message-passing tier: the topology is cut into `shards`
     /// contiguous [`ShardPlan`](sscc_hypergraph::ShardPlan) shards, each
     /// run by an independent actor that owns the sub-configuration for its
@@ -116,36 +107,9 @@ pub enum Drain {
 }
 
 impl Drain {
-    /// A parallel drain with the default fan-out threshold
-    /// ([`DEFAULT_MIN_PARALLEL_BATCH`]).
-    pub const fn parallel(threads: usize) -> Self {
-        Drain::Parallel {
-            threads,
-            min_batch: DEFAULT_MIN_PARALLEL_BATCH,
-        }
-    }
-
-    /// A parallel drain with a zero threshold: every refresh fans out.
-    pub const fn forced(threads: usize) -> Self {
-        Drain::Parallel {
-            threads,
-            min_batch: 0,
-        }
-    }
-
     /// A distributed drain over `shards` shard actors.
     pub const fn distributed(shards: usize) -> Self {
         Drain::Distributed { shards }
-    }
-
-    /// Worker threads this drain runs on (`1` when sequential). The
-    /// distributed drain's actors are cooperatively scheduled on the
-    /// stepping thread in v1, so it reports `1` as well.
-    pub const fn threads(self) -> usize {
-        match self {
-            Drain::Sequential | Drain::Distributed { .. } => 1,
-            Drain::Parallel { threads, .. } => threads,
-        }
     }
 }
 
@@ -166,7 +130,7 @@ impl Drain {
 pub struct EngineConfig {
     /// Guard evaluation path.
     pub eval: EvalPath,
-    /// Dirty-set drain (sequential or pooled).
+    /// Dirty-set drain (sequential or distributed).
     pub drain: Drain,
     /// Trust the daemon's `Selection` promises: skip release-mode subset
     /// validation.
@@ -202,14 +166,6 @@ impl EngineConfig {
         }
     }
 
-    /// The default engine with a pooled drain at the default threshold.
-    pub const fn parallel(threads: usize) -> Self {
-        EngineConfig {
-            drain: Drain::parallel(threads),
-            ..BASE
-        }
-    }
-
     /// Replace the eval path.
     pub const fn with_eval(mut self, eval: EvalPath) -> Self {
         self.eval = eval;
@@ -234,22 +190,6 @@ impl EngineConfig {
         self
     }
 
-    /// The same config with the fan-out threshold forced to zero, so every
-    /// refresh exercises the pool even on tiny topologies. No-op for
-    /// sequential drains — the differential suite maps registry entries
-    /// through this.
-    pub const fn forced_fanout(mut self) -> Self {
-        if let Drain::Parallel { threads, .. } = self.drain {
-            self.drain = Drain::forced(threads);
-        }
-        self
-    }
-
-    /// Worker threads the configured drain uses (`1` = sequential).
-    pub const fn threads(&self) -> usize {
-        self.drain.threads()
-    }
-
     /// Is this the distributed (message-passing) drain?
     pub const fn distributed(&self) -> bool {
         matches!(self.drain, Drain::Distributed { .. })
@@ -259,11 +199,6 @@ impl EngineConfig {
     /// was a *silent no-op or silent override* under the old setter
     /// surface; here they fail closed with a description of the conflict.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if let Drain::Parallel { threads, .. } = self.drain {
-            if threads < 2 {
-                return Err(ConfigError::DegenerateDrain(threads));
-            }
-        }
         if let Drain::Distributed { shards } = self.drain {
             if shards < 2 {
                 return Err(ConfigError::DistributedUnsupported(
@@ -291,9 +226,6 @@ impl EngineConfig {
 /// `configure` call, or mode-label parsing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `Drain::Parallel` with fewer than two threads — spell a sequential
-    /// drain `Drain::Sequential` instead of a one-thread pool.
-    DegenerateDrain(usize),
     /// A reference eval path (`full_scan` / `incremental`) composed with
     /// the very engine features it is the differential baseline for.
     ComposedBaseline(&'static str),
@@ -324,10 +256,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::DegenerateDrain(t) => write!(
-                f,
-                "parallel drain with {t} thread(s): use Drain::Sequential for an inline drain"
-            ),
             ConfigError::ComposedBaseline(mode) => write!(
                 f,
                 "the '{mode}' reference path is a differential baseline and cannot be \
@@ -360,9 +288,9 @@ impl std::error::Error for ConfigError {}
 
 impl fmt::Display for EngineConfig {
     /// The canonical label: the registry name when this config is a named
-    /// mode, otherwise `+`-joined feature tokens (`"par2+trusted"`,
-    /// `"full_scan"`, `"par4b0+trusted"`; the all-default config is
-    /// `"par1"`). [`FromStr`] parses both forms back, so
+    /// mode, otherwise `+`-joined feature tokens (`"dist3"`,
+    /// `"dist2+trusted"`; the all-default config is `"par1"`).
+    /// [`FromStr`] parses both forms back, so
     /// `cfg.to_string().parse() == cfg` for every valid config.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(mode) = ModeRegistry::find(self) {
@@ -373,13 +301,6 @@ impl fmt::Display for EngineConfig {
             EvalPath::FullScan => parts.push("full_scan".into()),
             EvalPath::Reference => parts.push("incremental".into()),
             EvalPath::Incremental => {}
-        }
-        if let Drain::Parallel { threads, min_batch } = self.drain {
-            if min_batch == DEFAULT_MIN_PARALLEL_BATCH {
-                parts.push(format!("par{threads}"));
-            } else {
-                parts.push(format!("par{threads}b{min_batch}"));
-            }
         }
         if let Drain::Distributed { shards } = self.drain {
             parts.push(format!("dist{shards}"));
@@ -401,21 +322,25 @@ impl fmt::Display for EngineConfig {
 impl FromStr for EngineConfig {
     type Err = ConfigError;
 
-    /// Parse a registry mode name (`"pool"`) or a `+`-joined token
-    /// string (`"par2+trusted"`). Tokens: `full_scan`,
-    /// `incremental`/`pr1`/`reference`, `par1`, `parN`/`parNbM` (drain
-    /// with optional per-thread min batch), `distN` (distributed drain
-    /// over N shard actors), `trusted`, `daemon_view`/`daemon_inc`, plus
-    /// the composite historical labels `daemon`, `pool`. Parsing does
-    /// **not** validate — call [`EngineConfig::validate`] (the `configure`
-    /// entry points do).
+    /// Parse a registry mode name (`"daemon"`) or a `+`-joined token
+    /// string (`"dist2+trusted"`). Tokens: `full_scan`,
+    /// `incremental`/`pr1`/`reference`, `par1`/`seq`, `distN` (distributed
+    /// drain over N shard actors), `trusted`, `daemon_view`/`daemon_inc`,
+    /// plus the composite label `daemon`. Parsing does **not** validate —
+    /// call [`EngineConfig::validate`] (the `configure` entry points do).
     ///
-    /// Legacy: value-level invalidation was a mode of its own before it
-    /// became the default path, and checkpoints written then carry its
-    /// label. The `vl`/`value` token and the `vl_` mode prefix
-    /// (`"vl+trusted+daemon_view"`, `"vl_daemon"`) still parse — as
-    /// spellings of the trajectory-identical default path — and
-    /// `Display` never emits them.
+    /// Legacy: two engine features were modes of their own before they
+    /// were folded, and checkpoints written then carry their labels. They
+    /// still parse — as spellings of the trajectory-identical path that
+    /// survives — and `Display` never emits them:
+    ///
+    /// * value-level invalidation, now the default path: the `vl`/`value`
+    ///   token and the `vl_` mode prefix (`"vl+trusted+daemon_view"`,
+    ///   `"vl_daemon"`);
+    /// * the pooled parallel drain, bit-identical to the sequential one by
+    ///   construction: `parN` / `parNbM` for numeric `N`, `M` spell the
+    ///   sequential drain and `pool` spells `daemon` (`"par2+trusted"` →
+    ///   `"trusted"`, `"vl_pool"` → `"daemon"`).
     fn from_str(s: &str) -> Result<Self, ConfigError> {
         let s = s.trim();
         let s = s.strip_prefix("vl_").unwrap_or(s);
@@ -434,12 +359,7 @@ impl FromStr for EngineConfig {
                 "vl" | "value" => {}
                 "trusted" => cfg.trusted_daemon = true,
                 "daemon_view" | "daemon_inc" => cfg.incremental_daemon = true,
-                "daemon" => {
-                    cfg.trusted_daemon = true;
-                    cfg.incremental_daemon = true;
-                }
-                "pool" => {
-                    cfg.drain = Drain::parallel(2);
+                "daemon" | "pool" => {
                     cfg.trusted_daemon = true;
                     cfg.incremental_daemon = true;
                 }
@@ -449,24 +369,14 @@ impl FromStr for EngineConfig {
                         .map_err(|_| ConfigError::Parse(t.to_string()))?;
                     cfg.drain = Drain::Distributed { shards };
                 }
+                // Legacy `parN` / `parNbM`: the pooled drain's thread count
+                // and batch threshold, read as the sequential drain.
                 t if t.starts_with("par") => {
-                    let rest = &t[3..];
-                    let (threads, batch) = match rest.split_once('b') {
-                        Some((t, b)) => (t, Some(b)),
-                        None => (rest, None),
-                    };
-                    let threads: usize = threads
-                        .parse()
-                        .map_err(|_| ConfigError::Parse(t.to_string()))?;
-                    let min_batch = match batch {
-                        Some(b) => b.parse().map_err(|_| ConfigError::Parse(t.to_string()))?,
-                        None => DEFAULT_MIN_PARALLEL_BATCH,
-                    };
-                    cfg.drain = if threads <= 1 && batch.is_none() {
-                        Drain::Sequential
-                    } else {
-                        Drain::Parallel { threads, min_batch }
-                    };
+                    let (threads, batch) = t[3..].split_once('b').unwrap_or((&t[3..], "0"));
+                    if threads.parse::<usize>().is_err() || batch.parse::<usize>().is_err() {
+                        return Err(ConfigError::Parse(t.to_string()));
+                    }
+                    cfg.drain = Drain::Sequential;
                 }
                 other => return Err(ConfigError::Parse(other.to_string())),
             }
@@ -479,100 +389,65 @@ impl FromStr for EngineConfig {
 /// [`EngineConfig`] it denotes.
 #[derive(Clone, Copy, Debug)]
 pub struct Mode {
-    /// The label — also the `Display`/`FromStr` form of the config, and
-    /// the `mode` column of BENCH records.
+    /// The label — also the `Display`/`FromStr` form of the config.
     pub name: &'static str,
-    /// One-line human description (shown by `perf_record --list-modes`).
+    /// One-line human description.
     pub summary: &'static str,
     /// The configuration this mode denotes.
     pub config: EngineConfig,
-    /// Whether the mode is part of the committed BENCH baseline sweep (the
-    /// set CI's quick perf gate records — selected with
-    /// `perf_record --modes @baseline`).
-    pub baseline: bool,
 }
 
 /// Every supported named engine configuration, exactly once.
 ///
-/// This is the single source of truth the bench sweep
-/// (`perf_record`), the differential lockstep suite and the examples all
-/// derive their engine lists from. Adding a mode here is sufficient for it
-/// to be recorded, lockstep-verified against the reference engine, and
-/// selectable by name everywhere.
+/// This is the single source of truth the differential lockstep suite, the
+/// examples and `benchmark/` all take their engines from. Adding a mode
+/// here is sufficient for it to be lockstep-verified against the reference
+/// engine and selectable by name everywhere.
 pub struct ModeRegistry;
 
-/// The registry table. Order is presentation order (bench records, mode
-/// listings): the baseline BENCH sweep first (the historical modes and the
-/// two distributed message-passing tiers), then the differential-only
-/// compositions.
-static MODES: [Mode; 11] = [
+/// The registry table. Order is presentation order: the two reference
+/// paths, the default engine, the daemon stack, the two distributed
+/// message-passing tiers, then the single-knob compositions.
+static MODES: [Mode; 8] = [
     Mode {
         name: "full_scan",
         summary: "legacy O(n) engine: every guard re-evaluated, whole-view observers (reference)",
         config: EngineConfig::full_scan(),
-        baseline: true,
     },
     Mode {
         name: "incremental",
         summary: "PR-1 baseline: sequential incremental drain, per-guard evaluator, full ticks",
         config: EngineConfig::reference(),
-        baseline: true,
     },
     Mode {
         name: "par1",
         summary: "default engine: sequential drain, value-level invalidation, committee facts",
         config: BASE,
-        baseline: true,
-    },
-    Mode {
-        name: "par2",
-        summary: "pooled parallel drain, 2 worker threads",
-        config: EngineConfig::parallel(2),
-        baseline: true,
-    },
-    Mode {
-        name: "par4",
-        summary: "pooled parallel drain, 4 worker threads",
-        config: EngineConfig::parallel(4),
-        baseline: true,
     },
     Mode {
         name: "daemon",
-        summary: "trusted daemon + incremental daemon view (sequential)",
+        summary: "trusted daemon + incremental daemon view",
         config: BASE.with_trusted_daemon(true).with_incremental_daemon(true),
-        baseline: true,
-    },
-    Mode {
-        name: "pool",
-        summary: "the daemon stack on the pooled 2-thread drain",
-        config: EngineConfig::parallel(2)
-            .with_trusted_daemon(true)
-            .with_incremental_daemon(true),
-        baseline: true,
     },
     Mode {
         name: "dist2",
         summary: "message-passing tier: 2 shard actors exchanging causal boundary frames",
         config: BASE.with_drain(Drain::distributed(2)),
-        baseline: true,
     },
     Mode {
         name: "dist4",
         summary: "message-passing tier: 4 shard actors exchanging causal boundary frames",
         config: BASE.with_drain(Drain::distributed(4)),
-        baseline: true,
     },
     Mode {
         name: "trusted",
-        summary: "daemon selection validation skipped (promises trusted), sequential",
+        summary: "daemon selection validation skipped (promises trusted)",
         config: BASE.with_trusted_daemon(true),
-        baseline: false,
     },
     Mode {
         name: "daemon_inc",
-        summary: "daemon fairness bookkeeping fed by enabled-set deltas, sequential",
+        summary: "daemon fairness bookkeeping fed by enabled-set deltas",
         config: BASE.with_incremental_daemon(true),
-        baseline: false,
     },
 ];
 
@@ -590,11 +465,6 @@ impl ModeRegistry {
     /// The mode denoting exactly this configuration, if one is registered.
     pub fn find(config: &EngineConfig) -> Option<&'static Mode> {
         MODES.iter().find(|m| m.config == *config)
-    }
-
-    /// The modes of the committed BENCH baseline sweep (`@baseline`).
-    pub fn baseline() -> impl Iterator<Item = &'static Mode> {
-        MODES.iter().filter(|m| m.baseline)
     }
 }
 
@@ -618,14 +488,8 @@ mod tests {
     #[test]
     fn silent_noops_now_fail_closed() {
         assert_eq!(
-            EngineConfig::default()
-                .with_drain(Drain::parallel(1))
-                .validate(),
-            Err(ConfigError::DegenerateDrain(1))
-        );
-        assert_eq!(
             EngineConfig::full_scan()
-                .with_drain(Drain::parallel(2))
+                .with_trusted_daemon(true)
                 .validate(),
             Err(ConfigError::ComposedBaseline("full_scan"))
         );
@@ -663,7 +527,6 @@ mod tests {
 
     #[test]
     fn distributed_labels_roundtrip() {
-        assert_eq!(ModeRegistry::get("dist2").unwrap().config.threads(), 1);
         for label in ["dist2", "dist4", "dist3", "dist2+trusted"] {
             let cfg: EngineConfig = label.parse().unwrap();
             assert!(cfg.distributed());
@@ -679,24 +542,33 @@ mod tests {
 
     #[test]
     fn compositional_labels_roundtrip() {
-        for label in ["par2+trusted", "par4b0", "daemon_view+trusted+par2"] {
+        for label in ["dist3+trusted", "daemon_view+trusted", "trusted+dist2"] {
             let cfg: EngineConfig = label.parse().unwrap();
             let again: EngineConfig = cfg.to_string().parse().unwrap();
             assert_eq!(cfg, again, "{label}");
         }
-        // Labels of the former value-level modes are spellings of the
-        // default path: old artifacts parse, nothing prints them.
+        // Labels of the former value-level modes and of the deleted pooled
+        // drain are spellings of the path that survives them: old artifacts
+        // parse, nothing prints them.
         for (legacy, now) in [
             ("vl", "par1"),
             ("value", "par1"),
             ("vl+trusted+daemon_view", "daemon"),
             ("vl_daemon", "daemon"),
-            ("vl_par2", "par2"),
-            ("vl_pool", "pool"),
-            ("vl+par4b0", "par4b0"),
+            ("par2", "par1"),
+            ("par4", "par1"),
+            ("par4b0", "par1"),
+            ("vl_par2", "par1"),
+            ("vl+par4b0", "par1"),
+            ("pool", "daemon"),
+            ("vl_pool", "daemon"),
+            ("par2+trusted", "trusted"),
+            ("daemon_view+trusted+par2", "daemon"),
+            ("par2b0+trusted+daemon_view", "daemon"),
         ] {
             let cfg: EngineConfig = legacy.parse().unwrap();
             assert_eq!(cfg.to_string(), now, "{legacy}");
+            assert!(cfg.validate().is_ok(), "{legacy}");
         }
         // The commit-strategy tokens and modes are gone, not aliased: a
         // label recorded before their removal must not silently select the
@@ -715,18 +587,8 @@ mod tests {
                 "{label}"
             );
         }
-        assert!("par2+bogus".parse::<EngineConfig>().is_err());
-        assert!("".parse::<EngineConfig>().is_err());
-        assert!("parx".parse::<EngineConfig>().is_err());
-    }
-
-    #[test]
-    fn forced_fanout_zeroes_the_threshold() {
-        let cfg = EngineConfig::parallel(4).forced_fanout();
-        assert_eq!(cfg.drain, Drain::forced(4));
-        assert_eq!(
-            EngineConfig::default().forced_fanout(),
-            EngineConfig::default()
-        );
+        for label in ["par2+bogus", "", "parx", "par", "par2b", "parxb0", "par2bx"] {
+            assert!(label.parse::<EngineConfig>().is_err(), "{label:?}");
+        }
     }
 }

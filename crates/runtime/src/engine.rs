@@ -35,8 +35,7 @@ use crate::config::{ConfigError, Drain, EngineConfig, EvalPath};
 use crate::ctx::Ctx;
 use crate::daemon::Daemon;
 use crate::markset::MarkSet;
-use crate::pool::WorkerPool;
-use sscc_hypergraph::{Hypergraph, ShardPlan};
+use sscc_hypergraph::Hypergraph;
 use std::sync::Arc;
 
 /// What happened in one step.
@@ -210,33 +209,6 @@ impl Scheduler {
     }
 }
 
-/// A `*mut T` usable from pool workers writing **disjoint** indices of one
-/// slice (each result slot is written by exactly one worker).
-struct RawParts<T> {
-    ptr: *mut T,
-}
-
-// SAFETY: the wrapped pointer is only dereferenced at indices partitioned
-// disjointly across workers (and the pointee type must itself be sendable
-// for the written values to cross threads).
-unsafe impl<T: Send> Send for RawParts<T> {}
-unsafe impl<T: Send> Sync for RawParts<T> {}
-
-impl<T> RawParts<T> {
-    /// Write slot `i` (dropping the previous value in place).
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the wrapped slice, the slice must outlive
-    /// the call, and no other thread may read or write slot `i`
-    /// concurrently. (Closures must write through this method, not the
-    /// field: accessing `self.ptr` directly would make edition-2021
-    /// closures capture the raw pointer itself, bypassing the `Sync`
-    /// gate.)
-    unsafe fn write(&self, i: usize, v: T) {
-        unsafe { *self.ptr.add(i) = v };
-    }
-}
-
 /// Reused per-step buffers (no hot-path allocation after warmup).
 #[derive(Debug)]
 struct StepScratch<S> {
@@ -257,36 +229,6 @@ impl<S> StepScratch<S> {
             removed: Vec::new(),
         }
     }
-}
-
-/// Default minimum batch size *per worker thread* before a refresh fans out
-/// to the parallel drain. Guard evaluation of a handful of dirty processes
-/// is far cheaper than waking workers, so small refreshes stay inline; big
-/// ones (dense enabled sets, boot scans, synchronous sweeps) amortize the
-/// fan-out. Tests force `0` to exercise the parallel path on tiny graphs.
-pub const DEFAULT_MIN_PARALLEL_BATCH: usize = 192;
-
-/// Configuration and reusable scratch of the parallel sharded drain.
-///
-/// Guard evaluation against the frozen pre-step configuration is read-only
-/// and writes only the evaluated process's result, so workers share
-/// `(h, algo, states, env)` immutably and write disjoint per-process result
-/// slots — no locks anywhere on the hot path. The dirty worklist is sorted
-/// by the [`ShardPlan`]'s BFS locality rank and cut into contiguous chunks,
-/// so each worker's footprint reads stay in its own region of the topology.
-struct ParallelDrain {
-    threads: usize,
-    min_batch: usize,
-    plan: Arc<ShardPlan>,
-    /// Locality-sorted dirty processes of the current refresh.
-    batch: Vec<usize>,
-    /// Per-process result slots (`results[i]` belongs to `batch[i]`, or to
-    /// rank `i` during a full rebuild).
-    results: Vec<Option<ActionId>>,
-    /// The persistent workers every fan-out runs on — parked between
-    /// fan-outs, joined when the drain (and thus the `World`) drops. See
-    /// [`WorkerPool`].
-    pool: WorkerPool,
 }
 
 /// A running system: topology + algorithm + current configuration.
@@ -332,7 +274,6 @@ pub struct World<A: GuardedAlgorithm> {
     sched: Scheduler,
     scratch: StepScratch<A::State>,
     full_scan: bool,
-    par: Option<ParallelDrain>,
     /// Trust the daemon's `Selection` promises: skip release-mode subset
     /// validation (see [`World::trusted_daemon`]).
     trusted: bool,
@@ -366,7 +307,6 @@ impl<A: GuardedAlgorithm> World<A> {
             sched: Scheduler::new(n),
             scratch: StepScratch::new(),
             full_scan: false,
-            par: None,
             trusted: false,
             notes_stale: true,
         }
@@ -563,39 +503,6 @@ impl<A: GuardedAlgorithm> World<A> {
         }
     }
 
-    /// Drain the dirty set with `threads` workers over footprint-contiguous
-    /// shards (see [`ShardPlan`]) — the [`Drain::Parallel`] arm of
-    /// [`World::configure`]. Refreshes smaller than
-    /// `threads * min_batch_per_thread` run inline (waking workers for a
-    /// handful of guard evaluations costs more than evaluating them); `0`
-    /// forces every refresh through the parallel path — differential tests
-    /// use that to exercise it on tiny graphs. `threads <= 1` restores the
-    /// sequential drain. The parallel drain is bit-identical to the
-    /// sequential one — results merge through the same maintained sorted
-    /// enabled set.
-    fn apply_parallel(&mut self, threads: usize, min_batch_per_thread: usize) {
-        if threads <= 1 {
-            // Dropping the drain joins the pool's worker threads.
-            self.par = None;
-            return;
-        }
-        if let Some(cfg) = &mut self.par {
-            if cfg.threads == threads {
-                // Same pool; only the fan-out threshold moves.
-                cfg.min_batch = min_batch_per_thread;
-                return;
-            }
-        }
-        self.par = Some(ParallelDrain {
-            threads,
-            min_batch: min_batch_per_thread,
-            plan: self.h.shard_plan(threads),
-            batch: Vec::new(),
-            results: Vec::new(),
-            pool: WorkerPool::new(threads),
-        });
-    }
-
     /// Trust the daemon's `Selection` promises: skip the release-mode
     /// validation that every selected process is enabled (`Sorted` /
     /// `Subset` selections; `All` needs no validation by construction).
@@ -612,11 +519,6 @@ impl<A: GuardedAlgorithm> World<A> {
         self.trusted
     }
 
-    /// Worker threads the drain fans out to (`1` = sequential).
-    pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.threads)
-    }
-
     /// Invalidate every cached guard evaluation (external surgery through
     /// an escape hatch the engine cannot see).
     pub fn invalidate_all(&mut self) {
@@ -628,19 +530,18 @@ impl<A: GuardedAlgorithm> World<A> {
     ///
     /// The process set is fixed; only the committee structure changes, so
     /// per-process engine state (scheduler, scratch) stays dimensionally
-    /// valid. The hypergraph repairs its own indices and memoized shard
-    /// plans incrementally ([`Hypergraph::apply_mutation`]); the engine then
+    /// valid. The hypergraph repairs its own indices incrementally
+    /// ([`Hypergraph::apply_mutation`]); the engine then
     ///
-    /// 1. re-fetches the repaired [`ShardPlan`] for the parallel drain,
-    /// 2. lets the algorithm repair its substrate, per-process states and
+    /// 1. lets the algorithm repair its substrate, per-process states and
     ///    commit-note mirrors
     ///    ([`GuardedAlgorithm::repair_after_mutation`]) — falling back on
     ///    the `notes_stale` lifecycle when the mirror was not repaired in
     ///    sync, and
-    /// 3. marks **every** guard dirty: a substrate rebuild (a new spanning
+    /// 2. marks **every** guard dirty: a substrate rebuild (a new spanning
     ///    tree / tour) changes guard inputs globally, so incremental
     ///    dirty-marking would be unsound here. The incrementality of churn
-    ///    lives in the index/plan/mirror repairs, not the re-evaluation.
+    ///    lives in the index/mirror repairs, not the re-evaluation.
     ///
     /// A rejected mutation ([`sscc_hypergraph::MutationError`]) leaves the
     /// world untouched.
@@ -649,9 +550,6 @@ impl<A: GuardedAlgorithm> World<A> {
         mutation: &sscc_hypergraph::WorldMutation,
     ) -> Result<sscc_hypergraph::MutationDelta, sscc_hypergraph::MutationError> {
         let delta = Arc::make_mut(&mut self.h).apply_mutation(mutation)?;
-        if let Some(par) = &mut self.par {
-            par.plan = self.h.shard_plan(par.threads);
-        }
         let repaired = self
             .algo
             .repair_after_mutation(&self.h, &delta, &mut self.states);
@@ -722,10 +620,7 @@ impl<A: GuardedAlgorithm> World<A> {
     }
 
     /// Bring the guard cache up to date, re-evaluating only dirty entries
-    /// (or everything, after [`World::invalidate_all`] / at boot). Large
-    /// refreshes fan out to the sharded parallel drain when one is
-    /// configured ([`Drain::Parallel`]); results are merged through the
-    /// same maintained enabled set, so both drains are bit-identical.
+    /// (or everything, after [`World::invalidate_all`] / at boot).
     fn refresh(&mut self, env: &A::Env) {
         // Commit notes (e.g. the committee-fact mirror) must reflect the
         // full configuration before any guard evaluation reads them.
@@ -735,7 +630,6 @@ impl<A: GuardedAlgorithm> World<A> {
             algo,
             states,
             sched,
-            par,
             ..
         } = self;
         if sched.all_dirty {
@@ -743,68 +637,21 @@ impl<A: GuardedAlgorithm> World<A> {
             debug_assert!(sched.dirty.is_empty());
             debug_assert!(sched.flips.is_empty(), "repair always drains flips");
             sched.enabled.clear();
-            match par {
-                Some(cfg) if h.n() >= (cfg.threads * cfg.min_batch).max(1) => {
-                    Self::eval_sharded(h, algo, states, env, cfg, false);
-                    for p in 0..h.n() {
-                        let a = cfg.results[cfg.plan.rank(p)];
-                        if sched.cache[p].is_some() != a.is_some() {
-                            sched.changed.insert(p);
-                        }
-                        sched.cache[p] = a;
-                        if a.is_some() {
-                            sched.enabled.push(p);
-                        }
-                    }
+            for p in 0..h.n() {
+                let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
+                if sched.cache[p].is_some() != a.is_some() {
+                    sched.changed.insert(p);
                 }
-                _ => {
-                    for p in 0..h.n() {
-                        let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
-                        if sched.cache[p].is_some() != a.is_some() {
-                            sched.changed.insert(p);
-                        }
-                        sched.cache[p] = a;
-                        if a.is_some() {
-                            sched.enabled.push(p);
-                        }
-                    }
+                sched.cache[p] = a;
+                if a.is_some() {
+                    sched.enabled.push(p);
                 }
             }
             return;
         }
-        match par {
-            Some(cfg)
-                if !sched.dirty.is_empty() && sched.dirty.len() >= cfg.threads * cfg.min_batch =>
-            {
-                cfg.batch.clear();
-                // The batch must be in locality (rank) order so contiguous
-                // chunks are contiguous regions of the topology and the
-                // chunking is deterministic. Two equivalent ways to get
-                // there: sort the drained worklist by rank (O(k log k)),
-                // or walk the plan's rank order and gather dirty entries
-                // (O(n)) — the latter wins exactly on the dense batches
-                // the fan-out exists for.
-                let k = sched.dirty.len();
-                if (k as u64) * u64::from(k.max(2).ilog2()) >= h.n() as u64 {
-                    let dirty = &sched.dirty;
-                    cfg.plan.gather_if(&mut cfg.batch, |p| dirty.contains(p));
-                    sched.dirty.clear();
-                } else {
-                    sched.dirty.drain(|p| cfg.batch.push(p));
-                    let plan = Arc::clone(&cfg.plan);
-                    cfg.batch.sort_unstable_by_key(|&p| plan.rank(p));
-                }
-                Self::eval_sharded(h, algo, states, env, cfg, true);
-                for i in 0..cfg.batch.len() {
-                    sched.store(cfg.batch[i], cfg.results[i]);
-                }
-            }
-            _ => {
-                while let Some(p) = sched.dirty.pop() {
-                    let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
-                    sched.store(p, a);
-                }
-            }
+        while let Some(p) = sched.dirty.pop() {
+            let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
+            sched.store(p, a);
         }
         sched.repair_enabled();
         // The evaluators cross-check the guards that *were* evaluated; a
@@ -819,58 +666,6 @@ impl<A: GuardedAlgorithm> World<A> {
                 );
             }
         }
-    }
-
-    /// Evaluate a worklist concurrently on the persistent worker pool: the
-    /// batch (or, for a full rebuild when `use_batch` is false, the whole
-    /// vertex set in plan order) is cut into one contiguous chunk per
-    /// worker; each worker writes its own disjoint result slots. Pure
-    /// reads of the frozen configuration — no locks anywhere; the only
-    /// synchronization is the pool's epoch wakeup and completion join.
-    fn eval_sharded(
-        h: &Hypergraph,
-        algo: &A,
-        states: &[A::State],
-        env: &A::Env,
-        cfg: &mut ParallelDrain,
-        use_batch: bool,
-    ) {
-        let ParallelDrain {
-            threads,
-            plan,
-            batch,
-            results,
-            pool,
-            ..
-        } = cfg;
-        let work: &[usize] = if use_batch { batch } else { plan.order() };
-        results.clear();
-        results.resize(work.len(), None);
-        if work.is_empty() {
-            return;
-        }
-        let chunk = work.len().div_ceil(*threads);
-        let slots = RawParts {
-            ptr: results.as_mut_ptr(),
-        };
-        pool.run(&|w| {
-            let start = w * chunk;
-            if start >= work.len() {
-                return;
-            }
-            for (i, &p) in work
-                .iter()
-                .enumerate()
-                .take((start + chunk).min(work.len()))
-                .skip(start)
-            {
-                let a = algo.priority_action(&Ctx::new(h, p, states, env));
-                // SAFETY: chunk ranges partition `0..work.len()` disjointly
-                // across worker indices, so slot `i` has exactly one writer,
-                // and `results` outlives the blocking `pool.run` call.
-                unsafe { slots.write(i, a) };
-            }
-        });
     }
 
     /// Ascending enabled set of the *current* configuration, through the
@@ -1008,12 +803,12 @@ impl<A: GuardedAlgorithm> World<A> {
     /// #     ) -> u32 { 0 }
     /// # }
     /// let mut w = World::new(Arc::new(generators::fig1()), Nop);
-    /// w.configure(&EngineConfig::parallel(2).with_trusted_daemon(true))
+    /// w.configure(&EngineConfig::default().with_trusted_daemon(true))
     ///     .unwrap();
-    /// assert_eq!(w.threads(), 2);
+    /// assert!(w.trusted_daemon());
     ///
     /// // Incoherent requests fail closed instead of silently no-op'ing.
-    /// let bad = EngineConfig::default().with_drain(Drain::parallel(1));
+    /// let bad = EngineConfig::full_scan().with_trusted_daemon(true);
     /// assert!(w.configure(&bad).is_err());
     /// ```
     ///
@@ -1040,13 +835,6 @@ impl<A: GuardedAlgorithm> World<A> {
         // Any commit notes must be rebuilt against the current
         // configuration before the next evaluation reads them.
         self.drop_notes();
-        match cfg.drain {
-            // Distributed is rejected above; unreachable here.
-            Drain::Sequential | Drain::Distributed { .. } => {
-                self.apply_parallel(1, DEFAULT_MIN_PARALLEL_BATCH)
-            }
-            Drain::Parallel { threads, min_batch } => self.apply_parallel(threads, min_batch),
-        }
         self.trusted = cfg.trusted_daemon;
         Ok(())
     }
@@ -1181,60 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drain_matches_sequential_stepwise() {
-        // Same seed, sequential vs 2- and 4-thread drains (fan-out forced
-        // with a zero threshold): bit-identical StepOutcome sequences.
-        for threads in [2usize, 4] {
-            for seed in 0..20u32 {
-                let h = Arc::new(generators::fig1());
-                let boot = vec![seed, 0, 3, 1, 0, 2];
-                let mut ws = World::with_states(Arc::clone(&h), MaxProp, boot.clone());
-                let mut wp = World::with_states(Arc::clone(&h), MaxProp, boot);
-                wp.configure(&EngineConfig::default().with_drain(Drain::forced(threads)))
-                    .unwrap();
-                assert_eq!(wp.threads(), threads);
-                let mut ds = Central::new(seed as u64);
-                let mut dp = Central::new(seed as u64);
-                for _ in 0..200 {
-                    let os = ws.step(&mut ds, &());
-                    let op = wp.step(&mut dp, &());
-                    assert_eq!(os, op, "threads {threads}, seed {seed}");
-                    assert_eq!(ws.states(), wp.states(), "threads {threads}, seed {seed}");
-                    if os.terminal() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_full_rebuild_matches_boot_scan() {
-        // The all-dirty (boot / invalidate_all / full-scan mode) rebuild
-        // also fans out; enabled sets must match the pure evaluation.
-        let h = Arc::new(generators::ring(24, 2));
-        let mut w = World::new(Arc::clone(&h), MaxProp);
-        w.configure(&EngineConfig::default().with_drain(Drain::forced(4)))
-            .unwrap();
-        assert_eq!(w.enabled_now(&()).to_vec(), w.enabled(&()));
-        w.invalidate_all();
-        assert_eq!(w.enabled_now(&()).to_vec(), w.enabled(&()));
-        let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 200);
-        assert!(q);
-    }
-
-    #[test]
-    fn one_thread_disables_the_parallel_drain() {
-        let mut w = world();
-        w.configure(&EngineConfig::parallel(4)).unwrap();
-        assert_eq!(w.threads(), 4);
-        w.configure(&EngineConfig::default()).unwrap();
-        assert_eq!(w.threads(), 1);
-        let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 100);
-        assert!(q);
-    }
-
-    #[test]
     fn trusted_daemon_matches_untrusted_stepwise() {
         for seed in 0..10u32 {
             let h = Arc::new(generators::fig1());
@@ -1283,35 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn world_with_pool_drops_cleanly() {
-        // Worker threads must be joined when the World goes away — run a
-        // few pooled worlds to completion and drop them (leaked threads
-        // would accumulate and deadlock CI long before any assertion).
-        for _ in 0..8 {
-            let h = Arc::new(generators::ring(24, 2));
-            let mut w = World::new(Arc::clone(&h), MaxProp);
-            w.configure(&EngineConfig::default().with_drain(Drain::forced(4)))
-                .unwrap();
-            let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 200);
-            assert!(q);
-            drop(w);
-        }
-    }
-
-    #[test]
-    fn reconfiguring_threads_swaps_pools() {
-        let mut w = world();
-        w.configure(&EngineConfig::parallel(4)).unwrap();
-        w.configure(&EngineConfig::parallel(2)).unwrap();
-        // Same pool, new threshold.
-        w.configure(&EngineConfig::default().with_drain(Drain::forced(2)))
-            .unwrap();
-        w.configure(&EngineConfig::default()).unwrap();
-        let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 100);
-        assert!(q);
-    }
-
-    #[test]
     fn configure_rejects_what_world_cannot_apply() {
         let mut w = world();
         assert_eq!(
@@ -1330,12 +1035,10 @@ mod tests {
     #[test]
     fn configure_is_a_full_reset() {
         let mut w = world();
-        w.configure(&EngineConfig::parallel(2).with_trusted_daemon(true))
+        w.configure(&EngineConfig::default().with_trusted_daemon(true))
             .unwrap();
-        assert_eq!(w.threads(), 2);
         assert!(w.trusted_daemon());
         w.configure(&EngineConfig::default()).unwrap();
-        assert_eq!(w.threads(), 1);
         assert!(!w.trusted_daemon());
     }
 

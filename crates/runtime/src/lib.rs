@@ -50,6 +50,7 @@
 //! assert!(quiescent && w.states().iter().all(|&s| s == 6));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(deprecated)]
 
@@ -61,7 +62,6 @@ pub mod daemon;
 pub mod engine;
 pub mod fault;
 pub mod markset;
-pub mod pool;
 pub mod rounds;
 pub mod seal;
 pub mod trace;
@@ -82,7 +82,6 @@ pub mod prelude {
         arbitrary_configuration, strike, strike_some, ArbitraryState, CampaignEvent, FaultCampaign,
     };
     pub use crate::markset::MarkSet;
-    pub use crate::pool::WorkerPool;
     pub use crate::rounds::RoundTracker;
     pub use crate::seal::SealCache;
     pub use crate::trace::{Trace, TraceEvent, TraceSnapshot};

@@ -78,24 +78,6 @@ impl SealCache {
     }
 }
 
-/// Bulk-copy a slice into a fresh `Vec` through the guaranteed `memcpy`
-/// path. The generic `to_vec` / `extend_from_slice` lower to an
-/// elementwise clone loop for the engine's composed state types under
-/// the current toolchain — an order of magnitude slower than `memcpy`
-/// at snapshot cadence (~10 µs vs ~1 µs for 1536 × 32 B states) — so
-/// the capture path copies explicitly.
-pub fn memcpy_vec<T: Copy>(src: &[T]) -> Vec<T> {
-    let mut v = Vec::with_capacity(src.len());
-    // SAFETY: `T: Copy`, the allocation holds `src.len()` elements, and
-    // `copy_nonoverlapping` initializes every one of them before the
-    // length is set.
-    unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), v.as_mut_ptr(), src.len());
-        v.set_len(src.len());
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +120,6 @@ mod tests {
         seal.reset();
         assert_eq!(seal.covered(), 0);
         assert!(seal.segments().is_empty());
-    }
-
-    #[test]
-    fn memcpy_vec_is_a_faithful_copy() {
-        let src: Vec<(u32, bool)> = (0..257).map(|i| (i * 3, i % 2 == 0)).collect();
-        assert_eq!(memcpy_vec(&src), src);
-        let empty: Vec<u64> = Vec::new();
-        assert!(memcpy_vec(&empty).is_empty());
     }
 
     #[test]

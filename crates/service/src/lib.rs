@@ -40,6 +40,7 @@
 //! assert!(svc.sim().monitor().clean());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(deprecated)]
 

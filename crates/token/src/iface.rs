@@ -20,12 +20,9 @@ use sscc_hypergraph::Hypergraph;
 use sscc_runtime::prelude::{ActionId, ArbitraryState, Ctx, ProcessState, StateAccess};
 
 /// A self-stabilizing token-circulation substrate, as consumed by `CC ∘ TC`.
-///
-/// `Sync` (layer and state): the composed algorithm is evaluated
-/// concurrently by the engine's parallel dirty-set drain.
-pub trait TokenLayer: Sync {
+pub trait TokenLayer {
     /// Per-process token-substrate state.
-    type State: ProcessState + ArbitraryState + Sync + Send;
+    type State: ProcessState + ArbitraryState;
 
     /// The designated stabilized initial state of process `me` (a unique
     /// token already in place). Fault-free boots start here; stabilization

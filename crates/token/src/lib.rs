@@ -30,6 +30,7 @@
 //! assert_eq!(token_holders(&ring, &h, &states).len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs_tree;

@@ -22,6 +22,7 @@
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
 //! system inventory.
 
+#![forbid(unsafe_code)]
 #![deny(deprecated)]
 
 pub use sscc_core as core;
