@@ -39,11 +39,13 @@ pub trait CommitteeAlgorithm {
         token: bool,
     ) -> Option<ActionId>;
 
-    /// Switch between the default (fused, allocation-free) guard evaluator
-    /// and the per-guard *reference* evaluator — the PR-1 baseline the
-    /// differential suite and the benchmark trajectory compare against.
-    /// Bit-identical results either way; no-op for algorithms that only
-    /// have one evaluator.
+    /// The `full_scan` switch: evaluate through the paper's guards one by
+    /// one (the per-guard *reference*) instead of the allocation-free guard
+    /// cascade. `Sim::configure` turns it on exactly under
+    /// [`EvalPath::FullScan`](sscc_runtime::prelude::EvalPath::FullScan),
+    /// so the differential suite compares the cascade against the textbook
+    /// guards on every step. Bit-identical results either way; no-op for
+    /// algorithms that only have one evaluator.
     fn set_reference_eval(&mut self, on: bool) {
         let _ = on;
     }
@@ -52,7 +54,7 @@ pub trait CommitteeAlgorithm {
     /// mirror exactly while the engine keeps it in sync
     /// ([`rebuild_facts`](CommitteeAlgorithm::rebuild_facts) …
     /// [`drop_facts`](CommitteeAlgorithm::drop_facts)). Kept only because
-    /// the frozen `benchmark/src/replica.rs` calls it; ROADMAP item 1
+    /// the frozen `benchmark/src/replica.rs` calls it; ROADMAP item 2
     /// deletes it with the benchmark's other pins.
     fn set_value_level(&mut self, on: bool) {
         let _ = on;

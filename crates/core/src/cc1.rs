@@ -24,7 +24,7 @@
 
 use crate::algo::CommitteeAlgorithm;
 use crate::choice::{EdgeChoice, MaxMembersDesc};
-use crate::facts::{repair_scope, EdgeFacts, Quantified};
+use crate::facts::{self, repair_scope, EdgeFacts, Quantified};
 use crate::oracle::RequestEnv;
 use crate::predicates;
 use crate::status::{ActionClass, CommitteeView, Status};
@@ -145,10 +145,11 @@ const NO_HOLDER: u32 = u32::MAX;
 /// The committee-fact mirror of CC1: the counted fact bytes plus one "max
 /// announced-token member" slot per edge, kept in sync with the committed
 /// configuration through [`CommitteeAlgorithm::rebuild_facts`] /
-/// [`CommitteeAlgorithm::apply_write`]. The masked evaluator tests these
-/// instead of re-scanning every member of every incident committee on every
-/// guard evaluation, and [`CommitteeAlgorithm::flush_facts`] reads off them
-/// which guards a step can have changed.
+/// [`CommitteeAlgorithm::apply_write`]. While it is live the guard cascade
+/// tests these instead of re-scanning every member of every incident
+/// committee on every guard evaluation, and
+/// [`CommitteeAlgorithm::flush_facts`] reads off them which guards a step
+/// can have changed.
 #[derive(Clone, Debug, Default)]
 struct Cc1Facts {
     edges: EdgeFacts<4>,
@@ -214,9 +215,9 @@ impl Cc1Facts {
 #[derive(Clone, Debug, Default)]
 pub struct Cc1<Ch = MaxMembersDesc> {
     choice: Ch,
-    /// Evaluate guards one by one through [`Cc1::guard`] instead of the
-    /// fused single-pass evaluator (the PR-1 baseline; bit-identical, just
-    /// slower — kept as the differential-testing reference).
+    /// Evaluate guards one by one through the per-guard reference instead
+    /// of the cascade — the `full_scan` oracle's evaluator (bit-identical,
+    /// just slower).
     reference_eval: bool,
     facts: Cc1Facts,
 }
@@ -361,31 +362,17 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         idle_ok && wait_ok && done_ok
     }
 
-    /// Is committee `e` free, by a single member scan (the per-edge test
-    /// behind [`Cc1::free_edges`], without materializing the set)?
-    fn edge_free<E: ?Sized, A: StateAccess<Cc1State> + ?Sized>(
-        ctx: &Ctx<'_, Cc1State, E, A>,
-        e: EdgeId,
-    ) -> bool {
-        ctx.h()
-            .members(e)
-            .iter()
-            .all(|&q| ctx.state_of(q).s == Status::Looking)
-    }
-
-    /// The fused single-pass evaluator: one scan over the incident
-    /// committees derives `Ready`, `Meeting`, the `FreeEdges` facts and the
-    /// maximum candidate (`max(Cands_p)`, token holders beating plain free
-    /// nodes), then tests the guards highest-priority-first. Allocation-free,
-    /// unlike the per-guard reference path, which rebuilds
-    /// `FreeEdges`/`Cands` vectors for every guard that mentions them.
-    /// Bit-identical to the reference (`debug_assert`ed on every evaluation
-    /// in debug builds, and pinned by the differential suite's PR-1
-    /// baseline twin).
-    fn priority_action_fused<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
-        &self,
+    /// The guard cascade, highest priority first (the order of
+    /// [`Cc1::reference`]), allocation-free: every committee-shared predicate
+    /// is a bit of `facts(e)`, the max announced holder of a free committee
+    /// is `holder(e)` ([`NO_HOLDER`] when none) — read from the [`Cc1Facts`]
+    /// mirror while it is live, by member scan otherwise. Dense order is
+    /// identifier order, so max candidates compare dense indices.
+    fn cascade<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
         ctx: &Ctx<'_, Cc1State, E, A>,
         token: bool,
+        facts: impl Fn(EdgeId) -> u8,
+        holder: impl Fn(EdgeId) -> u32,
     ) -> Option<ActionId> {
         use action::*;
         let st = ctx.my_state();
@@ -393,39 +380,30 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         let me = ctx.me();
         let (mut ready, mut meeting) = (false, false);
         let (mut any_free, mut p_free) = (false, false);
-        // Max-identifier member over all free committees, and over the
-        // announced token holders among them (`TFreeNodes` beat
-        // `FreeNodes` in `Cands_p`).
+        // Max member over all free committees, and over the announced token
+        // holders among them (`TFreeNodes` beat `FreeNodes` in `Cands_p`).
         let mut max_any: Option<usize> = None;
         let mut max_t: Option<usize> = None;
         for &e in h.incident(me) {
-            let (mut all_ready, mut all_meeting, mut all_free) = (true, true, true);
-            for &q in h.members(e) {
-                let s = ctx.state_of(q);
-                let points = s.p == Some(e);
-                all_ready &= points && matches!(s.s, Status::Looking | Status::Waiting);
-                all_meeting &= points && matches!(s.s, Status::Waiting | Status::Done);
-                all_free &= s.s == Status::Looking;
-            }
-            ready |= all_ready;
-            meeting |= all_meeting;
-            if all_free {
+            let b = facts(e);
+            ready |= b & F_READY != 0;
+            meeting |= b & F_MEETING != 0;
+            if b & F_FREE != 0 {
                 any_free = true;
                 p_free |= st.p == Some(e);
-                for &q in h.members(e) {
-                    if max_any.is_none_or(|b| h.id(q) > h.id(b)) {
-                        max_any = Some(q);
-                    }
-                    if ctx.state_of(q).t && max_t.is_none_or(|b| h.id(q) > h.id(b)) {
-                        max_t = Some(q);
-                    }
+                let mm = h.max_member(e);
+                if max_any.is_none_or(|b| mm > b) {
+                    max_any = Some(mm);
+                }
+                let mt = holder(e);
+                if mt != NO_HOLDER && max_t.is_none_or(|b| mt as usize > b) {
+                    max_t = Some(mt as usize);
                 }
             }
         }
         let max_cand = max_t.or(max_any);
-        // Guards, highest priority (latest in code order) first — exactly
-        // the order of the reference `(0..COUNT).rev().find(guard)`.
-        let lm = Self::leave_meeting(ctx);
+        let lm =
+            st.p.is_some_and(|e| h.is_member(me, e) && facts(e) & F_LEAVE != 0);
         let idle_ok = st.s != Status::Idle || st.p.is_none();
         let wait_ok = st.s != Status::Waiting || ready || meeting;
         let done_ok = st.s != Status::Done || meeting || lm;
@@ -457,7 +435,7 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
             } else if let Some(e) = max_cand.and_then(|mx| ctx.state_of(mx).p) {
                 // Step22: follow the local max's pointer if it is one of
                 // *our* free committees and not already ours.
-                if st.p != Some(e) && h.is_member(me, e) && Self::edge_free(ctx, e) {
+                if st.p != Some(e) && h.is_member(me, e) && facts(e) & F_FREE != 0 {
                     return Some(STEP22);
                 }
             }
@@ -468,83 +446,16 @@ impl<Ch: EdgeChoice> Cc1<Ch> {
         None
     }
 
-    /// The masked evaluator (run while the engine keeps the mirror in
-    /// sync): same guard cascade as [`Cc1::priority_action_fused`], but
-    /// every committee-shared predicate is a bit test against the
-    /// [`Cc1Facts`] mirror instead of a member scan — `O(|E_p|)` bit probes
-    /// per evaluation instead of `O(Σ|ε|)` state reads. Max-candidate
-    /// selection compares dense indices directly (dense order is identifier
-    /// order). Bit-identical to both other evaluators; `debug_assert`ed
-    /// against the reference on every evaluation in debug builds.
-    fn priority_action_masked<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
+    /// The per-guard reference: the paper's guards evaluated one by one,
+    /// the enabled action latest in code order wins.
+    fn reference<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
         &self,
         ctx: &Ctx<'_, Cc1State, E, A>,
         token: bool,
     ) -> Option<ActionId> {
-        use action::*;
-        let st = ctx.my_state();
-        let h = ctx.h();
-        let me = ctx.me();
-        let (mut ready, mut meeting) = (false, false);
-        let (mut any_free, mut p_free) = (false, false);
-        let mut max_any: Option<usize> = None;
-        let mut max_t: Option<usize> = None;
-        for &e in h.incident(me) {
-            let b = self.facts.edges.bits(e);
-            ready |= b & F_READY != 0;
-            meeting |= b & F_MEETING != 0;
-            if b & F_FREE != 0 {
-                any_free = true;
-                p_free |= st.p == Some(e);
-                let mm = h.max_member(e);
-                if max_any.is_none_or(|b| mm > b) {
-                    max_any = Some(mm);
-                }
-                let mt = self.facts.max_t[e.index()];
-                if mt != NO_HOLDER && max_t.is_none_or(|b| mt as usize > b) {
-                    max_t = Some(mt as usize);
-                }
-            }
-        }
-        let max_cand = max_t.or(max_any);
-        let lm =
-            st.p.is_some_and(|e| h.is_member(me, e) && self.facts.edges.bits(e) & F_LEAVE != 0);
-        let idle_ok = st.s != Status::Idle || st.p.is_none();
-        let wait_ok = st.s != Status::Waiting || ready || meeting;
-        let done_ok = st.s != Status::Done || meeting || lm;
-        if !(idle_ok && wait_ok && done_ok) {
-            return Some(if st.s == Status::Idle { STAB1 } else { STAB2 });
-        }
-        if lm && ctx.env().request_out(me) {
-            return Some(STEP4);
-        }
-        if meeting && st.s == Status::Waiting {
-            return Some(STEP32);
-        }
-        if ready && st.s == Status::Looking {
-            return Some(STEP31);
-        }
-        if token && (st.s == Status::Idle || (st.s == Status::Looking && !any_free)) {
-            return Some(TOKEN2);
-        }
-        if token != st.t {
-            return Some(TOKEN1);
-        }
-        if any_free && !ready {
-            if max_cand == Some(me) {
-                if !p_free {
-                    return Some(STEP21);
-                }
-            } else if let Some(e) = max_cand.and_then(|mx| ctx.state_of(mx).p) {
-                if st.p != Some(e) && h.is_member(me, e) && self.facts.edges.bits(e) & F_FREE != 0 {
-                    return Some(STEP22);
-                }
-            }
-        }
-        if ctx.env().request_in(me) && st.s == Status::Idle {
-            return Some(STEP1);
-        }
-        None
+        (0..action::COUNT)
+            .rev()
+            .find(|&a| self.guard(ctx, token, a))
     }
 
     fn guard<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
@@ -728,25 +639,27 @@ impl<Ch: EdgeChoice> CommitteeAlgorithm for Cc1<Ch> {
         ctx: &Ctx<'_, Cc1State, E, A>,
         token: bool,
     ) -> Option<ActionId> {
-        // Priority: the enabled action appearing LATEST in code order.
         if self.reference_eval {
-            return (0..action::COUNT)
-                .rev()
-                .find(|&a| self.guard(ctx, token, a));
+            return self.reference(ctx, token);
         }
-        let fused = if self.facts.edges.live() {
-            self.priority_action_masked(ctx, token)
+        let fast = if self.facts.edges.live() {
+            let f = &self.facts;
+            Self::cascade(ctx, token, |e| f.edges.bits(e), |e| f.max_t[e.index()])
         } else {
-            self.priority_action_fused(ctx, token)
+            let (h, states) = (ctx.h(), ctx.accessor());
+            Self::cascade(
+                ctx,
+                token,
+                |e| facts::scan::<Cc1State, 4, _>(h, states, e),
+                |e| Cc1Facts::scan_max_t(h, states, e),
+            )
         };
         debug_assert_eq!(
-            fused,
-            (0..action::COUNT)
-                .rev()
-                .find(|&a| self.guard(ctx, token, a)),
-            "fused evaluator diverged from the per-guard reference"
+            fast,
+            self.reference(ctx, token),
+            "guard cascade diverged from the per-guard reference"
         );
-        fused
+        fast
     }
 
     fn execute<E: RequestEnv + ?Sized, A: StateAccess<Cc1State> + ?Sized>(
@@ -1152,8 +1065,8 @@ mod tests {
     #[test]
     fn value_level_mirror_matches_reference_under_surgery() {
         // Random configurations, incremental single-process surgery: the
-        // masked evaluator must agree with the per-guard reference at every
-        // process, and the mirror kept by counter deltas must equal a
+        // cascade over the mirror must agree with the per-guard reference at
+        // every process, and the mirror kept by counter deltas must equal a
         // from-scratch rebuild.
         use rand::SeedableRng as _;
         let h = fig2();
@@ -1166,9 +1079,9 @@ mod tests {
             for p in 0..h.n() {
                 let ctx = Ctx::new(&h, p, &states, &env);
                 for token in [false, true] {
-                    let masked = cc.priority_action_masked(&ctx, token);
-                    let reference = (0..COUNT).rev().find(|&a| cc.guard(&ctx, token, a));
-                    assert_eq!(masked, reference, "round {round} p{p} token {token}");
+                    let fast = cc.priority_action(&ctx, token);
+                    let reference = cc.reference(&ctx, token);
+                    assert_eq!(fast, reference, "round {round} p{p} token {token}");
                 }
             }
             let p = (round * 13 + 5) % h.n();
@@ -1178,6 +1091,55 @@ mod tests {
             }
             cc.flush_facts(&h, states.as_slice(), |_| {});
             assert!(cc.facts_in_sync(&h, states.as_slice()), "round {round}");
+        }
+    }
+
+    #[test]
+    fn fact_sources_are_interchangeable() {
+        // The seam the one cascade stands on: a member scan derives exactly
+        // the fact byte and max announced holder the rebuilt mirror keeps,
+        // so the cascade picks the same action with the mirror live and
+        // with it dropped — on the paper's figures, a ring and a hubbed
+        // power-law graph, from arbitrary boots.
+        use rand::{Rng as _, SeedableRng as _};
+        for h in [
+            generators::fig1(),
+            fig2(),
+            generators::ring(24, 2),
+            generators::power_law(96, 144, 6), // a hub of 26 neighbours
+        ] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(h.n() as u64);
+            for boot in 0..20 {
+                let states: Vec<S> = (0..h.n()).map(|p| S::arbitrary(&mut rng, &h, p)).collect();
+                let mut env = RequestFlags::new(h.n());
+                for p in 0..h.n() {
+                    env.set_in(p, rng.random_bool(0.5));
+                    env.set_out(p, rng.random_bool(0.5));
+                }
+                let mut cc = Cc1::new();
+                cc.rebuild_facts(&h, states.as_slice());
+                for e in h.edge_ids() {
+                    let label = format!("n{} boot {boot} e{}", h.n(), e.index());
+                    let scanned = facts::scan::<S, 4, _>(&h, states.as_slice(), e);
+                    assert_eq!(scanned, cc.facts.edges.bits(e), "{label}");
+                    assert_eq!(
+                        Cc1Facts::scan_max_t(&h, states.as_slice(), e),
+                        cc.facts.max_t[e.index()],
+                        "{label}"
+                    );
+                }
+                let actions = |cc: &Cc1| -> Vec<Option<ActionId>> {
+                    (0..h.n())
+                        .flat_map(|p| [false, true].map(|t| (p, t)))
+                        .map(|(p, token)| {
+                            cc.priority_action(&Ctx::new(&h, p, &states, &env), token)
+                        })
+                        .collect()
+                };
+                let live = actions(&cc);
+                cc.drop_facts();
+                assert_eq!(live, actions(&cc), "n{} boot {boot}", h.n());
+            }
         }
     }
 

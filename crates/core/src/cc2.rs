@@ -28,7 +28,7 @@
 
 use crate::algo::CommitteeAlgorithm;
 use crate::choice::{EdgeChoice, MinSizeFirst};
-use crate::facts::{EdgeFacts, Quantified};
+use crate::facts::{self, EdgeFacts, Quantified};
 use crate::oracle::RequestEnv;
 use crate::predicates;
 use crate::status::{ActionClass, CommitteeView, Status};
@@ -239,9 +239,9 @@ struct Cc2Facts {
 pub struct Cc2<Sel = MinEdgeSelector, Ch = MinSizeFirst> {
     selector: Sel,
     choice: Ch,
-    /// Evaluate guards one by one through [`Cc2::guard`] instead of the
-    /// fused single-pass evaluator (the PR-1 baseline; bit-identical, just
-    /// slower — kept as the differential-testing reference).
+    /// Evaluate guards one by one through the per-guard reference instead
+    /// of the cascade — the `full_scan` oracle's evaluator (bit-identical,
+    /// just slower).
     reference_eval: bool,
     facts: Cc2Facts,
 }
@@ -452,32 +452,17 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         !tpe.is_empty() && !ctx.my_state().p.is_some_and(|e| tpe.contains(&e))
     }
 
-    /// Is committee `e` free, by a single member scan (the per-edge test
-    /// behind [`Cc2::free_edges`], without materializing the set)?
-    fn edge_free<E: ?Sized, A: StateAccess<Cc2State> + ?Sized>(
-        ctx: &Ctx<'_, Cc2State, E, A>,
-        e: EdgeId,
-    ) -> bool {
-        ctx.h().members(e).iter().all(|&q| {
-            let s = ctx.state_of(q);
-            s.s == Status::Looking && !s.l && !s.t
-        })
-    }
-
-    /// The fused single-pass evaluator: one scan over the incident
-    /// committees (each member visited once) derives every predicate the
-    /// ten guards read — `Ready`, `Meeting`, `FreeEdges` facts,
-    /// `TPointingEdges` facts and the local maximum of the free nodes —
-    /// then tests the guards highest-priority-first from those facts.
-    /// Allocation-free, unlike the per-guard reference path, which
-    /// materializes `FreeEdges`/`TPointingEdges`/`MinEdges` vectors for
-    /// every guard that mentions them. Bit-identical to the reference
-    /// (`debug_assert`ed on every evaluation in debug builds, and pinned by
-    /// the differential suite's PR-1 baseline twin).
-    fn priority_action_fused<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
+    /// The guard cascade, highest priority first (the order of
+    /// [`Cc2::reference`]), allocation-free: every committee-shared predicate
+    /// (`Ready`, `Meeting`, `FreeEdges`, `TPointingEdges`, the quantified
+    /// part of `LeaveMeeting`) is a bit of `facts(e)` — read from the
+    /// [`Cc2Facts`] mirror while it is live, by member scan otherwise. Dense
+    /// order is identifier order, so the local maximum compares dense indices.
+    fn cascade<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
         &self,
         ctx: &Ctx<'_, Cc2State, E, A>,
         token: bool,
+        facts: impl Fn(EdgeId) -> u8,
     ) -> Option<ActionId> {
         use action::*;
         let st = ctx.my_state();
@@ -488,36 +473,27 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         let (mut any_tpe, mut p_tpe) = (false, false);
         let mut max_free: Option<usize> = None;
         for &e in h.incident(me) {
-            let (mut all_ready, mut all_meeting, mut all_free) = (true, true, true);
-            let mut t_witness = false;
-            for &q in h.members(e) {
-                let s = ctx.state_of(q);
-                let points = s.p == Some(e);
-                all_ready &= points && matches!(s.s, Status::Looking | Status::Waiting);
-                all_meeting &= points && matches!(s.s, Status::Waiting | Status::Done);
-                all_free &= s.s == Status::Looking && !s.l && !s.t;
-                t_witness |= points && s.t && s.s == Status::Looking;
-            }
-            ready |= all_ready;
-            meeting |= all_meeting;
-            if all_free {
+            let b = facts(e);
+            ready |= b & F_READY != 0;
+            meeting |= b & F_MEETING != 0;
+            if b & F_FREE != 0 {
                 any_free = true;
                 p_free |= st.p == Some(e);
-                for &q in h.members(e) {
-                    if max_free.is_none_or(|b| h.id(q) > h.id(b)) {
-                        max_free = Some(q);
-                    }
+                let mm = h.max_member(e);
+                if max_free.is_none_or(|b| mm > b) {
+                    max_free = Some(mm);
                 }
             }
-            if t_witness {
+            if b & F_UNPINNED == 0 {
                 any_tpe = true;
                 p_tpe |= st.p == Some(e);
             }
         }
         let locked = any_tpe;
-        // Guards, highest priority (latest in code order) first — exactly
-        // the order of the reference `(0..COUNT).rev().find(guard)`.
-        let lm = Self::leave_meeting(ctx);
+        let lm = st.s == Status::Done
+            && st
+                .p
+                .is_some_and(|e| h.is_member(me, e) && facts(e) & F_NOWAIT != 0);
         let wait_ok = st.s != Status::Waiting || ready || meeting;
         let done_ok = st.s != Status::Done || meeting || lm;
         if !(wait_ok && done_ok) {
@@ -545,7 +521,7 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
             } else if let Some(e) = max_free.and_then(|mx| ctx.state_of(mx).p) {
                 // Step14: follow the local max's pointer if it is one of
                 // *our* free committees and not already ours.
-                if st.p != Some(e) && h.is_member(me, e) && Self::edge_free(ctx, e) {
+                if st.p != Some(e) && h.is_member(me, e) && facts(e) & F_FREE != 0 {
                     return Some(STEP14);
                 }
             }
@@ -562,87 +538,16 @@ impl<Sel: Selector, Ch: EdgeChoice> Cc2<Sel, Ch> {
         None
     }
 
-    /// The masked evaluator (run while the engine keeps the mirror in
-    /// sync): same guard cascade as [`Cc2::priority_action_fused`], but
-    /// every committee-shared predicate is a bit test against the
-    /// [`Cc2Facts`] mirror instead of a member scan. The local maximum of
-    /// the free nodes compares dense indices directly (dense order is
-    /// identifier order), using the hypergraph's `max_member`. Bit-identical
-    /// to both other evaluators; `debug_assert`ed against the reference on
-    /// every evaluation in debug builds.
-    fn priority_action_masked<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
+    /// The per-guard reference: the paper's guards evaluated one by one,
+    /// the enabled action latest in code order wins.
+    fn reference<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
         &self,
         ctx: &Ctx<'_, Cc2State, E, A>,
         token: bool,
     ) -> Option<ActionId> {
-        use action::*;
-        let st = ctx.my_state();
-        let h = ctx.h();
-        let me = ctx.me();
-        let (mut ready, mut meeting) = (false, false);
-        let (mut any_free, mut p_free) = (false, false);
-        let (mut any_tpe, mut p_tpe) = (false, false);
-        let mut max_free: Option<usize> = None;
-        for &e in h.incident(me) {
-            let b = self.facts.edges.bits(e);
-            ready |= b & F_READY != 0;
-            meeting |= b & F_MEETING != 0;
-            if b & F_FREE != 0 {
-                any_free = true;
-                p_free |= st.p == Some(e);
-                let mm = h.max_member(e);
-                if max_free.is_none_or(|b| mm > b) {
-                    max_free = Some(mm);
-                }
-            }
-            if b & F_UNPINNED == 0 {
-                any_tpe = true;
-                p_tpe |= st.p == Some(e);
-            }
-        }
-        let locked = any_tpe;
-        let lm = st.s == Status::Done
-            && st
-                .p
-                .is_some_and(|e| h.is_member(me, e) && self.facts.edges.bits(e) & F_NOWAIT != 0);
-        let wait_ok = st.s != Status::Waiting || ready || meeting;
-        let done_ok = st.s != Status::Done || meeting || lm;
-        if !(wait_ok && done_ok) {
-            return Some(STAB);
-        }
-        if lm && ctx.env().request_out(me) {
-            return Some(STEP4);
-        }
-        if meeting && st.s == Status::Waiting {
-            return Some(STEP3);
-        }
-        if ready && st.s == Status::Looking {
-            return Some(STEP2);
-        }
-        if token != st.t {
-            return Some(TOKEN);
-        }
-        if !token && !locked && any_free && !ready {
-            if max_free == Some(me) {
-                if !p_free {
-                    return Some(STEP13);
-                }
-            } else if let Some(e) = max_free.and_then(|mx| ctx.state_of(mx).p) {
-                if st.p != Some(e) && h.is_member(me, e) && self.facts.edges.bits(e) & F_FREE != 0 {
-                    return Some(STEP14);
-                }
-            }
-        }
-        if !token && st.s == Status::Looking && !ready && any_tpe && !p_tpe {
-            return Some(STEP12);
-        }
-        if token && st.s == Status::Looking && !ready && !self.selector.acceptable(h, me, st) {
-            return Some(STEP11);
-        }
-        if locked != st.l {
-            return Some(LOCK);
-        }
-        None
+        (0..action::COUNT)
+            .rev()
+            .find(|&a| self.guard(ctx, token, a))
     }
 
     fn guard<E: RequestEnv + ?Sized, A: StateAccess<Cc2State> + ?Sized>(
@@ -718,23 +623,20 @@ impl<Sel: Selector, Ch: EdgeChoice> CommitteeAlgorithm for Cc2<Sel, Ch> {
         token: bool,
     ) -> Option<ActionId> {
         if self.reference_eval {
-            return (0..action::COUNT)
-                .rev()
-                .find(|&a| self.guard(ctx, token, a));
+            return self.reference(ctx, token);
         }
-        let fused = if self.facts.edges.live() {
-            self.priority_action_masked(ctx, token)
+        let fast = if self.facts.edges.live() {
+            self.cascade(ctx, token, |e| self.facts.edges.bits(e))
         } else {
-            self.priority_action_fused(ctx, token)
+            let (h, states) = (ctx.h(), ctx.accessor());
+            self.cascade(ctx, token, |e| facts::scan::<Cc2State, 5, _>(h, states, e))
         };
         debug_assert_eq!(
-            fused,
-            (0..action::COUNT)
-                .rev()
-                .find(|&a| self.guard(ctx, token, a)),
-            "fused evaluator diverged from the per-guard reference"
+            fast,
+            self.reference(ctx, token),
+            "guard cascade diverged from the per-guard reference"
         );
-        fused
+        fast
     }
 
     fn set_reference_eval(&mut self, on: bool) {
@@ -1148,8 +1050,8 @@ mod tests {
     #[test]
     fn value_level_mirror_matches_reference_under_surgery() {
         // CC2 and CC3 twins of cc1's mirror test: random configurations
-        // with incremental single-process surgery — the masked evaluator
-        // must agree with the per-guard reference everywhere, and the
+        // with incremental single-process surgery — the cascade over the
+        // mirror must agree with the per-guard reference everywhere, and the
         // mirror kept by counter deltas must equal a from-scratch rebuild.
         use rand::SeedableRng as _;
         fn run<Sel: Selector, Ch: EdgeChoice>(mut cc: Cc2<Sel, Ch>, seed: u64) {
@@ -1165,9 +1067,9 @@ mod tests {
                 for p in 0..h.n() {
                     let ctx = Ctx::new(&h, p, &states, &env);
                     for token in [false, true] {
-                        let masked = cc.priority_action_masked(&ctx, token);
-                        let reference = (0..COUNT).rev().find(|&a| cc.guard(&ctx, token, a));
-                        assert_eq!(masked, reference, "round {round} p{p} token {token}");
+                        let fast = cc.priority_action(&ctx, token);
+                        let reference = cc.reference(&ctx, token);
+                        assert_eq!(fast, reference, "round {round} p{p} token {token}");
                     }
                 }
                 let p = (round * 11 + 3) % h.n();
@@ -1181,6 +1083,53 @@ mod tests {
         }
         run(Cc2::new(), 11);
         run(Cc3::new_cc3(), 12);
+    }
+
+    #[test]
+    fn fact_sources_are_interchangeable() {
+        // The seam the one cascade stands on (cc1's twin, for CC2 and CC3):
+        // a member scan derives exactly the fact byte the rebuilt mirror
+        // keeps, so the cascade picks the same action with the mirror live
+        // and with it dropped.
+        use rand::{Rng as _, SeedableRng as _};
+        fn run<Sel: Selector, Ch: EdgeChoice>(mut cc: Cc2<Sel, Ch>, h: &Hypergraph, seed: u64) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for boot in 0..20 {
+                let states: Vec<S> = (0..h.n()).map(|p| S::arbitrary(&mut rng, h, p)).collect();
+                let mut env = RequestFlags::new(h.n());
+                for p in 0..h.n() {
+                    env.set_out(p, rng.random_bool(0.5));
+                }
+                cc.rebuild_facts(h, states.as_slice());
+                for e in h.edge_ids() {
+                    assert_eq!(
+                        facts::scan::<S, 5, _>(h, states.as_slice(), e),
+                        cc.facts.edges.bits(e),
+                        "n{} boot {boot} e{}",
+                        h.n(),
+                        e.index()
+                    );
+                }
+                let actions = |cc: &Cc2<Sel, Ch>| -> Vec<Option<ActionId>> {
+                    (0..h.n())
+                        .flat_map(|p| [false, true].map(|t| (p, t)))
+                        .map(|(p, token)| cc.priority_action(&Ctx::new(h, p, &states, &env), token))
+                        .collect()
+                };
+                let live = actions(&cc);
+                cc.drop_facts();
+                assert_eq!(live, actions(&cc), "n{} boot {boot}", h.n());
+            }
+        }
+        for h in [
+            generators::fig1(),
+            generators::fig2(),
+            generators::ring(24, 2),
+            generators::power_law(96, 144, 6), // a hub of 26 neighbours
+        ] {
+            run(Cc2::new(), &h, h.n() as u64);
+            run(Cc3::new_cc3(), &h, h.n() as u64 + 1);
+        }
     }
 
     #[test]

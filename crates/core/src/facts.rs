@@ -7,10 +7,15 @@
 //! falsifies. [`EdgeFacts`] keeps, per committee and fact, how many members
 //! falsify it; the fact holds iff that count is zero. A committed write
 //! then costs `O(deg(p))` counter updates instead of a member rescan of
-//! every incident committee, and the evaluators test a bit instead of
+//! every incident committee, and the guard cascade tests a bit instead of
 //! scanning members. It also remembers which fact bytes moved since the
 //! last flush and what they were then, so the dirtiness filter can name the
 //! committees whose facts *net*-flipped.
+//!
+//! Where the engine does not keep the counters (the message-passing tier's
+//! shard actors, between a surgery and the next rebuild), [`scan`] derives
+//! the same fact byte from one member pass over the same
+//! [`Quantified::falsifies`]: two sources of fact bytes, one cascade.
 
 use crate::status::CommitteeView;
 use sscc_hypergraph::{EdgeId, Hypergraph, MutationDelta};
@@ -165,6 +170,22 @@ impl<const K: usize> EdgeFacts<K> {
         }
         true
     }
+}
+
+/// The fact byte of committee `e` by one member pass over `states` — what
+/// [`EdgeFacts::bits`] reads while the counters are live: bit `i` set iff no
+/// member falsifies fact `i`.
+#[inline]
+pub(crate) fn scan<S: Quantified<K>, const K: usize, X: StateAccess<S> + ?Sized>(
+    h: &Hypergraph,
+    states: &X,
+    e: EdgeId,
+) -> u8 {
+    let falsified = h.members(e).iter().fold(0, |f, &q| {
+        let s = states.state(q);
+        f | s.falsifies(s.pointer() == Some(e))
+    });
+    !falsified & (u8::MAX >> (8 - K))
 }
 
 /// The committees a mutation repair re-derives from members: the ones the

@@ -240,10 +240,10 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     /// Apply a complete engine configuration in one validated shot — the
     /// declarative replacement for the accreted `set_*` surface, covering
     /// every layer the facade owns: the engine ([`World::configure`]), the
-    /// algorithm's evaluator ([`EvalPath::Reference`] swaps in the
-    /// per-guard reference path and full policy ticks), the observers
-    /// ([`EvalPath::FullScan`] selects the legacy whole-view step) and the
-    /// daemon (`incremental_daemon` feeds it enabled-set deltas).
+    /// algorithm's evaluator and the observers ([`EvalPath::FullScan`] is
+    /// the textbook oracle: the paper's guards evaluated one by one, full
+    /// policy ticks, the whole-view step) and the daemon
+    /// (`incremental_daemon` feeds it enabled-set deltas).
     ///
     /// Call **before the first step**. Reconfiguring is a full reset:
     /// knobs absent from `cfg` return to their defaults.
@@ -267,18 +267,12 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         if cfg.distributed() {
             wcfg.drain = Drain::Sequential;
         }
-        // The per-guard reference evaluator lives inside the algorithm.
-        // (Which of the other two runs — fact mirror or member scan — is
-        // not configured: the engine's commit-note lifecycle decides it.)
+        // The oracle evaluates the paper's guards one by one. (Where the
+        // cascade reads its facts from is the engine's to decide.)
         self.world
             .algo_mut()
             .cc
-            .set_reference_eval(cfg.eval == EvalPath::Reference);
-        if cfg.eval == EvalPath::Reference {
-            // The engine side of the PR-1 baseline is the plain sequential
-            // incremental drain.
-            wcfg.eval = EvalPath::Incremental;
-        }
+            .set_reference_eval(cfg.eval == EvalPath::FullScan);
         // The daemon is ours, not the World's.
         wcfg.incremental_daemon = false;
         self.world.configure(&wcfg)?;
@@ -580,12 +574,11 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     }
 
     /// One policy tick over the maintained view with the given changed set
-    /// — through [`OraclePolicy::update_delta`], except under
-    /// [`EvalPath::Reference`] (the PR-1 baseline keeps full `O(n)` ticks)
-    /// or when the view was mutated behind the policy's back, in which case
-    /// one full tick resynchronizes it.
+    /// — through [`OraclePolicy::update_delta`], except when the view was
+    /// mutated behind the policy's back, in which case one full tick
+    /// resynchronizes it.
     fn tick_policy(&mut self, changed: &[usize]) {
-        if self.cfg.eval != EvalPath::Reference && !self.policy_stale {
+        if !self.policy_stale {
             self.policy
                 .update_delta(&mut self.flags, &self.view, changed);
         } else {
@@ -1909,8 +1902,8 @@ mod tests {
         let n = h.n();
         // Strikes and mutations fail closed on the distributed tier (the
         // `Err` is the exercised path there); flips and token-only steps
-        // run on all three.
-        let mode = ["par1", "incremental", "dist2"][(seed % 3) as usize];
+        // run on all three. (`full_scan` keeps no per-step mirror to check.)
+        let mode = ["par1", "daemon", "dist2"][(seed % 3) as usize];
         let label = format!("{mode}/n{n}/seed{seed}");
         let mut sim = Sim::builder(Arc::clone(&h), mk_cc(), WaveToken::new(&h))
             .seed(seed)

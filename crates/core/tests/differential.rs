@@ -559,7 +559,6 @@ fn lockstep_engine_count_matches_registry() {
         names,
         [
             "full_scan",
-            "incremental",
             "par1",
             "daemon",
             "dist2",
@@ -614,7 +613,9 @@ fn distributed_sim_rejects_midrun_surgery() {
 }
 
 /// Focused distributed lockstep, debug-runnable: the message-passing tier
-/// (`dist2`/`dist4`) against the sequential engine on every algorithm.
+/// (`dist2`/`dist4`, whose actors evaluate through member scans) against
+/// the `full_scan` textbook oracle (the paper's guards one by one) on every
+/// algorithm.
 /// Small enough for CI's `dist-smoke` job to run in a debug build, where
 /// the frame-causality `debug_assert`s (step tags, per-channel sequence
 /// numbers) are live; the release differential job covers the full
@@ -629,7 +630,7 @@ fn differential_dist_boundary_exchange_agrees() {
         TL::State: Copy + sscc_runtime::prelude::StateCodec,
     {
         let mut reference = mk();
-        reference.configure_mode("incremental").unwrap();
+        reference.configure_mode("full_scan").unwrap();
         reference.enable_trace();
         let mut twins: Vec<(&str, Sim<C, TL>)> = ["dist2", "dist4"]
             .into_iter()

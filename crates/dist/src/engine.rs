@@ -96,10 +96,9 @@ pub trait DistDrive<A: GuardedAlgorithm> {
 /// One shard's actor: authoritative member states, frontier ghosts, a
 /// per-member guard cache, and the routing table for its boundary.
 struct ShardActor<S> {
-    /// Members, ascending by dense index.
+    /// Members, ascending by dense index (ownership itself is
+    /// [`ShardPlan::shard_of`]).
     members: Vec<usize>,
-    /// Full-length membership mask (`true` = this shard owns the vertex).
-    in_shard: Vec<bool>,
     /// Full-length local view: authoritative for members, ghosts for the
     /// frontier; every other slot is never read.
     local: Vec<S>,
@@ -189,10 +188,6 @@ where
         for s in 0..k {
             let mut members = plan.members(s).to_vec();
             members.sort_unstable();
-            let mut in_shard = vec![false; n];
-            for &p in &members {
-                in_shard[p] = true;
-            }
             // Routing: a boundary member's state goes to every shard owning
             // part of its closed neighborhood.
             let mut subs = vec![Vec::new(); k];
@@ -212,7 +207,6 @@ where
             }
             actors.push(ShardActor {
                 members,
-                in_shard,
                 // Ghost slots start from the same committed configuration
                 // the members do; unused slots are never read.
                 local: states.to_vec(),
@@ -317,13 +311,13 @@ where
                     actor.seq_in[f.from] = f.seq;
                     for (v, sv) in f.entries {
                         assert!(
-                            actor.in_shard.get(v) == Some(&false),
+                            v < h.n() && plan.shard_of(v) != s,
                             "peer published a state this shard owns"
                         );
                         actor.local[v] = sv;
                         if !actor.all_dirty {
                             for &q in algo.state_footprint(h, v) {
-                                if actor.in_shard[q] {
+                                if plan.shard_of(q) == s {
                                     actor.dirty[q] = true;
                                 }
                             }
@@ -414,7 +408,7 @@ where
                     let changed = actor.local[p] != st;
                     // Only the executed footprints can change enabledness.
                     for &q in algo.state_footprint(h, p) {
-                        if actor.in_shard[q] {
+                        if plan.shard_of(q) == s {
                             actor.dirty[q] = true;
                         }
                     }
@@ -621,8 +615,9 @@ mod tests {
         /// Withhold it, then deliver it behind the next frame to the same
         /// shard.
         Swap,
-        /// Re-address its first entry to a vertex the receiver owns
-        /// (`[a member of shard 0, a member of shard 1]`), re-encoded.
+        /// Re-address its first entry to the vertex `[for shard 0, for
+        /// shard 1]` — one the receiver owns, or one out of range —
+        /// re-encoded.
         Foreign([usize; 2]),
     }
 
@@ -677,14 +672,14 @@ mod tests {
         let h = Arc::new(generators::ring(24, 2));
         let plan = h.shard_plan(2);
         let owned = [plan.members(0)[0], plan.members(1)[0]];
+        let owns = "peer published a state this shard owns";
         for (fault, want) in [
             (Fault::Duplicate, "lost, duplicated or reordered a frame"),
             (Fault::Replay, "ghost update from step"),
             (Fault::Swap, "lost, duplicated or reordered a frame"),
-            (
-                Fault::Foreign(owned),
-                "peer published a state this shard owns",
-            ),
+            (Fault::Foreign(owned), owns),
+            (Fault::Foreign([h.n(); 2]), owns),
+            (Fault::Foreign([u32::MAX as usize; 2]), owns),
         ] {
             let mut seq = World::new(Arc::clone(&h), MaxProp);
             let mut dw = World::new(Arc::clone(&h), MaxProp);

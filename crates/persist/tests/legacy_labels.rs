@@ -5,14 +5,18 @@
 //! the run that wrote them did. The same holds for the pooled parallel
 //! drain, deleted in PR 23: bit-identical to the sequential drain by
 //! construction, so a blob labelled with it restores onto the sequential
-//! spelling of its mode.
+//! spelling of its mode; and for the PR-1 per-guard baseline
+//! (`"incremental"`), folded into the `full_scan` oracle in PR 25 and
+//! trajectory-identical to the default engine, so its blob restores as
+//! `par1`.
 //!
 //! Each blob under `golden/` was written by the commit before its mode was
 //! folded (PR 15's tree: CC2 `fig1` seed 11 under `vl`, CC1 `fig1` seed 5
 //! under `vl_daemon`; PR 20's tree: CC1 `fig1` seed 5 under
-//! `par2b0+trusted+daemon_view`, every refresh through the pool; 120 steps
-//! each); the expected continuations are that commit's own ledger bytes 300
-//! steps later.
+//! `par2b0+trusted+daemon_view`, every refresh through the pool; PR 23's
+//! tree: CC2 `fig2` seed 5, arbitrary boot 5, under `incremental`; 120
+//! steps each); the expected continuations are that commit's own ledger
+//! bytes 300 steps later.
 
 use sscc_persist::Checkpoint;
 use sscc_runtime::wire::fnv1a64;
@@ -54,4 +58,17 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
     assert_eq!(sim.steps(), 120);
     sim.run(300);
     assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
+
+    // The PR-1 baseline evaluated every guard one by one; the default
+    // engine's cascade picks the same actions, so the continuation is the
+    // writer's own.
+    let blob = include_bytes!("golden/cc2_incremental.ckpt");
+    let mut sim = Checkpoint::from_bytes(blob)
+        .unwrap()
+        .restore_cc2()
+        .expect("an `incremental` blob still restores");
+    assert_eq!(sim.config().to_string(), "par1");
+    assert_eq!(sim.steps(), 120);
+    sim.run(300);
+    assert_eq!(ledger_digest(sim.ledger()), (4_920, 0x89fa_09a9_09f2_9bd1));
 }

@@ -14,9 +14,9 @@
 //!   [`World::configure`] / `Sim::configure` / `AnySim::configure` (and
 //!   built fluently by `Sim::builder()`).
 //! * **Validated** — [`EngineConfig::validate`] rejects the combinations
-//!   the old setters silently no-op'ed (a one-shard "distributed" tier, a
-//!   "reference baseline" composed with the very features it is the
-//!   baseline for).
+//!   the old setters silently no-op'ed (a one-shard "distributed" tier, the
+//!   `full_scan` oracle composed with the very features it is the oracle
+//!   for).
 //! * **Serializable** — [`EngineConfig`] round-trips through
 //!   `Display`/`FromStr` using the mode labels (`"full_scan"`,
 //!   `"daemon"`, `"dist4"`, …), so mode names in checkpoints, benchmark
@@ -42,10 +42,10 @@
 //!
 //! // Incoherent combinations fail closed instead of silently no-op'ing.
 //! let bad = EngineConfig::full_scan().with_trusted_daemon(true);
-//! assert!(bad.validate().is_err()); // the baseline composes with nothing
+//! assert!(bad.validate().is_err()); // the oracle composes with nothing
 //!
 //! // Every named mode is registered exactly once.
-//! assert_eq!(ModeRegistry::all().len(), 8);
+//! assert_eq!(ModeRegistry::all().len(), 7);
 //! assert!(ModeRegistry::get("par1").is_some());
 //! ```
 //!
@@ -57,16 +57,12 @@ use std::str::FromStr;
 /// How guards are (re-)evaluated each step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalPath {
-    /// The legacy `O(n)` path: every guard re-evaluated every step, and at
-    /// the `Sim` layer whole-configuration observer rebuilds. Kept as the
-    /// differential-testing reference; not composable with other knobs.
+    /// The textbook oracle: every guard re-evaluated every step; under
+    /// `Sim` the committee algorithms evaluate through the paper's guards
+    /// one by one (the per-guard reference, not the fact cascade), policy
+    /// ticks are full `O(n)` ticks and the observers rebuild whole views.
+    /// The differential-testing reference; not composable with other knobs.
     FullScan,
-    /// The PR-1 baseline: sequential incremental drain, the per-guard
-    /// *reference* evaluator and full `O(n)` policy ticks — the trajectory
-    /// baseline the `BENCH_N.json` records in git history measure against.
-    /// Algorithm-level: applied by the `Sim` layer, not by a bare
-    /// [`World`](crate::engine::World). Not composable with other knobs.
-    Reference,
     /// The incremental dirty-set scheduler with **value-level**
     /// invalidation — the default engine. A commit diffs each staged state
     /// against the one it replaces and hands the changed processes to the
@@ -150,18 +146,10 @@ const BASE: EngineConfig = EngineConfig {
 };
 
 impl EngineConfig {
-    /// The legacy full-scan reference engine (`"full_scan"`).
+    /// The full-scan textbook oracle (`"full_scan"`).
     pub const fn full_scan() -> Self {
         EngineConfig {
             eval: EvalPath::FullScan,
-            ..BASE
-        }
-    }
-
-    /// The PR-1 sequential incremental baseline (`"incremental"`).
-    pub const fn reference() -> Self {
-        EngineConfig {
-            eval: EvalPath::Reference,
             ..BASE
         }
     }
@@ -214,11 +202,10 @@ impl EngineConfig {
         let composed = !matches!(self.drain, Drain::Sequential)
             || self.trusted_daemon
             || self.incremental_daemon;
-        match self.eval {
-            EvalPath::FullScan if composed => Err(ConfigError::ComposedBaseline("full_scan")),
-            EvalPath::Reference if composed => Err(ConfigError::ComposedBaseline("incremental")),
-            _ => Ok(()),
+        if self.eval == EvalPath::FullScan && composed {
+            return Err(ConfigError::ComposedBaseline);
         }
+        Ok(())
     }
 }
 
@@ -226,13 +213,9 @@ impl EngineConfig {
 /// `configure` call, or mode-label parsing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A reference eval path (`full_scan` / `incremental`) composed with
-    /// the very engine features it is the differential baseline for.
-    ComposedBaseline(&'static str),
-    /// [`EvalPath::Reference`] applied to a bare
-    /// [`World`](crate::engine::World): the reference evaluator is swapped
-    /// inside the *algorithm*, which only the `Sim` layer can reach.
-    ReferenceOutsideSim,
+    /// The `full_scan` oracle composed with the very engine features it is
+    /// the differential baseline for.
+    ComposedBaseline,
     /// `incremental_daemon` applied to a bare
     /// [`World`](crate::engine::World): the daemon object is owned by the
     /// caller (it is passed per step), so only the owning layer
@@ -256,15 +239,10 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ComposedBaseline(mode) => write!(
+            ConfigError::ComposedBaseline => write!(
                 f,
-                "the '{mode}' reference path is a differential baseline and cannot be \
+                "the 'full_scan' oracle is a differential baseline and cannot be \
                  composed with other engine features"
-            ),
-            ConfigError::ReferenceOutsideSim => write!(
-                f,
-                "the reference eval path swaps the algorithm's guard evaluator; apply it \
-                 through Sim/AnySim, not a bare World"
             ),
             ConfigError::DaemonViewOutsideWorld => write!(
                 f,
@@ -297,10 +275,8 @@ impl fmt::Display for EngineConfig {
             return f.write_str(mode.name);
         }
         let mut parts: Vec<String> = Vec::new();
-        match self.eval {
-            EvalPath::FullScan => parts.push("full_scan".into()),
-            EvalPath::Reference => parts.push("incremental".into()),
-            EvalPath::Incremental => {}
+        if self.eval == EvalPath::FullScan {
+            parts.push("full_scan".into());
         }
         if let Drain::Distributed { shards } = self.drain {
             parts.push(format!("dist{shards}"));
@@ -323,17 +299,20 @@ impl FromStr for EngineConfig {
     type Err = ConfigError;
 
     /// Parse a registry mode name (`"daemon"`) or a `+`-joined token
-    /// string (`"dist2+trusted"`). Tokens: `full_scan`,
-    /// `incremental`/`pr1`/`reference`, `par1`/`seq`, `distN` (distributed
-    /// drain over N shard actors), `trusted`, `daemon_view`/`daemon_inc`,
-    /// plus the composite label `daemon`. Parsing does **not** validate —
-    /// call [`EngineConfig::validate`] (the `configure` entry points do).
+    /// string (`"dist2+trusted"`). Tokens: `full_scan`, `par1`/`seq`,
+    /// `distN` (distributed drain over N shard actors), `trusted`,
+    /// `daemon_view`/`daemon_inc`, plus the composite label `daemon`.
+    /// Parsing does **not** validate — call [`EngineConfig::validate`] (the
+    /// `configure` entry points do).
     ///
-    /// Legacy: two engine features were modes of their own before they
+    /// Legacy: three engine features were modes of their own before they
     /// were folded, and checkpoints written then carry their labels. They
     /// still parse — as spellings of the trajectory-identical path that
     /// survives — and `Display` never emits them:
     ///
+    /// * the PR-1 per-guard baseline, now the `full_scan` oracle's
+    ///   evaluator: `incremental`/`pr1`/`reference` spell the default
+    ///   evaluation (`"incremental"` → `"par1"`);
     /// * value-level invalidation, now the default path: the `vl`/`value`
     ///   token and the `vl_` mode prefix (`"vl+trusted+daemon_view"`,
     ///   `"vl_daemon"`);
@@ -355,8 +334,7 @@ impl FromStr for EngineConfig {
             match tok.trim() {
                 "par1" | "seq" => cfg.drain = Drain::Sequential,
                 "full_scan" => cfg.eval = EvalPath::FullScan,
-                "incremental" | "pr1" | "reference" => cfg.eval = EvalPath::Reference,
-                "vl" | "value" => {}
+                "incremental" | "pr1" | "reference" | "vl" | "value" => {}
                 "trusted" => cfg.trusted_daemon = true,
                 "daemon_view" | "daemon_inc" => cfg.incremental_daemon = true,
                 "daemon" | "pool" => {
@@ -405,19 +383,14 @@ pub struct Mode {
 /// engine and selectable by name everywhere.
 pub struct ModeRegistry;
 
-/// The registry table. Order is presentation order: the two reference
-/// paths, the default engine, the daemon stack, the two distributed
-/// message-passing tiers, then the single-knob compositions.
-static MODES: [Mode; 8] = [
+/// The registry table. Order is presentation order: the oracle, the
+/// default engine, the daemon stack, the two distributed message-passing
+/// tiers, then the single-knob compositions.
+static MODES: [Mode; 7] = [
     Mode {
         name: "full_scan",
-        summary: "legacy O(n) engine: every guard re-evaluated, whole-view observers (reference)",
+        summary: "textbook oracle: every guard re-evaluated one by one, full ticks, whole views",
         config: EngineConfig::full_scan(),
-    },
-    Mode {
-        name: "incremental",
-        summary: "PR-1 baseline: sequential incremental drain, per-guard evaluator, full ticks",
-        config: EngineConfig::reference(),
     },
     Mode {
         name: "par1",
@@ -491,13 +464,7 @@ mod tests {
             EngineConfig::full_scan()
                 .with_trusted_daemon(true)
                 .validate(),
-            Err(ConfigError::ComposedBaseline("full_scan"))
-        );
-        assert_eq!(
-            EngineConfig::reference()
-                .with_trusted_daemon(true)
-                .validate(),
-            Err(ConfigError::ComposedBaseline("incremental"))
+            Err(ConfigError::ComposedBaseline)
         );
     }
 
@@ -515,13 +482,13 @@ mod tests {
                 "{bad:?}"
             );
         }
-        // Composing a reference baseline with the distributed drain is the
+        // Composing the oracle with the distributed drain is the
         // pre-existing composed-baseline rejection, not a dist-specific one.
         assert_eq!(
             EngineConfig::full_scan()
                 .with_drain(Drain::distributed(2))
                 .validate(),
-            Err(ConfigError::ComposedBaseline("full_scan"))
+            Err(ConfigError::ComposedBaseline)
         );
     }
 
@@ -547,10 +514,14 @@ mod tests {
             let again: EngineConfig = cfg.to_string().parse().unwrap();
             assert_eq!(cfg, again, "{label}");
         }
-        // Labels of the former value-level modes and of the deleted pooled
-        // drain are spellings of the path that survives them: old artifacts
-        // parse, nothing prints them.
+        // Labels of the former value-level modes, of the deleted pooled
+        // drain and of the PR-1 per-guard baseline are spellings of the path
+        // that survives them: old artifacts parse, nothing prints them.
         for (legacy, now) in [
+            ("incremental", "par1"),
+            ("pr1", "par1"),
+            ("reference", "par1"),
+            ("incremental+trusted", "trusted"),
             ("vl", "par1"),
             ("value", "par1"),
             ("vl+trusted+daemon_view", "daemon"),

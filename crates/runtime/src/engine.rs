@@ -813,18 +813,14 @@ impl<A: GuardedAlgorithm> World<A> {
     /// ```
     ///
     /// # Errors
-    /// Anything [`EngineConfig::validate`] rejects, plus the three knobs a
-    /// bare `World` cannot apply: [`EvalPath::Reference`] (the reference
-    /// evaluator lives inside the *algorithm* — apply through the `Sim`
-    /// layer), `incremental_daemon` (the daemon object is owned by the
-    /// caller — use `Daemon::set_incremental_view` or the `Sim` layer),
-    /// and [`Drain::Distributed`] (the shard actors and their boundary
-    /// transport live above the engine — apply through `Sim`/`AnySim`).
+    /// Anything [`EngineConfig::validate`] rejects, plus the two knobs a
+    /// bare `World` cannot apply: `incremental_daemon` (the daemon object
+    /// is owned by the caller — use `Daemon::set_incremental_view` or the
+    /// `Sim` layer) and [`Drain::Distributed`] (the shard actors and their
+    /// boundary transport live above the engine — apply through
+    /// `Sim`/`AnySim`).
     pub fn configure(&mut self, cfg: &EngineConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        if cfg.eval == EvalPath::Reference {
-            return Err(ConfigError::ReferenceOutsideSim);
-        }
         if cfg.incremental_daemon {
             return Err(ConfigError::DaemonViewOutsideWorld);
         }
@@ -1020,12 +1016,12 @@ mod tests {
     fn configure_rejects_what_world_cannot_apply() {
         let mut w = world();
         assert_eq!(
-            w.configure(&EngineConfig::reference()),
-            Err(ConfigError::ReferenceOutsideSim)
-        );
-        assert_eq!(
             w.configure(&EngineConfig::default().with_incremental_daemon(true)),
             Err(ConfigError::DaemonViewOutsideWorld)
+        );
+        assert_eq!(
+            w.configure(&EngineConfig::default().with_drain(Drain::distributed(2))),
+            Err(ConfigError::DistributedOutsideSim)
         );
         // A failed configure leaves the engine usable.
         let (_, q) = w.run_to_quiescence(&mut Synchronous, &(), 100);

@@ -12,13 +12,9 @@ use proptest::prelude::*;
 use sscc_runtime::prelude::*;
 
 /// Deterministic enumeration of the whole configuration space (valid and
-/// invalid): 3 eval paths × 4 drains × 2² flags = 48 configs.
+/// invalid): 2 eval paths × 4 drains × 2² flags = 32 configs.
 fn config_space() -> Vec<EngineConfig> {
-    let evals = [
-        EvalPath::FullScan,
-        EvalPath::Reference,
-        EvalPath::Incremental,
-    ];
+    let evals = [EvalPath::FullScan, EvalPath::Incremental];
     let drains = [
         Drain::Sequential,
         Drain::distributed(1),
@@ -38,7 +34,7 @@ fn config_space() -> Vec<EngineConfig> {
             }
         }
     }
-    assert_eq!(all.len(), 48);
+    assert_eq!(all.len(), 32);
     all
 }
 
@@ -87,11 +83,12 @@ fn exhaustive_valid_configs_roundtrip() {
             .parse()
             .unwrap_or_else(|e| panic!("'{label}' must parse: {e}"));
         assert_eq!(parsed, cfg, "roundtrip through '{label}'");
-        // The pooled drain's labels are read, never written.
+        // The pooled drain's and the PR-1 baseline's labels are read,
+        // never written.
         assert!(
-            !label
-                .split('+')
-                .any(|t| t == "pool" || (t.starts_with("par") && t != "par1")),
+            !label.split('+').any(|t| t == "pool"
+                || (t.starts_with("par") && t != "par1")
+                || ["incremental", "pr1", "reference"].contains(&t)),
             "'{label}' names a deleted mode"
         );
     }
@@ -101,12 +98,16 @@ fn exhaustive_valid_configs_roundtrip() {
     );
 }
 
-/// The pooled parallel drain was bit-identical to the sequential one, so
-/// an artifact labelled with one of its modes denotes the sequential
-/// spelling; what never was a label still is not one.
+/// The pooled parallel drain was bit-identical to the sequential one, and
+/// the PR-1 per-guard baseline to the default engine, so an artifact
+/// labelled with one of their modes denotes the surviving spelling; what
+/// never was a label still is not one.
 #[test]
 fn legacy_pooled_labels_parse_as_their_sequential_spelling() {
     for (legacy, now) in [
+        ("incremental", "par1"),
+        ("pr1", "par1"),
+        ("reference", "par1"),
         ("par2", "par1"),
         ("par4b0", "par1"),
         ("pool", "daemon"),
@@ -139,7 +140,7 @@ proptest! {
     /// and parsing is total (Ok or Err, never a panic) on arbitrary
     /// `+`-joined token soup.
     #[test]
-    fn sampled_configs_roundtrip(ix in 0usize..48, seed in 0u64..1000) {
+    fn sampled_configs_roundtrip(ix in 0usize..32, seed in 0u64..1000) {
         let space = config_space();
         let cfg = space[ix % space.len()];
         match cfg.validate() {

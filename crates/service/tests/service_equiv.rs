@@ -174,7 +174,7 @@ fn engine_mode_does_not_change_the_served_trajectory() {
     // The registry modes are trajectory-equivalent; the service on top
     // must preserve that (same admissions, same meetings, same sojourns).
     let base = run_service(5, "par1", false);
-    for mode in ["incremental", "daemon", "dist2"] {
+    for mode in ["full_scan", "daemon", "dist2"] {
         let other = run_service(5, mode, false);
         assert_eq!(
             base.sim().ledger().instances(),
