@@ -14,13 +14,30 @@
 //! committees of up to 64, a boxed spill beyond. History is the only thing
 //! in a run that grows without bound, so its unit cost is pinned
 //! (`size_of::<MeetingInstance>() <= 96`, no allocation per convene).
+//!
+//! On the wire (checkpoint and service format version 3) the history is as
+//! compact as the record: a committee table holds each distinct
+//! (label, member list) once, append-only in first-use order, and a record
+//! is that table's index, a flags byte, the convene step and round, the
+//! termination as a distance from the convene, and the two position words
+//! — all varints, about 8 bytes for a two-member meeting where the
+//! fixed-width layout of versions 1 and 2 wrote 94 (field by field in
+//! ARCHITECTURE.md, "Snapshots, checkpoints, and replay"). Decoding
+//! accepts only what [`MeetingLedger::save_state`] writes, so
+//! decode-then-encode is the identity. The size bound a checkpoint
+//! reserves from ([`MeetingLedger::encoded_size_hint`]) is exact for
+//! terminated records and over by about 30 bytes for each live one. The
+//! fixed-width layout is read, never written, by one decoder, reached only
+//! when the envelope reports version 1 or 2 ([`LedgerLayout::Fixed`]);
+//! [`MeetingLedger::fingerprint`] digests the recorded fields rather than
+//! their bytes, so it is the same under both.
 
 use crate::predicates::edge_meets;
 use crate::status::{ActionClass, CommitteeView};
 use sscc_hypergraph::{EdgeId, Hypergraph, MutationDelta};
 use sscc_runtime::seal::SealCache;
 use sscc_runtime::wire::{self, StateCodec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,15 +148,69 @@ impl Positions {
         self.iter().next().is_none()
     }
 
-    /// Append the wire form: the length, then the *process* at each position.
-    fn encode(&self, members: &[usize], out: &mut Vec<u8>) {
-        wire::put_usize(out, self.iter().count());
-        self.iter().for_each(|at| wire::put_usize(out, members[at]));
+    /// Spilled out of the inline word? Read back from the record's flags.
+    fn is_listed(&self) -> bool {
+        matches!(self.0, Order::Listed(_))
     }
 
-    /// Read a process list as positions in `members`: every process a
-    /// member, none twice and, for a set, ascending — or `None`.
-    fn decode(r: &mut wire::Reader, members: &Members, set: bool) -> Option<Self> {
+    /// Append the compact wire form: the inline word as one varint, or a
+    /// spilled sequence as its length and then each position.
+    fn encode(&self, out: &mut Vec<u8>) {
+        match &self.0 {
+            Order::Ascending(w) => wire::put_varint(out, *w),
+            Order::Listed(l) => {
+                wire::put_varint(out, l.len() as u64);
+                l.iter().for_each(|&q| wire::put_varint(out, u64::from(q)));
+            }
+        }
+    }
+
+    /// Bytes [`Positions::encode`] appends.
+    fn encoded_len(&self) -> usize {
+        match &self.0 {
+            Order::Ascending(w) => varint_len(*w),
+            Order::Listed(l) => {
+                let items: usize = l.iter().map(|&q| varint_len(u64::from(q))).sum();
+                varint_len(l.len() as u64) + items
+            }
+        }
+    }
+
+    /// Most bytes [`Positions::encode`] can append for a committee of
+    /// `k`: the word (at most a full varint), or every position listed.
+    const fn bound(k: usize) -> usize {
+        let listed = varint_len(k as u64) + k * varint_len(k.saturating_sub(1) as u64);
+        if listed > 10 {
+            listed
+        } else {
+            10
+        }
+    }
+
+    /// Read the compact form for a committee of `k`, as [`Positions::encode`]
+    /// writes it and nothing else: a word has no bit at or beyond `k`; a
+    /// listed sequence holds distinct positions below `k` (ascending, for a
+    /// `set`) and is one the word cannot hold.
+    fn decode(r: &mut wire::Reader, k: usize, listed: bool, set: bool) -> Option<Self> {
+        if !listed {
+            let w = r.varint()?;
+            return (k >= 64 || w >> k == 0).then_some(Positions(Order::Ascending(w)));
+        }
+        let (mut out, mut floor) = (Positions::NONE, 0);
+        for _ in 0..r.varint_count(1)? {
+            let pos = usize::try_from(r.varint()?).ok()?;
+            if pos >= k || (set && pos < floor) || !out.insert(pos, false) {
+                return None;
+            }
+            floor = pos + 1;
+        }
+        out.is_listed().then_some(out)
+    }
+
+    /// Read the fixed-width form of format versions 1 and 2 — a length and
+    /// then the *process* at each position — as positions in `members`:
+    /// every process a member, none twice and, for a set, ascending.
+    fn decode_fixed(r: &mut wire::Reader, members: &Members, set: bool) -> Option<Self> {
         let (mut out, mut floor) = (Positions::NONE, 0);
         for _ in 0..r.count(8)? {
             let pos = members.position(r.usize()?)?;
@@ -152,8 +223,13 @@ impl Positions {
     }
 }
 
+/// Bytes [`wire::put_varint`] writes for `v`.
+const fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// One meeting of one committee, from convening to termination.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Eq)]
 pub struct MeetingInstance {
     /// Which committee met.
     pub edge: EdgeId,
@@ -174,6 +250,9 @@ pub struct MeetingInstance {
     /// Members that executed Step4 (unilateral leave) at termination, as
     /// positions in `participants` ([`MeetingInstance::leavers`]).
     pub left_by: Positions,
+    /// Where `edge` and `participants` sit in the ledger's committee table
+    /// — what the wire record names instead of repeating them.
+    committee: u32,
 }
 
 // History is 520 k records at `cc1-ring`'s mark: the record's size is the
@@ -208,6 +287,20 @@ impl MeetingInstance {
     }
 }
 
+/// What the record means: the committee-table index is the ledger's
+/// bookkeeping, not part of the meeting.
+impl PartialEq for MeetingInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.edge == other.edge
+            && self.convened_step == other.convened_step
+            && self.convened_round == other.convened_round
+            && self.terminated_step == other.terminated_step
+            && self.participants == other.participants
+            && self.essential == other.essential
+            && self.left_by == other.left_by
+    }
+}
+
 /// Prints processes, not positions — what the record means.
 impl fmt::Debug for MeetingInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -232,6 +325,138 @@ pub enum LedgerEvent {
     Terminated(usize),
 }
 
+/// The committee table of the wire format: each distinct committee a
+/// meeting was recorded on — its label and its member list — once, in the
+/// order the history first names it, so a record carries a small index
+/// instead of both. Append-only: an id, once given, names the same entry
+/// until a relocation rewrites history (and resets every seal with it).
+#[derive(Clone, Debug, Default)]
+struct Committees {
+    entries: Vec<(EdgeId, Members)>,
+    /// Ids of the entries carrying each label — the lookup behind a cache
+    /// miss; a label has one entry per membership it met with.
+    by_label: HashMap<EdgeId, Vec<u32>>,
+    /// Bytes [`Committees::encode_entry`] writes for all of `entries`.
+    bytes: usize,
+}
+
+impl Committees {
+    fn find(&self, edge: EdgeId, members: &[usize]) -> Option<u32> {
+        let ids = self.by_label.get(&edge)?;
+        ids.iter()
+            .copied()
+            .find(|&id| *self.entries[id as usize].1 == *members)
+    }
+
+    /// Append an entry the table does not hold; its id.
+    fn push(&mut self, edge: EdgeId, members: Members) -> u32 {
+        let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 committees");
+        self.bytes += Self::entry_len(edge, &members);
+        self.by_label.entry(edge).or_default().push(id);
+        self.entries.push((edge, members));
+        id
+    }
+
+    /// The id of committee `edge` with `members`, appended if new; `None`
+    /// unless `members` is strictly ascending.
+    fn intern(&mut self, edge: EdgeId, members: &[usize]) -> Option<u32> {
+        match self.find(edge, members) {
+            Some(id) => Some(id),
+            None => Some(self.push(edge, Members::new(members)?)),
+        }
+    }
+
+    /// Rename label `old` to `new` — a relocation. `None` when the ids all
+    /// stand; otherwise an entry now equals an earlier one, the table is
+    /// rebuilt without the duplicates (first-use order kept: the earlier
+    /// id survives, later ones close up) and the old-to-new id map returned.
+    fn relabel(&mut self, old: EdgeId, new: EdgeId) -> Option<Vec<u32>> {
+        let moved = self.by_label.remove(&old)?;
+        for &id in &moved {
+            let (edge, members) = &mut self.entries[id as usize];
+            self.bytes =
+                self.bytes - Self::entry_len(*edge, members) + Self::entry_len(new, members);
+            *edge = new;
+        }
+        let held = self.by_label.entry(new).or_default();
+        let collides = moved.iter().any(|&a| {
+            held.iter()
+                .any(|&b| self.entries[a as usize].1 == self.entries[b as usize].1)
+        });
+        held.extend(moved);
+        if !collides {
+            return None;
+        }
+        let entries = std::mem::take(self);
+        let map = entries.entries.into_iter().map(|(edge, members)| {
+            self.find(edge, &members)
+                .unwrap_or_else(|| self.push(edge, members))
+        });
+        Some(map.collect())
+    }
+
+    /// Append one entry: the label, the member count, the first member and
+    /// then each gap to the next less one — ascending by construction.
+    fn encode_entry(edge: EdgeId, members: &[usize], out: &mut Vec<u8>) {
+        wire::put_varint(out, u64::from(edge.0));
+        wire::put_varint(out, members.len() as u64);
+        let mut next = 0;
+        for &p in members {
+            wire::put_varint(out, (p - next) as u64);
+            next = p + 1;
+        }
+    }
+
+    fn entry_len(edge: EdgeId, members: &[usize]) -> usize {
+        let mut next = 0;
+        let gaps = members.iter().map(|&p| {
+            let gap = varint_len((p - next) as u64);
+            next = p + 1;
+            gap
+        });
+        varint_len(u64::from(edge.0)) + varint_len(members.len() as u64) + gaps.sum::<usize>()
+    }
+
+    /// Read the table [`MeetingLedger::save_state`] writes: no entry twice.
+    fn decode(r: &mut wire::Reader) -> Option<Self> {
+        let mut table = Committees::default();
+        for _ in 0..r.varint_count(2)? {
+            let edge = EdgeId(u32::try_from(r.varint()?).ok()?);
+            let mut members = Vec::with_capacity(r.varint_count(1)?);
+            let mut next = 0usize;
+            for _ in 0..members.capacity() {
+                let p = next.checked_add(usize::try_from(r.varint()?).ok()?)?;
+                members.push(p);
+                next = p.checked_add(1)?;
+            }
+            if table.find(edge, &members).is_some() {
+                return None;
+            }
+            table.push(edge, Members(members.into()));
+        }
+        Some(table)
+    }
+}
+
+/// Record flags: which optional fields follow, and which position
+/// sequences spilled out of their word.
+const CONVENED: u8 = 1;
+const TERMINATED: u8 = 2;
+const ESSENTIAL_LISTED: u8 = 4;
+const LEFT_LISTED: u8 = 8;
+
+/// Which record layout a ledger blob carries — what the envelope version of
+/// the artifact around it says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LedgerLayout {
+    /// Format versions 1 and 2: fixed-width fields and three member lists a
+    /// record. Read, never written.
+    Fixed,
+    /// Format version 3 and the bare [`MeetingLedger::save_state`] blob: a
+    /// committee table and varint records.
+    Compact,
+}
+
 /// Accumulates meeting instances over a computation.
 #[derive(Clone, Debug)]
 pub struct MeetingLedger {
@@ -241,16 +466,19 @@ pub struct MeetingLedger {
     /// Ascending edge ids of live meetings (maintained incrementally so
     /// per-step consumers never scan all `|E|` edges).
     live_sorted: Vec<EdgeId>,
-    /// `members[e]` = the handle the last meeting of edge `e` was given: a
-    /// cache checked against the graph at every use, so a membership change
-    /// or a restore costs one miss, never a stale participant list.
-    members: Vec<Option<Members>>,
+    /// Every committee the history names, each once.
+    committees: Committees,
+    /// `cached[e]` = the table entry the last meeting of edge `e` was given:
+    /// checked against the graph at every use, so a membership change or a
+    /// restore costs one table lookup, never a stale participant list.
+    cached: Vec<Option<u32>>,
     /// Post-initial instances recorded — [`MeetingLedger::convened_count`]
     /// without the scan. Derived, so not part of the wire format.
     convened: usize,
-    /// Sum of [`MeetingLedger::record_bound`] over `instances`, kept as they
-    /// open: what lets a checkpoint reserve its buffer once instead of
-    /// doubling its way through the history. Derived, not on the wire.
+    /// What the records encode to: exact for terminated ones, the
+    /// [`MeetingLedger::live_bound`] of live ones — what lets a checkpoint
+    /// reserve its buffer once instead of doubling its way through the
+    /// history. Derived, not on the wire.
     encoded_bound: usize,
     /// The share of `encoded_bound` the sealed prefix accounts for.
     sealed_bound: usize,
@@ -263,6 +491,8 @@ pub struct MeetingLedger {
     /// Terminated instances are immutable — except when a topology
     /// mutation remaps historical edge ids, which resets this cache.
     seal: SealCache,
+    /// The same for the committee table, whose entries are all immutable.
+    table_seal: SealCache,
 }
 
 impl MeetingLedger {
@@ -273,13 +503,15 @@ impl MeetingLedger {
             instances: Vec::new(),
             live: vec![None; h.m()],
             live_sorted: Vec::new(),
-            members: vec![None; h.m()],
+            committees: Committees::default(),
+            cached: vec![None; h.m()],
             convened: 0,
             encoded_bound: 0,
             sealed_bound: 0,
             participations: vec![0; h.n()],
             last_participation: vec![None; h.n()],
             seal: SealCache::new(),
+            table_seal: SealCache::new(),
         };
         for e in h.edge_ids() {
             if edge_meets(h, initial, e) {
@@ -290,31 +522,35 @@ impl MeetingLedger {
     }
 
     /// Record a new live instance of `e` (which has none) and return its
-    /// index. The record is a flat push: the member list is the interned
-    /// handle of `e`, re-made only when the graph's list differs from it.
+    /// index. The record is a flat push: the member list is the handle of
+    /// `e`'s table entry, looked up again only when the graph's list
+    /// differs from the one cached for `e`.
     fn open(&mut self, h: &Hypergraph, e: EdgeId, convened_step: Option<u64>, round: u64) -> usize {
         let idx = self.instances.len();
         self.live[e.index()] = Some(idx);
         let at = self.live_sorted.partition_point(|&x| x < e);
         self.live_sorted.insert(at, e);
         let now = h.members(e);
-        let participants = match &mut self.members[e.index()] {
-            Some(m) if **m == *now => m.clone(),
-            slot => slot
-                .insert(Members::new(now).expect("committee member lists are strictly ascending"))
-                .clone(),
+        let committee = match self.cached[e.index()] {
+            Some(id) if *self.committees.entries[id as usize].1 == *now => id,
+            _ => {
+                let id = self.committees.intern(e, now);
+                *self.cached[e.index()].insert(id.expect("committee member lists are ascending"))
+            }
         };
-        self.convened += usize::from(convened_step.is_some());
-        self.encoded_bound += Self::record_bound(now.len());
-        self.instances.push(MeetingInstance {
+        let inst = MeetingInstance {
             edge: e,
             convened_step,
             convened_round: round,
             terminated_step: None,
-            participants,
+            participants: self.committees.entries[committee as usize].1.clone(),
             essential: Positions::NONE,
             left_by: Positions::NONE,
-        });
+            committee,
+        };
+        self.convened += usize::from(convened_step.is_some());
+        self.encoded_bound += Self::live_bound(&inst);
+        self.instances.push(inst);
         idx
     }
 
@@ -323,8 +559,19 @@ impl MeetingLedger {
         let idx = self.live[e.index()].take()?;
         let at = self.live_sorted.binary_search(&e).expect("was in live set");
         self.live_sorted.remove(at);
-        self.instances[idx].terminated_step = Some(step);
+        self.terminate(idx, step);
         Some(idx)
+    }
+
+    /// Stamp instance `idx` terminated at `step`; from now on its record is
+    /// final, so the encoded bound takes its exact size.
+    fn terminate(&mut self, idx: usize, step: u64) {
+        let inst = &mut self.instances[idx];
+        let open = Self::live_bound(inst);
+        let convened = inst.convened_step.unwrap_or(0);
+        assert!(step >= convened, "a meeting cannot end before it convened");
+        inst.terminated_step = Some(step);
+        self.encoded_bound = self.encoded_bound - open + Self::record_len(inst);
     }
 
     /// Attribute an executed essential discussion or leave of `p` to the
@@ -510,22 +757,33 @@ impl MeetingLedger {
     ) {
         if let Some(e) = delta.removed() {
             if let Some(idx) = self.live[e.index()].take() {
-                self.instances[idx].terminated_step = Some(step);
+                self.terminate(idx, step);
             }
         }
         delta.remap_per_edge(&mut self.live, || None);
-        delta.remap_per_edge(&mut self.members, || None);
+        delta.remap_per_edge(&mut self.cached, || None);
         // Only a relocation changes an id history refers to (a dissolved
         // committee keeps its label): without one the walk over history —
         // the one term of a mutation that grows with the run — and the
         // re-seal of the terminated prefix are both skipped.
         if let Some((old, new)) = delta.moved() {
             self.seal.reset();
+            self.table_seal.reset();
             self.sealed_bound = 0;
+            let merged = self.committees.relabel(old, new);
             for inst in &mut self.instances {
                 if inst.edge == old {
                     inst.edge = new;
                 }
+                if let Some(map) = &merged {
+                    inst.committee = map[inst.committee as usize];
+                }
+            }
+            // Merged ids are smaller, so the bound only loosened; a rare
+            // event, so it is made exact again rather than carried.
+            if merged.is_some() {
+                self.cached.fill(None);
+                self.encoded_bound = self.instances.iter().map(Self::bound_of).sum();
             }
         }
         self.live_sorted = Self::live_slots(&self.live).collect();
@@ -606,67 +864,172 @@ impl MeetingLedger {
         self.participations.len()
     }
 
-    /// Most bytes [`MeetingLedger::encode_instance`] writes for a meeting of
-    /// `members`: 54 of fixed fields and list lengths (both steps present),
-    /// and each member listed three times — exact once everyone discussed
-    /// and left.
-    const fn record_bound(members: usize) -> usize {
-        54 + 24 * members
+    /// A digest of what the ledger recorded, independent of how it is laid
+    /// out on the wire: FNV-1a over the little-endian words of a canonical
+    /// walk — per record its edge, convene step, round, termination step,
+    /// participants, discussants (ascending) and leavers (in the order they
+    /// left); then the live slots, the participation counters and the last
+    /// participations. A list is its length and then its items; an absent
+    /// value is the word `0`, a present one `1` and then the value. Equal
+    /// fingerprints mean the same trajectory was recorded, whatever bytes
+    /// a format version writes for it.
+    pub fn fingerprint(&self) -> u64 {
+        struct Fnv(u64);
+        impl Fnv {
+            fn word(&mut self, v: u64) {
+                for b in v.to_le_bytes() {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            fn opt(&mut self, v: Option<u64>) {
+                match v {
+                    None => self.word(0),
+                    Some(v) => {
+                        self.word(1);
+                        self.word(v);
+                    }
+                }
+            }
+            fn list<I: Iterator<Item = usize>>(&mut self, items: impl Fn() -> I) {
+                self.word(items().count() as u64);
+                items().for_each(|x| self.word(x as u64));
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.word(self.instances.len() as u64);
+        for inst in &self.instances {
+            h.word(u64::from(inst.edge.0));
+            h.opt(inst.convened_step);
+            h.word(inst.convened_round);
+            h.opt(inst.terminated_step);
+            h.list(|| inst.participants.iter().copied());
+            h.list(|| inst.discussants());
+            h.list(|| inst.leavers());
+        }
+        h.word(self.live.len() as u64);
+        self.live.iter().for_each(|s| h.opt(s.map(|i| i as u64)));
+        h.word(self.participations.len() as u64);
+        self.participations.iter().for_each(|&c| h.word(c));
+        h.word(self.last_participation.len() as u64);
+        self.last_participation.iter().for_each(|&s| h.opt(s));
+        h.0
+    }
+
+    /// Bytes [`MeetingLedger::encode_record`] writes for `inst` — what the
+    /// encoded bound holds for a terminated record.
+    fn record_len(inst: &MeetingInstance) -> usize {
+        let convened = inst.convened_step.unwrap_or(0);
+        varint_len(u64::from(inst.committee))
+            + 1
+            + inst.convened_step.map_or(0, varint_len)
+            + varint_len(inst.convened_round)
+            + inst.terminated_step.map_or(0, |t| varint_len(t - convened))
+            + inst.essential.encoded_len()
+            + inst.left_by.encoded_len()
+    }
+
+    /// Most bytes the record of live `inst` can come to once it terminates:
+    /// its fixed prefix exactly, a full varint for the termination and the
+    /// [`Positions::bound`] of each sequence.
+    fn live_bound(inst: &MeetingInstance) -> usize {
+        varint_len(u64::from(inst.committee))
+            + 1
+            + inst.convened_step.map_or(0, varint_len)
+            + varint_len(inst.convened_round)
+            + 10
+            + 2 * Positions::bound(inst.participants.len())
+    }
+
+    /// What `inst` contributes to the encoded bound.
+    fn bound_of(inst: &MeetingInstance) -> usize {
+        if inst.live() {
+            Self::live_bound(inst)
+        } else {
+            Self::record_len(inst)
+        }
     }
 
     /// An upper bound on what [`MeetingLedger::save_state`] appends, in
-    /// `O(1)`: the running per-record bound plus the exact footer. A few
-    /// percent over on a ring (94 bytes written against 102 bounded for the
-    /// usual pair meeting one member left); sizes a buffer, nothing else.
+    /// `O(1)`: the table and the terminated records exactly, the live
+    /// records and the footer at their widest varints. Over by the live
+    /// records' open fields — on a ring about 30 bytes for each of the
+    /// meetings running, against about 9 written for each that ended; sizes
+    /// a buffer, nothing else.
     pub fn encoded_size_hint(&self) -> usize {
         let (m, n) = (self.live.len(), self.participations.len());
-        8 + self.encoded_bound + (8 + 9 * m) + (8 + 8 * n) + (8 + 9 * n)
+        30 + self.committees.bytes + self.encoded_bound + 10 * (m + 2 * n)
     }
 
-    /// Wire encoding of one instance — the unit [`MeetingLedger::save_state`],
-    /// the seal cache and [`LedgerSnapshot::encode`] must agree on.
+    /// The wire record of one instance — the unit [`MeetingLedger::save_state`],
+    /// the seal cache and [`LedgerSnapshot::encode`] must agree on:
     ///
-    /// The layout is that of the `Vec` / `BTreeSet` / `Vec` record this one
-    /// replaced — three length-prefixed lists of *processes*, the second
-    /// ascending — so no stored byte moved when the record went flat.
-    fn encode_instance(inst: &MeetingInstance, out: &mut Vec<u8>) {
-        inst.edge.encode(out);
-        inst.convened_step.encode(out);
-        wire::put_u64(out, inst.convened_round);
-        inst.terminated_step.encode(out);
-        wire::put_usize_slice(out, &inst.participants);
-        inst.essential.encode(&inst.participants, out);
-        inst.left_by.encode(&inst.participants, out);
+    /// ```text
+    /// committee  varint  index into the committee table (edge, members)
+    /// flags      u8      CONVENED | TERMINATED | ESSENTIAL_LISTED | LEFT_LISTED
+    /// convened   varint  convene step, if CONVENED
+    /// round      varint  completed rounds at the convene
+    /// ended      varint  termination step less the convene step (less 0
+    ///                    for a pre-initial meeting), if TERMINATED
+    /// essential  varint  the position word, or if listed a count and
+    ///                    each position, ascending
+    /// left_by    varint  the same, in the order the members left
+    /// ```
+    fn encode_record(inst: &MeetingInstance, out: &mut Vec<u8>) {
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        let flags = flag(inst.convened_step.is_some(), CONVENED)
+            | flag(inst.terminated_step.is_some(), TERMINATED)
+            | flag(inst.essential.is_listed(), ESSENTIAL_LISTED)
+            | flag(inst.left_by.is_listed(), LEFT_LISTED);
+        wire::put_varint(out, u64::from(inst.committee));
+        wire::put_u8(out, flags);
+        if let Some(step) = inst.convened_step {
+            wire::put_varint(out, step);
+        }
+        wire::put_varint(out, inst.convened_round);
+        if let Some(step) = inst.terminated_step {
+            wire::put_varint(out, step - inst.convened_step.unwrap_or(0));
+        }
+        inst.essential.encode(out);
+        inst.left_by.encode(out);
     }
 
-    /// Wire encoding of everything after the instance list: live slots,
-    /// participation counters, last-participation steps.
+    /// Wire encoding of everything after the records: each live slot (`0`
+    /// for none, else one more than the instance index), the participation
+    /// counters, the last-participation steps (`0` for none, else one more
+    /// than the step).
     fn encode_footer(
         out: &mut Vec<u8>,
         live: &[Option<usize>],
         participations: &[u64],
         last_participation: &[Option<u64>],
     ) {
-        wire::put_usize(out, live.len());
+        wire::put_varint(out, live.len() as u64);
         for slot in live {
-            match slot {
-                None => wire::put_u8(out, 0),
-                Some(idx) => {
-                    wire::put_u8(out, 1);
-                    wire::put_usize(out, *idx);
-                }
-            }
+            wire::put_varint(out, slot.map_or(0, |idx| idx as u64 + 1));
         }
-        wire::put_u64_slice(out, participations);
-        wire::put_opt_u64_slice(out, last_participation);
+        wire::put_varint(out, participations.len() as u64);
+        participations
+            .iter()
+            .for_each(|&c| wire::put_varint(out, c));
+        for step in last_participation {
+            wire::put_varint(out, step.map_or(0, |s| s + 1));
+        }
     }
 
-    /// Serialize the full meeting history and live set. `live_sorted` is
-    /// derivable (ascending filter of `live`) and not written.
+    /// Serialize the full meeting history and live set: the committee table,
+    /// the records, the footer, each list behind a varint count.
+    /// `live_sorted` is derivable (ascending filter of `live`) and not
+    /// written.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        wire::put_usize(out, self.instances.len());
+        let entries = &self.committees.entries;
+        wire::put_varint(out, entries.len() as u64);
+        for (edge, members) in entries {
+            Committees::encode_entry(*edge, members, out);
+        }
+        wire::put_varint(out, self.instances.len() as u64);
         for inst in &self.instances {
-            Self::encode_instance(inst, out);
+            Self::encode_record(inst, out);
         }
         Self::encode_footer(
             out,
@@ -676,13 +1039,24 @@ impl MeetingLedger {
         );
     }
 
-    /// Capture an **online snapshot** of the ledger: the longest
-    /// all-terminated instance prefix is sealed into shared segments
-    /// (amortized `O(meetings closed since the last capture)`), the live
-    /// tail and the per-process counters are cloned (`O(live)` memcpys) —
-    /// never `O(history)`. [`LedgerSnapshot::encode`] reassembles the
-    /// exact [`MeetingLedger::save_state`] bytes off the critical path.
+    /// Capture an **online snapshot** of the ledger: the committee table and
+    /// the longest all-terminated instance prefix are sealed into shared
+    /// segments (amortized `O(entries and meetings new since the last
+    /// capture)`), the live tail and the per-process counters are cloned
+    /// (`O(live)` memcpys) — never `O(history)`. [`LedgerSnapshot::encode`]
+    /// reassembles the exact [`MeetingLedger::save_state`] bytes off the
+    /// critical path.
     pub fn snapshot(&mut self) -> LedgerSnapshot {
+        let entries = &self.committees.entries;
+        let from = self.table_seal.covered();
+        let fresh = &entries[from..];
+        let bytes = fresh.iter().map(|(e, m)| Committees::entry_len(*e, m));
+        self.table_seal
+            .extend_to(entries.len(), bytes.sum(), |buf| {
+                for (edge, members) in fresh {
+                    Committees::encode_entry(*edge, members, buf);
+                }
+            });
         // Advance the seal over instances that terminated since last time.
         // The prefix stops at the first still-live instance: everything
         // before it is immutable (termination closes an instance for good;
@@ -699,12 +1073,14 @@ impl MeetingLedger {
         let unsealed = self.encoded_bound - self.sealed_bound;
         self.seal.extend_to(upto, unsealed, |buf| {
             for inst in &instances[covered..upto] {
-                Self::encode_instance(inst, buf);
-                sealed += Self::record_bound(inst.participants.len());
+                Self::encode_record(inst, buf);
+                sealed += Self::record_len(inst);
             }
         });
         self.sealed_bound += sealed;
         LedgerSnapshot {
+            committees: entries.len(),
+            table: self.table_seal.segments().to_vec(),
             total: self.instances.len(),
             sealed: self.seal.segments().to_vec(),
             tail: self.instances[self.seal.covered()..].to_vec(),
@@ -714,75 +1090,33 @@ impl MeetingLedger {
         }
     }
 
-    /// Decode a ledger written by [`MeetingLedger::save_state`], rebuilding
-    /// `live_sorted` and the convene count and re-validating the rest: every
-    /// live slot names an un-terminated instance of that very edge, every
-    /// member list is strictly ascending, `essential` is an ascending and
-    /// `left_by` a duplicate-free selection *of the participants*. Only
-    /// blobs `save_state` can write decode, so decode-then-encode is the
-    /// identity.
-    pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
-        // ≥ 38 bytes per instance (all three member lists empty).
-        let count = r.count(38)?;
-        let mut instances = Vec::with_capacity(count);
-        // Instances of one committee share one handle again. A map, not a
-        // table: a dissolved committee's label may exceed `|E|`, and nothing
-        // read from input may size an allocation.
-        let mut handles: BTreeMap<EdgeId, Members> = BTreeMap::new();
-        let mut list = Vec::new();
-        // The derived counters ride the decode loop: another pass over the
-        // records is another 52 MB through the cache.
-        let (mut convened, mut encoded_bound) = (0, 0);
-        for _ in 0..count {
-            let edge = EdgeId::decode(r)?;
-            let convened_step = Option::<u64>::decode(r)?;
-            let convened_round = r.u64()?;
-            let terminated_step = Option::<u64>::decode(r)?;
-            list.clear();
-            for _ in 0..r.count(8)? {
-                list.push(r.usize()?);
-            }
-            let participants = match handles.get(&edge) {
-                Some(m) if **m == *list => m.clone(),
-                _ => {
-                    let m = Members::new(&list)?;
-                    handles.insert(edge, m.clone());
-                    m
-                }
-            };
-            let essential = Positions::decode(r, &participants, true)?;
-            let left_by = Positions::decode(r, &participants, false)?;
-            convened += usize::from(convened_step.is_some());
-            encoded_bound += Self::record_bound(participants.len());
-            instances.push(MeetingInstance {
-                edge,
-                convened_step,
-                convened_round,
-                terminated_step,
-                participants,
-                essential,
-                left_by,
-            });
+    /// The ledger around decoded `instances`, its table and footer, once the
+    /// invariants every decode shares hold: every live slot names an
+    /// un-terminated instance of that very edge and every un-terminated
+    /// instance has its slot, and no member list names a process outside
+    /// the `participations` dimension.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        committees: Committees,
+        instances: Vec<MeetingInstance>,
+        live: Vec<Option<usize>>,
+        participations: Vec<u64>,
+        last_participation: Vec<Option<u64>>,
+        convened: usize,
+        encoded_bound: usize,
+    ) -> Option<Self> {
+        let n = participations.len();
+        let named = live.iter().enumerate().try_fold(0, |named, (ei, slot)| {
+            let Some(idx) = *slot else { return Some(named) };
+            let inst = instances.get(idx)?;
+            (inst.edge.index() == ei && inst.live()).then_some(named + 1)
+        })?;
+        let outside = |(_, m): &(EdgeId, Members)| m.last().is_some_and(|&p| p >= n);
+        let running = instances.iter().filter(|inst| inst.live()).count();
+        if named != running || last_participation.len() != n {
+            return None;
         }
-        let m = r.count(1)?;
-        let mut live = Vec::with_capacity(m);
-        for ei in 0..m {
-            live.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let idx = r.usize()?;
-                    let inst = instances.get(idx)?;
-                    if inst.edge.index() != ei || inst.terminated_step.is_some() {
-                        return None;
-                    }
-                    Some(idx)
-                }
-                _ => return None,
-            });
-        }
-        let participations = r.u64_vec()?;
-        let last_participation = r.opt_u64_vec()?;
-        if last_participation.len() != participations.len() {
+        if committees.entries.iter().any(outside) {
             return None;
         }
         Some(MeetingLedger {
@@ -791,22 +1125,204 @@ impl MeetingLedger {
             sealed_bound: 0,
             instances,
             live_sorted: Self::live_slots(&live).collect(),
+            cached: vec![None; live.len()],
             live,
-            members: vec![None; m],
+            committees,
             participations,
             last_participation,
             seal: SealCache::new(),
+            table_seal: SealCache::new(),
         })
+    }
+
+    /// Decode a ledger written by [`MeetingLedger::save_state`], rebuilding
+    /// `live_sorted`, the convene count and the encoded bound, and
+    /// re-validating the rest: the table holds no entry twice and names
+    /// each in first-use order; a record names an entry, sets no unknown
+    /// flag, ends no earlier than it convened and lists only positions of
+    /// its members, spilled only where the word cannot hold them; every
+    /// live slot names an unterminated meeting of that very committee and
+    /// every unterminated meeting has its slot; no member list names a
+    /// process outside the per-process counters. Every varint is the
+    /// shortest. Only blobs `save_state` can write decode, so
+    /// decode-then-encode is the identity — and a record's table index is
+    /// an array lookup, nothing more.
+    pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
+        let committees = Committees::decode(r)?;
+        // ≥ 5 bytes a record: index, flags, round and two position words.
+        let count = r.varint_count(5)?;
+        let mut instances = Vec::with_capacity(count);
+        // The derived counters ride the decode loop: another pass over the
+        // records is another pass through the cache.
+        let (mut convened, mut encoded_bound, mut named) = (0, 0, 0u32);
+        for _ in 0..count {
+            let before = r.remaining();
+            let committee = u32::try_from(r.varint()?).ok()?;
+            // First-use order: a record names an entry already named or the
+            // next one.
+            if committee > named {
+                return None;
+            }
+            named += u32::from(committee == named);
+            let (edge, participants) = committees.entries.get(committee as usize)?.clone();
+            let flags = r.u8()?;
+            if flags & !(CONVENED | TERMINATED | ESSENTIAL_LISTED | LEFT_LISTED) != 0 {
+                return None;
+            }
+            let convened_step = if flags & CONVENED != 0 {
+                Some(r.varint()?)
+            } else {
+                None
+            };
+            let convened_round = r.varint()?;
+            let terminated_step = if flags & TERMINATED != 0 {
+                Some(convened_step.unwrap_or(0).checked_add(r.varint()?)?)
+            } else {
+                None
+            };
+            let k = participants.len();
+            let essential = Positions::decode(r, k, flags & ESSENTIAL_LISTED != 0, true)?;
+            let left_by = Positions::decode(r, k, flags & LEFT_LISTED != 0, false)?;
+            let inst = MeetingInstance {
+                edge,
+                convened_step,
+                convened_round,
+                terminated_step,
+                participants,
+                essential,
+                left_by,
+                committee,
+            };
+            convened += usize::from(convened_step.is_some());
+            encoded_bound += if inst.live() {
+                Self::live_bound(&inst)
+            } else {
+                before - r.remaining()
+            };
+            instances.push(inst);
+        }
+        if named as usize != committees.entries.len() {
+            return None;
+        }
+        let m = r.varint_count(1)?;
+        let mut live = Vec::with_capacity(m);
+        for _ in 0..m {
+            live.push(match r.varint()? {
+                0 => None,
+                slot => Some(usize::try_from(slot - 1).ok()?),
+            });
+        }
+        let n = r.varint_count(2)?;
+        let participations = (0..n).map(|_| r.varint()).collect::<Option<Vec<_>>>()?;
+        let mut last_participation = Vec::with_capacity(n);
+        for _ in 0..n {
+            last_participation.push(r.varint()?.checked_sub(1));
+        }
+        Self::assemble(
+            committees,
+            instances,
+            live,
+            participations,
+            last_participation,
+            convened,
+            encoded_bound,
+        )
+    }
+
+    /// Decode the fixed-width ledger of format versions 1 and 2 — the
+    /// layout only artifacts written before version 3 carry, read here and
+    /// nowhere else — into a ledger that writes the compact layout from now
+    /// on. The committee table is rebuilt in first-use order as the records
+    /// go by. Validated like [`MeetingLedger::restore_state`]: every member
+    /// list strictly ascending, `essential` an ascending and `left_by` a
+    /// duplicate-free selection *of the participants*, no termination
+    /// before its convene, and the invariants of
+    /// [`MeetingLedger::assemble`].
+    pub(crate) fn restore_fixed(r: &mut wire::Reader) -> Option<Self> {
+        // ≥ 38 bytes per instance (all three member lists empty).
+        let count = r.count(38)?;
+        let mut instances = Vec::with_capacity(count);
+        let mut committees = Committees::default();
+        // The entry each label met with last. A map, not a table: a
+        // dissolved committee's label may exceed `|E|`, and nothing read
+        // from input may size an allocation.
+        let mut last: BTreeMap<EdgeId, u32> = BTreeMap::new();
+        let mut list = Vec::new();
+        let (mut convened, mut encoded_bound) = (0, 0);
+        for _ in 0..count {
+            let edge = EdgeId::decode(r)?;
+            let convened_step = Option::<u64>::decode(r)?;
+            let convened_round = r.u64()?;
+            let terminated_step = Option::<u64>::decode(r)?;
+            if terminated_step.is_some_and(|t| t < convened_step.unwrap_or(0)) {
+                return None;
+            }
+            list.clear();
+            for _ in 0..r.count(8)? {
+                list.push(r.usize()?);
+            }
+            let committee = match last.get(&edge) {
+                Some(&id) if *committees.entries[id as usize].1 == *list => id,
+                _ => {
+                    let id = committees.intern(edge, &list)?;
+                    last.insert(edge, id);
+                    id
+                }
+            };
+            let participants = committees.entries[committee as usize].1.clone();
+            let essential = Positions::decode_fixed(r, &participants, true)?;
+            let left_by = Positions::decode_fixed(r, &participants, false)?;
+            let inst = MeetingInstance {
+                edge,
+                convened_step,
+                convened_round,
+                terminated_step,
+                participants,
+                essential,
+                left_by,
+                committee,
+            };
+            convened += usize::from(convened_step.is_some());
+            encoded_bound += Self::bound_of(&inst);
+            instances.push(inst);
+        }
+        let m = r.count(1)?;
+        let mut live = Vec::with_capacity(m);
+        for _ in 0..m {
+            live.push(match r.u8()? {
+                0 => None,
+                1 => Some(r.usize()?),
+                _ => return None,
+            });
+        }
+        let participations = r.u64_vec()?;
+        let last_participation = r.opt_u64_vec()?;
+        // The compact footer writes a step as one more than itself.
+        if last_participation.contains(&Some(u64::MAX)) {
+            return None;
+        }
+        Self::assemble(
+            committees,
+            instances,
+            live,
+            participations,
+            last_participation,
+            convened,
+            encoded_bound,
+        )
     }
 }
 
-/// A captured meeting ledger: sealed shared segments for the terminated
-/// history plus owned clones of the live tail and counters. Capture
-/// ([`MeetingLedger::snapshot`]) is `O(live)`; [`LedgerSnapshot::encode`]
-/// produces the exact [`MeetingLedger::save_state`] bytes and is meant
-/// for off-critical-path assembly.
+/// A captured meeting ledger: sealed shared segments for the committee
+/// table and the terminated history plus owned clones of the live tail and
+/// counters. Capture ([`MeetingLedger::snapshot`]) is `O(live)`;
+/// [`LedgerSnapshot::encode`] produces the exact
+/// [`MeetingLedger::save_state`] bytes and is meant for off-critical-path
+/// assembly.
 #[derive(Clone, Debug)]
 pub struct LedgerSnapshot {
+    committees: usize,
+    table: Vec<Arc<Vec<u8>>>,
     total: usize,
     sealed: Vec<Arc<Vec<u8>>>,
     tail: Vec<MeetingInstance>,
@@ -828,12 +1344,16 @@ impl LedgerSnapshot {
 
     /// Append the flat [`MeetingLedger::save_state`] encoding.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        wire::put_usize(out, self.total);
+        wire::put_varint(out, self.committees as u64);
+        for seg in &self.table {
+            out.extend_from_slice(seg);
+        }
+        wire::put_varint(out, self.total as u64);
         for seg in &self.sealed {
             out.extend_from_slice(seg);
         }
         for inst in &self.tail {
-            MeetingLedger::encode_instance(inst, out);
+            MeetingLedger::encode_record(inst, out);
         }
         MeetingLedger::encode_footer(
             out,
@@ -1195,13 +1715,51 @@ mod tests {
                 wire::put_usize_slice(out, &essential);
                 wire::put_usize_slice(out, &inst.left_by);
             }
-            MeetingLedger::encode_footer(
+            fixed_footer(
                 out,
                 &self.live,
                 &self.participations,
                 &self.last_participation,
             );
         }
+    }
+
+    /// The footer of the fixed-width layout: live slots as tagged `u64`s,
+    /// then the two per-process vectors.
+    fn fixed_footer(
+        out: &mut Vec<u8>,
+        live: &[Option<usize>],
+        participations: &[u64],
+        last_participation: &[Option<u64>],
+    ) {
+        wire::put_usize(out, live.len());
+        for slot in live {
+            slot.map(|idx| idx as u64).encode(out);
+        }
+        wire::put_u64_slice(out, participations);
+        wire::put_opt_u64_slice(out, last_participation);
+    }
+
+    /// What format versions 1 and 2 held for `ledger`, written from its flat
+    /// records: the layout [`MeetingLedger::restore_fixed`] reads and
+    /// nothing outside the tests writes any more.
+    fn save_fixed(ledger: &MeetingLedger, out: &mut Vec<u8>) {
+        wire::put_usize(out, ledger.instances.len());
+        for inst in &ledger.instances {
+            inst.edge.encode(out);
+            inst.convened_step.encode(out);
+            wire::put_u64(out, inst.convened_round);
+            inst.terminated_step.encode(out);
+            wire::put_usize_slice(out, &inst.participants);
+            wire::put_usize_slice(out, &inst.discussants().collect::<Vec<_>>());
+            wire::put_usize_slice(out, &inst.leavers().collect::<Vec<_>>());
+        }
+        let (live, counts, last) = (
+            &ledger.live,
+            &ledger.participations,
+            &ledger.last_participation,
+        );
+        fixed_footer(out, live, counts, last);
     }
 
     /// A bare ledger and the reference under one random history: convene,
@@ -1350,19 +1908,31 @@ mod tests {
         }
 
         /// `save_state`, checked against `snapshot().encode` (when asked:
-        /// a capture advances the seal) and against the reference.
+        /// a capture advances the seal), against the bound, and through
+        /// the fixed-width layout: the flat records write the reference's
+        /// bytes in it, and those decode to the ledger that wrote `flat`.
         fn bytes(&mut self, capture: bool) -> Vec<u8> {
-            let (mut flat, mut reference, mut captured) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut flat, mut captured) = (Vec::new(), Vec::new());
             self.ledger.save_state(&mut flat);
-            self.old.save_state(&mut reference);
-            assert!(flat == reference, "step {}: save_state moved", self.step);
             let hint = self.ledger.encoded_size_hint();
             assert!(flat.len() <= hint, "step {}: hint under", self.step);
             if capture {
                 self.ledger.snapshot().encode(&mut captured);
                 assert!(flat == captured, "step {}: snapshot moved", self.step);
             }
+            let (fixed, mut reference, mut again) = (self.fixed(), Vec::new(), Vec::new());
+            self.old.save_state(&mut reference);
+            assert!(fixed == reference, "step {}: the records moved", self.step);
+            let read = MeetingLedger::restore_fixed(&mut wire::Reader::new(&fixed)).unwrap();
+            read.save_state(&mut again);
+            assert!(again == flat, "step {}: the layouts disagree", self.step);
             flat
+        }
+
+        fn fixed(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            save_fixed(&self.ledger, &mut out);
+            out
         }
     }
 
@@ -1385,6 +1955,7 @@ mod tests {
             proptest::prop_assert_eq!(rig.ledger.convened_count(), convened);
             proptest::prop_assert_eq!(twin.convened_count(), convened);
             proptest::prop_assert_eq!(twin.encoded_size_hint(), rig.ledger.encoded_size_hint());
+            proptest::prop_assert_eq!(twin.fingerprint(), rig.ledger.fingerprint());
         }
     }
 
@@ -1400,6 +1971,9 @@ mod tests {
         assert!(instances.iter().any(|i| spilled(&i.left_by)));
         wire::fails_closed(None, &rig.bytes(true), |b| {
             MeetingLedger::restore_state(&mut wire::Reader::new(b)).is_some()
+        });
+        wire::fails_closed(None, &rig.fixed(), |b| {
+            MeetingLedger::restore_fixed(&mut wire::Reader::new(b)).is_some()
         });
     }
 
@@ -1420,12 +1994,12 @@ mod tests {
             wire::put_usize_slice(&mut out, &[p3, p4]);
             wire::put_usize_slice(&mut out, essential);
             wire::put_usize_slice(&mut out, left_by);
-            MeetingLedger::encode_footer(&mut out, &vec![None; h.m()], &[0; 5], &[None; 5]);
+            fixed_footer(&mut out, &vec![None; h.m()], &[0; 5], &[None; 5]);
             out
         };
         let accepts = |essential: &[usize], left_by: &[usize]| {
             let bytes = blob(essential, left_by);
-            MeetingLedger::restore_state(&mut wire::Reader::new(&bytes)).is_some()
+            MeetingLedger::restore_fixed(&mut wire::Reader::new(&bytes)).is_some()
         };
         assert!(accepts(&[p3, p4], &[p4, p3]), "leavers come in any order");
         assert!(!accepts(&[p3, outsider], &[p3]), "a discussant outside");

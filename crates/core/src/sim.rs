@@ -7,7 +7,7 @@
 
 use crate::algo::CommitteeAlgorithm;
 use crate::compose::Composed;
-use crate::meetings::{LedgerEvent, MeetingLedger};
+use crate::meetings::{LedgerEvent, LedgerLayout, MeetingLedger};
 use crate::oracle::{OraclePolicy, PolicyView, RequestFlags};
 use crate::predicates;
 use crate::spec::SpecMonitor;
@@ -1025,6 +1025,27 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         C::State: Copy + StateCodec,
         TL::State: Copy + StateCodec,
     {
+        Self::restore_as(h, cc, tl, bytes, LedgerLayout::Compact)
+    }
+
+    /// [`Sim::restore`] of a blob whose meeting ledger is laid out as
+    /// `layout` says — [`LedgerLayout::Fixed`] inside a container of a
+    /// format version before the compact history, the only other layout
+    /// there is. Everything else in the blob is the same in both; the
+    /// restored sim writes the compact layout from then on.
+    pub fn restore_as(
+        h: Arc<Hypergraph>,
+        cc: C,
+        tl: TL,
+        bytes: &[u8],
+        layout: LedgerLayout,
+    ) -> Option<Self>
+    where
+        C: 'static,
+        TL: 'static,
+        C::State: Copy + StateCodec,
+        TL::State: Copy + StateCodec,
+    {
         use sscc_runtime::wire;
         let n = h.n();
         let m = h.m();
@@ -1065,12 +1086,15 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
             return None;
         }
         let rounds = RoundTracker::restore_state(&mut r)?;
-        let ledger = MeetingLedger::restore_state(&mut r)?;
+        let ledger = match layout {
+            LedgerLayout::Fixed => MeetingLedger::restore_fixed(&mut r)?,
+            LedgerLayout::Compact => MeetingLedger::restore_state(&mut r)?,
+        };
         if ledger.edge_slots() != m || ledger.process_slots() != n {
             return None;
         }
         let monitor = SpecMonitor::restore_state(&mut r)?;
-        let daemon = restore_daemon(r.bytes()?)?;
+        let daemon = restore_daemon(r.bytes()?, n)?;
         let policy = crate::oracle::restore_policy(r.bytes()?)?;
         let ev_count = r.count(9)?;
         let mut last_events = Vec::with_capacity(ev_count);

@@ -36,6 +36,7 @@ pub const FRAME_VERSION: u16 = 3;
 pub const ENVELOPE: Envelope = Envelope {
     magic: &[0x57, 0xD1],
     version: FRAME_VERSION,
+    previous: None,
     legacy: None,
 };
 

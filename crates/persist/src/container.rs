@@ -19,10 +19,21 @@
 //! the one copy of a borrowed input plus the first touch of the record
 //! vector — a full image per checkpoint either way, until the history
 //! itself is checkpointed incrementally.
+//!
+//! Version 3 writes the meeting history compactly (a committee table and
+//! varint records, about 8 bytes a two-member meeting against the 94 of
+//! the fixed-width records; see `sscc_core::meetings`), so the image a
+//! `cc1-ring` checkpoint writes shrinks from 51 MB to about 5 MB. Versions 1
+//! and 2 carry the fixed-width ledger and still open: [`Checkpoint`] keeps
+//! the image as written and restores it through the one legacy ledger
+//! decoder, chosen by the version the envelope reports; what it restores
+//! writes version 3. Capture reserves the image once from
+//! `Sim::encoded_size_hint` — exact for the terminated records, a few
+//! dozen bytes over for each meeting still running.
 
 use crate::topology::{decode_topology, encode_topology};
 use sscc_core::sim::{Cc1Sim, Cc2Sim, Cc3Sim, Sim};
-use sscc_core::CommitteeAlgorithm;
+use sscc_core::{CommitteeAlgorithm, LedgerLayout};
 use sscc_hypergraph::Hypergraph;
 use sscc_runtime::wire::{self, Envelope, EnvelopeError, Reader, StateCodec};
 use sscc_token::TokenLayer;
@@ -32,15 +43,26 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Current container format version. Bump on any layout change; decoders
-/// reject versions they do not understand rather than guessing. (Version 1
-/// is this layout under the envelope's previous checksum; it still opens.)
-pub const FORMAT_VERSION: u16 = 2;
+/// reject versions they do not understand rather than guessing. Versions 1
+/// and 2 carry the fixed-width meeting ledger (version 1 under the
+/// envelope's earlier checksum); both still open, neither is written.
+pub const FORMAT_VERSION: u16 = 3;
 
 const ENVELOPE: Envelope = Envelope {
     magic: b"SSCCKPT\0",
     version: FORMAT_VERSION,
+    previous: Some(2),
     legacy: Some(1),
 };
+
+/// The meeting-ledger layout inside a container of `version`.
+fn ledger_layout(version: u16) -> LedgerLayout {
+    if version < 3 {
+        LedgerLayout::Fixed
+    } else {
+        LedgerLayout::Compact
+    }
+}
 
 /// Why a checkpoint failed to decode or restore.
 #[derive(Debug)]
@@ -95,15 +117,18 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// A decoded (or freshly captured) checkpoint: the sealed container image
-/// and where its three fields lie in it. The image is immutable and shared,
-/// so cloning a checkpoint or taking its bytes copies nothing; two
-/// checkpoints are equal when their images are.
+/// — as written, whichever version that was — and where its three fields
+/// lie in it. The image is immutable and shared, so cloning a checkpoint or
+/// taking its bytes copies nothing; two checkpoints are equal when their
+/// images are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     image: Arc<Vec<u8>>,
     algo: Range<usize>,
     topology: Range<usize>,
     sim: Range<usize>,
+    /// How the sim blob lays out the history: what the version says.
+    ledger: LedgerLayout,
 }
 
 impl Checkpoint {
@@ -128,12 +153,12 @@ impl Checkpoint {
             p.reserve(8 + sim.encoded_size_hint());
             wire::put_bytes_with(p, |p| sim.save_state(p))
         });
-        persistable.then(|| Self::locate(image).expect("its own three fields"))
+        persistable.then(|| Self::locate(image, FORMAT_VERSION).expect("its own three fields"))
     }
 
-    /// Wrap a sealed, current-version image, finding the three fields;
-    /// `None` unless the payload is exactly them, the label valid UTF-8.
-    fn locate(image: Vec<u8>) -> Option<Self> {
+    /// Wrap a sealed image of `version`, finding the three fields; `None`
+    /// unless the payload is exactly them, the label valid UTF-8.
+    fn locate(image: Vec<u8>, version: u16) -> Option<Self> {
         let mut p = Reader::new(&image[ENVELOPE.header_len()..]);
         let mut field = || {
             let len = p.bytes()?.len();
@@ -147,6 +172,7 @@ impl Checkpoint {
             algo,
             topology,
             sim,
+            ledger: ledger_layout(version),
         })
     }
 
@@ -199,7 +225,8 @@ impl Checkpoint {
         let cc = make_cc(&h);
         let tl = make_tl(&h);
         let blob = &self.image[self.sim.clone()];
-        Sim::restore(Arc::clone(&h), cc, tl, blob).ok_or(CheckpointError::BadSimState)
+        Sim::restore_as(Arc::clone(&h), cc, tl, blob, self.ledger)
+            .ok_or(CheckpointError::BadSimState)
     }
 
     fn check_algo(&self, expected: &'static str) -> Result<(), CheckpointError> {
@@ -237,11 +264,12 @@ impl Checkpoint {
         Arc::clone(&self.image)
     }
 
-    /// Parse and verify a container produced by [`Checkpoint::to_bytes`]:
-    /// checked before a byte is allocated, then copied once.
+    /// Parse and verify a container produced by [`Checkpoint::to_bytes`]
+    /// (of this or an earlier format version): checked before a byte is
+    /// allocated, then copied once.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let image = ENVELOPE.adopt(bytes)?;
-        Self::locate(image).ok_or(EnvelopeError::Truncated.into())
+        let (version, image) = ENVELOPE.adopt(bytes)?;
+        Self::locate(image, version).ok_or(EnvelopeError::Truncated.into())
     }
 
     /// Atomically replace `path` with the container: the image goes to a
@@ -329,8 +357,9 @@ mod tests {
     fn every_corruption_fails_closed() {
         let (_, sim) = sample();
         let bytes = Checkpoint::capture_cc1(&sim).unwrap().to_bytes().to_vec();
+        assert_eq!(bytes[8..10], [3, 0]);
         wire::fails_closed(Some(&ENVELOPE), &bytes, |b| {
-            Checkpoint::from_bytes(b).is_ok()
+            Checkpoint::from_bytes(b).is_ok_and(|c| c.restore_cc1().is_ok())
         });
         // The envelope's distinct outcomes surface through `CheckpointError`.
         let envelope_error = |b: &[u8]| match Checkpoint::from_bytes(b) {
@@ -369,34 +398,33 @@ mod tests {
 
     #[test]
     fn header_is_byte_identical_to_the_pre_envelope_writer() {
-        // Golden bytes written by the hand-rolled framing the envelope
-        // replaced (magic, version 1, FNV-1a 64 of the payload), rebuilt
-        // here the same way: the checksum pins the whole payload, the
-        // length its size. A version-1 file is no longer written, but its
-        // payload layout is still this one, and it still reads. (That
-        // writer's default engine kept no commit notes, so the one payload
-        // byte recording their freshness read "stale": drop them here to
-        // write the same byte.)
-        let (_, mut sim) = sample();
-        sim.world_mut().invalidate_all();
-        let ckpt = Checkpoint::capture_cc1(&sim).unwrap();
-        let v2 = ckpt.to_bytes();
-        let payload = &v2[ENVELOPE.header_len()..];
-        let mut v1 = b"SSCCKPT\0".to_vec();
-        wire::put_u16(&mut v1, 1);
-        wire::put_u64(&mut v1, wire::fnv1a64(payload));
-        v1.extend_from_slice(payload);
-        assert_eq!(v1.len(), 2372);
-        assert_eq!(
-            v1[..18],
-            [83, 83, 67, 67, 75, 80, 84, 0, 1, 0, 148, 110, 222, 143, 136, 182, 96, 254]
-        );
-        let read = Checkpoint::from_bytes(&v1).expect("a version-1 file still opens");
-        assert_eq!(read, ckpt, "re-sealed as version 2 on the way in");
-        assert_eq!(read.to_bytes()[8..10], [2, 0]);
-        assert_eq!(read.restore_cc1().unwrap().steps(), sim.steps());
-        // Version 2 bytes under the version-1 label: the new checksum does
-        // not vouch for the old version.
+        // The committed artifacts of the two earlier versions (CC1, fig1,
+        // seed 5, 120 steps, one trajectory): version 1 as the hand-rolled
+        // framing the envelope replaced wrote it — magic, version 1, FNV-1a
+        // 64 of the payload — and version 2 under the word-wide checksum.
+        // Both carry the fixed-width ledger; both still open, are kept as
+        // written, restore, and what they restore writes version 3.
+        let v1: &[u8] = include_bytes!("../tests/golden/cc1_vl_daemon.ckpt");
+        let v2: &[u8] = include_bytes!("../tests/golden/cc1_par2b0_trusted_daemon_view.ckpt");
+        assert_eq!(v1[..10], *b"SSCCKPT\0\x01\x00");
+        assert_eq!(v1[10..18], wire::fnv1a64(&v1[18..]).to_le_bytes());
+        assert_eq!(v2[..10], *b"SSCCKPT\0\x02\x00");
+        assert_eq!(v2[10..18], wire::checksum64(&v2[18..]).to_le_bytes());
+        let fingerprints = [v1, v2].map(|old| {
+            let read = Checkpoint::from_bytes(old).expect("an earlier version still opens");
+            assert_eq!(**read.to_bytes(), *old, "kept as written");
+            let sim = read.restore_cc1().unwrap();
+            assert_eq!(sim.steps(), 120);
+            let now = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
+            assert_eq!(now[8..10], [3, 0]);
+            assert!(now.len() < old.len(), "the history is smaller on the wire");
+            let again = Checkpoint::from_bytes(&now).unwrap().restore_cc1().unwrap();
+            assert_eq!(again.ledger().fingerprint(), sim.ledger().fingerprint());
+            sim.ledger().fingerprint()
+        });
+        assert_eq!(fingerprints[0], fingerprints[1], "one trajectory");
+        // Version 2 bytes under the version-1 label: the word-wide checksum
+        // does not vouch for the FNV-sealed version.
         let mut relabelled = v2.to_vec();
         relabelled[8] = 1;
         assert!(matches!(
@@ -404,6 +432,16 @@ mod tests {
             Err(CheckpointError::Envelope(
                 EnvelopeError::ChecksumMismatch { .. }
             ))
+        ));
+        // Version 3 bytes under the version-2 label pass the checksum the
+        // two share; the fixed-width decoder refuses the compact history.
+        let (_, sim) = sample();
+        let mut relabelled = Checkpoint::capture_cc1(&sim).unwrap().to_bytes().to_vec();
+        relabelled[8] = 2;
+        let read = Checkpoint::from_bytes(&relabelled).unwrap();
+        assert!(matches!(
+            read.restore_cc1(),
+            Err(CheckpointError::BadSimState)
         ));
     }
 

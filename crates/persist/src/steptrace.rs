@@ -24,6 +24,7 @@ use std::fmt;
 pub const ENVELOPE: Envelope = Envelope {
     magic: b"STRC",
     version: 2,
+    previous: None,
     legacy: Some(1),
 };
 

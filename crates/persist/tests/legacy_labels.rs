@@ -15,8 +15,12 @@
 //! under `vl_daemon`; PR 20's tree: CC1 `fig1` seed 5 under
 //! `par2b0+trusted+daemon_view`, every refresh through the pool; PR 23's
 //! tree: CC2 `fig2` seed 5, arbitrary boot 5, under `incremental`; 120
-//! steps each); the expected continuations are that commit's own ledger
-//! bytes 300 steps later.
+//! steps each; the first two are format version 1, the other two version
+//! 2, all with the fixed-width ledger). 300 steps later each continuation
+//! is pinned twice: by its writer's own ledger fingerprint, recorded before
+//! the compact history and unmoved by it — the continuation is still the
+//! writer's — and by the ledger's bytes in format version 3, the layout's
+//! own pin (re-pinned when that layout replaced the fixed-width one).
 
 use sscc_persist::Checkpoint;
 use sscc_runtime::wire::fnv1a64;
@@ -34,7 +38,8 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
     assert_eq!(sim.config().to_string(), "par1", "the label is not kept");
     assert_eq!(sim.steps(), 120);
     sim.run(300);
-    assert_eq!(ledger_digest(sim.ledger()), (5_479, 0x0554_827e_bd7e_bf0b));
+    assert_eq!(ledger_digest(sim.ledger()), (463, 0x4926_6963_d5f3_2b13));
+    assert_eq!(sim.ledger().fingerprint(), 0x7326_6b68_ad63_7497);
     // What it writes from now on names the surviving mode.
     let again = Checkpoint::capture_cc2(&sim).unwrap();
     assert!(again.restore_cc2().is_ok());
@@ -45,7 +50,8 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
         .expect("a `vl_daemon` blob still restores");
     assert_eq!(sim.config().to_string(), "daemon");
     sim.run(300);
-    assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
+    assert_eq!(ledger_digest(sim.ledger()), (389, 0x993e_0afd_fe9e_80ed));
+    assert_eq!(sim.ledger().fingerprint(), 0x27a6_b43c_910d_571d);
 
     // Same seed and stack as the blob above, so the pooled run's own
     // continuation is the same ledger: the two drains never differed.
@@ -57,7 +63,8 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
     assert_eq!(sim.config().to_string(), "daemon");
     assert_eq!(sim.steps(), 120);
     sim.run(300);
-    assert_eq!(ledger_digest(sim.ledger()), (4_609, 0x1955_758c_9999_2f69));
+    assert_eq!(ledger_digest(sim.ledger()), (389, 0x993e_0afd_fe9e_80ed));
+    assert_eq!(sim.ledger().fingerprint(), 0x27a6_b43c_910d_571d);
 
     // The PR-1 baseline evaluated every guard one by one; the default
     // engine's cascade picks the same actions, so the continuation is the
@@ -70,5 +77,6 @@ fn vl_labelled_checkpoints_restore_onto_the_default_path() {
     assert_eq!(sim.config().to_string(), "par1");
     assert_eq!(sim.steps(), 120);
     sim.run(300);
-    assert_eq!(ledger_digest(sim.ledger()), (4_920, 0x89fa_09a9_09f2_9bd1));
+    assert_eq!(ledger_digest(sim.ledger()), (408, 0x9536_1bdb_94b2_1f4a));
+    assert_eq!(sim.ledger().fingerprint(), 0x79d4_a1c0_1cf2_b50d);
 }

@@ -749,11 +749,14 @@ struct WfState {
 }
 
 impl WfState {
-    fn read(r: &mut crate::wire::Reader) -> Option<Self> {
+    /// Read the state of a wrapper over `processes` processes: every
+    /// process index below it, since the rescan ages are a dense vector
+    /// sized by the largest.
+    fn read(r: &mut crate::wire::Reader, processes: usize) -> Option<Self> {
         let bound = r.usize()?;
         let n_ages = r.count(16)?;
         let ages = (0..n_ages)
-            .map(|_| Some((r.usize()?, r.usize()?)))
+            .map(|_| Some((r.usize().filter(|&p| p < processes)?, r.usize()?)))
             .collect::<Option<Vec<_>>>()?;
         let incremental = r.bool()?;
         let now = r.u64()?;
@@ -770,7 +773,7 @@ impl WfState {
         }
         let n_tokens = r.count(16)?;
         let tokens = (0..n_tokens)
-            .map(|_| Some((r.u64()?, r.usize()?)))
+            .map(|_| Some((r.u64()?, r.usize().filter(|&p| p < processes)?)))
             .collect::<Option<Vec<_>>>()?;
         Some(WfState {
             bound,
@@ -855,14 +858,15 @@ fn write_wf_wrapper<D: Daemon>(wf: &WeaklyFair<D>, out: &mut Vec<u8>) -> bool {
 /// only the daemons shipped by this module restore (a custom daemon that
 /// overrides `save_state` cannot be rebuilt here and checkpointing should
 /// keep returning `false` for it). `None` on truncated, corrupted, or
-/// unknown-tag input.
-pub fn restore_daemon(bytes: &[u8]) -> Option<Box<dyn Daemon>> {
+/// unknown-tag input, or on one naming a process at or beyond `processes`
+/// where the daemon sizes state by it.
+pub fn restore_daemon(bytes: &[u8], processes: usize) -> Option<Box<dyn Daemon>> {
     let mut r = crate::wire::Reader::new(bytes);
-    let d = read_daemon(&mut r)?;
+    let d = read_daemon(&mut r, processes)?;
     r.is_empty().then_some(d)
 }
 
-fn read_daemon(r: &mut crate::wire::Reader) -> Option<Box<dyn Daemon>> {
+fn read_daemon(r: &mut crate::wire::Reader, processes: usize) -> Option<Box<dyn Daemon>> {
     match r.u8()? {
         TAG_SYNCHRONOUS => Some(Box::new(Synchronous)),
         TAG_CENTRAL => Some(Box::new(Central { rng: read_rng(r)? })),
@@ -878,7 +882,7 @@ fn read_daemon(r: &mut crate::wire::Reader) -> Option<Box<dyn Daemon>> {
             Some(Box::new(Scripted::new(script)))
         }
         TAG_WEAKLY_FAIR => {
-            let st = WfState::read(r)?;
+            let st = WfState::read(r, processes)?;
             let mut inner = crate::wire::Reader::new(r.bytes()?);
             let d: Box<dyn Daemon> = match inner.u8()? {
                 TAG_SYNCHRONOUS => Box::new(st.rebuild(Synchronous)),
@@ -1083,7 +1087,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         assert!(d.save_state(&mut bytes), "{label}: must be persistable");
-        let mut twin = restore_daemon(&bytes).unwrap_or_else(|| panic!("{label}: restore"));
+        let mut twin = restore_daemon(&bytes, 12).unwrap_or_else(|| panic!("{label}: restore"));
         for step in 0..25 {
             assert_eq!(
                 d.select(&enabled),
@@ -1126,7 +1130,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         assert!(d.save_state(&mut bytes));
-        let mut twin = restore_daemon(&bytes).unwrap();
+        let mut twin = restore_daemon(&bytes, 8).unwrap();
         assert!(twin.wants_view(), "incremental flag survives");
         for step in 0..20 {
             d.observe_delta(&[], &[]);
@@ -1137,16 +1141,24 @@ mod tests {
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(restore_daemon(&[]).is_none(), "empty");
-        assert!(restore_daemon(&[0xff]).is_none(), "unknown tag");
+        assert!(restore_daemon(&[], 4).is_none(), "empty");
+        assert!(restore_daemon(&[0xff], 4).is_none(), "unknown tag");
         let mut bytes = Vec::new();
         assert!(Central::new(1).save_state(&mut bytes));
         assert!(
-            restore_daemon(&bytes[..bytes.len() - 1]).is_none(),
+            restore_daemon(&bytes[..bytes.len() - 1], 4).is_none(),
             "truncated"
         );
         bytes.push(0);
-        assert!(restore_daemon(&bytes).is_none(), "trailing bytes");
+        assert!(restore_daemon(&bytes, 4).is_none(), "trailing bytes");
+        // A weakly-fair wrapper aging process 5 belongs to a larger world.
+        let mut wf = WeaklyFair::new(Central::new(1), 2);
+        wf.select(&[5]);
+        wf.select(&[5, 6]);
+        let mut bytes = Vec::new();
+        assert!(wf.save_state(&mut bytes));
+        assert!(restore_daemon(&bytes, 8).is_some());
+        assert!(restore_daemon(&bytes, 5).is_none(), "process 5 of 5");
     }
 
     #[test]

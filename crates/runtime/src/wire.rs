@@ -193,18 +193,27 @@ pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
 ///
 /// An artifact kind is one `const Envelope`: its encoder writes payload
 /// fields inside [`Envelope::seal`], its decoder reads them from the
-/// [`Reader`] that [`Envelope::open`] returns. Nothing else in the workspace
-/// writes or checks a magic, a version or a checksum.
+/// [`Reader`] that [`Envelope::open`] returns — or, for a kind that still
+/// reads an earlier payload layout, from [`Envelope::open_versioned`],
+/// which says which layout it is. Nothing else in the workspace writes or
+/// checks a magic, a version or a checksum.
 #[derive(Clone, Copy, Debug)]
 pub struct Envelope {
     /// Magic prefix naming the artifact kind.
     pub magic: &'static [u8],
     /// Payload layout version, the only one [`Envelope::seal`] writes.
     pub version: u16,
-    /// The version the *same payload layout* carried while artifacts were
-    /// sealed with [`fnv1a64`]: [`Envelope::open`] still reads it (under
-    /// that checksum) so files written before the change keep opening; it
-    /// is never written. `None` for an artifact that is never stored.
+    /// An earlier payload layout, sealed with [`checksum64`] like the
+    /// current one, that this build still reads and never writes: the
+    /// decoder behind [`Envelope::open_versioned`] picks its layout by the
+    /// version. `None` when every readable version shares the current
+    /// payload layout.
+    pub previous: Option<u16>,
+    /// The version artifacts carried while they were sealed with
+    /// [`fnv1a64`]: still read (under that checksum) so files written
+    /// before the change keep opening, never written. Its payload layout is
+    /// that of [`previous`](Envelope::previous) if there is one, else the
+    /// current one. `None` for an artifact that is never stored.
     pub legacy: Option<u16>,
 }
 
@@ -265,15 +274,15 @@ impl Envelope {
     }
 
     /// Verify magic, version and checksum; the version found, and a reader
-    /// spanning exactly the payload.
-    fn verify<'a>(&self, bytes: &'a [u8]) -> Result<(u16, Reader<'a>), EnvelopeError> {
+    /// spanning exactly the payload — in the layout that version names.
+    pub fn open_versioned<'a>(&self, bytes: &'a [u8]) -> Result<(u16, Reader<'a>), EnvelopeError> {
         let mut r = Reader::new(bytes);
         if r.take(self.magic.len()).ok_or(EnvelopeError::Truncated)? != self.magic {
             return Err(EnvelopeError::BadMagic);
         }
         let version = r.u16().ok_or(EnvelopeError::Truncated)?;
         let sum: fn(&[u8]) -> u64 = match version {
-            v if v == self.version => checksum64,
+            v if v == self.version || Some(v) == self.previous => checksum64,
             v if Some(v) == self.legacy => fnv1a64,
             v => return Err(EnvelopeError::UnsupportedVersion(v)),
         };
@@ -286,26 +295,19 @@ impl Envelope {
     }
 
     /// Verify magic, version and checksum; the returned reader spans
-    /// exactly the payload.
+    /// exactly the payload. For a kind whose versions share one payload
+    /// layout.
     pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, EnvelopeError> {
-        self.verify(bytes).map(|(_, payload)| payload)
+        self.open_versioned(bytes).map(|(_, payload)| payload)
     }
 
-    /// [`Envelope::open`], then an owned copy of the artifact *as this
-    /// build writes it*: verified before a byte is allocated, copied once,
-    /// and a [`legacy`](Envelope::legacy) artifact re-sealed at the current
-    /// version on the way — the payload layout is the same by definition.
-    /// For a holder that keeps the sealed image rather than decoded fields.
-    pub fn adopt(&self, bytes: &[u8]) -> Result<Vec<u8>, EnvelopeError> {
-        let (version, payload) = self.verify(bytes)?;
-        if version == self.version {
-            return Ok(bytes.to_vec());
-        }
-        let mut out = Vec::with_capacity(bytes.len());
-        self.seal(&mut out, |p| {
-            p.extend_from_slice(&payload.buf[payload.pos..])
-        });
-        Ok(out)
+    /// [`Envelope::open_versioned`], then an owned copy of the artifact as
+    /// it was sealed, and its version: verified before a byte is
+    /// allocated, copied once. For a holder that keeps the sealed image
+    /// rather than decoded fields.
+    pub fn adopt(&self, bytes: &[u8]) -> Result<(u16, Vec<u8>), EnvelopeError> {
+        let (version, _) = self.open_versioned(bytes)?;
+        Ok((version, bytes.to_vec()))
     }
 }
 
@@ -322,7 +324,10 @@ impl Envelope {
 ///   too, and refuses a patched magic or version under a still-valid
 ///   checksum with the distinct [`EnvelopeError`] — the
 ///   [`legacy`](Envelope::legacy) version included: the checksum of one
-///   version never vouches for the other.
+///   version never vouches for the other;
+/// * relabelled as the [`previous`](Envelope::previous) version, which
+///   shares the checksum, it passes the envelope and is refused by the
+///   payload decoder reading that version's layout.
 ///
 /// Byte positions are exhaustive below 512 and 256 seeded samples (one
 /// seeded bit each) beyond, so a sweep is identical on every run.
@@ -363,6 +368,16 @@ pub fn fails_closed(sealed: Option<&Envelope>, bytes: &[u8], decode: impl Fn(&[u
         Some(EnvelopeError::UnsupportedVersion(next))
     );
     must_reject(&relabelled, format_args!("a future version"));
+    if let Some(previous) = envelope.previous {
+        relabelled[at..at + 2].copy_from_slice(&previous.to_le_bytes());
+        let opened = envelope.open_versioned(&relabelled).map(|(v, _)| v);
+        assert_eq!(
+            opened,
+            Ok(previous),
+            "the previous version shares the checksum"
+        );
+        must_reject(&relabelled, format_args!("the previous layout's version"));
+    }
     let Some(legacy) = envelope.legacy else {
         return;
     };
@@ -445,22 +460,34 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).ok()
     }
 
-    /// Read an LEB128 varint.
+    /// Read an LEB128 varint in the one form [`put_varint`] writes: no
+    /// trailing zero group (overlong), nothing beyond 64 bits.
     #[inline]
     pub fn varint(&mut self) -> Option<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let byte = self.u8()?;
-            if shift >= 64 {
+            let group = u64::from(byte & 0x7f);
+            if (shift > 0 && byte == 0) || (shift == 63 && group > 1) {
                 return None;
             }
-            v |= u64::from(byte & 0x7f) << shift;
+            v |= group << shift;
             if byte & 0x80 == 0 {
                 return Some(v);
             }
             shift += 7;
+            if shift > 63 {
+                return None;
+            }
         }
+    }
+
+    /// [`Reader::count`] for a count written as a varint.
+    #[inline]
+    pub fn varint_count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = usize::try_from(self.varint()?).ok()?;
+        (n <= self.remaining() / min_bytes).then_some(n)
     }
 
     /// Read a length-prefixed byte blob.
@@ -777,6 +804,14 @@ mod tests {
         assert_eq!(r.u64(), None);
         let mut r2 = Reader::new(&[0x80u8; 12]);
         assert_eq!(r2.varint(), None, "unterminated varint");
+        for overlong in [&[0x80u8, 0x00][..], &[0xff, 0x80, 0x00], &[0xff; 11]] {
+            assert_eq!(Reader::new(overlong).varint(), None, "{overlong:?}");
+        }
+        let mut over_64 = [0xffu8; 10];
+        over_64[9] = 0x02;
+        assert_eq!(Reader::new(&over_64).varint(), None, "a 65th bit");
+        over_64[9] = 0x01;
+        assert_eq!(Reader::new(&over_64).varint(), Some(u64::MAX));
         let mut r3 = Reader::new(&[2u8]);
         assert_eq!(r3.bool(), None, "bools are strictly 0/1");
     }
@@ -806,6 +841,7 @@ mod tests {
     const TEST_ENVELOPE: Envelope = Envelope {
         magic: b"TEST",
         version: 3,
+        previous: None,
         legacy: Some(2),
     };
 
@@ -907,15 +943,49 @@ mod tests {
     }
 
     #[test]
-    fn adopt_copies_a_current_artifact_and_reseals_a_legacy_one() {
+    fn adopt_copies_a_verified_artifact_and_names_its_version() {
         let current = sealed_u64s(&[4, 5]);
-        assert_eq!(TEST_ENVELOPE.adopt(&current), Ok(current.clone()));
+        assert_eq!(TEST_ENVELOPE.adopt(&current), Ok((3, current.clone())));
         let old = legacy_sealed(2, &current[TEST_ENVELOPE.header_len()..]);
-        assert_ne!(old, current);
-        assert_eq!(TEST_ENVELOPE.adopt(&old), Ok(current.clone()));
+        assert_eq!(TEST_ENVELOPE.adopt(&old), Ok((2, old.clone())));
         let mut torn = old;
         *torn.last_mut().unwrap() ^= 1;
         assert!(TEST_ENVELOPE.adopt(&torn).is_err());
+    }
+
+    #[test]
+    fn a_previous_layout_opens_under_the_current_checksum_and_names_itself() {
+        // Version 4 writes `u64` slices, version 3 wrote `u32` ones, and
+        // the FNV-sealed version 2 had version 3's layout.
+        const TWO_LAYOUTS: Envelope = Envelope {
+            version: 4,
+            previous: Some(3),
+            ..TEST_ENVELOPE
+        };
+        let open = |b: &[u8]| -> Option<Vec<u64>> {
+            let (version, mut r) = TWO_LAYOUTS.open_versioned(b).ok()?;
+            let values = match version {
+                4 => r.u64_vec()?,
+                _ => (0..r.count(4)?)
+                    .map(|_| r.u32().map(u64::from))
+                    .collect::<Option<_>>()?,
+            };
+            r.is_empty().then_some(values)
+        };
+        let mut current = Vec::new();
+        TWO_LAYOUTS.seal(&mut current, |p| put_u64_slice(p, &[7, 8]));
+        let mut payload = Vec::new();
+        put_usize(&mut payload, 2);
+        put_u32(&mut payload, 7);
+        put_u32(&mut payload, 8);
+        let mut previous = current[..TWO_LAYOUTS.header_len()].to_vec();
+        previous[4..6].copy_from_slice(&3u16.to_le_bytes());
+        previous[6..14].copy_from_slice(&checksum64(&payload).to_le_bytes());
+        previous.extend_from_slice(&payload);
+        for bytes in [&current, &previous, &legacy_sealed(2, &payload)] {
+            assert_eq!(open(bytes), Some(vec![7, 8]));
+        }
+        fails_closed(Some(&TWO_LAYOUTS), &current, |b| open(b).is_some());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use rand::SeedableRng as _;
 use sscc_core::algo::CommitteeAlgorithm;
 use sscc_core::sim::Sim;
 use sscc_core::status::{CommitteeView, Status};
-use sscc_core::{splitmix64, ConfigError, LedgerEvent, OpenLoopPolicy};
+use sscc_core::{splitmix64, ConfigError, LedgerEvent, LedgerLayout, OpenLoopPolicy};
 use sscc_hypergraph::{random_mutation_with_bias, Hypergraph, MutationBias};
 use sscc_metrics::LatencyHistogram;
 use sscc_runtime::wire::{self, Envelope, Reader, StateCodec};
@@ -49,14 +49,16 @@ pub enum OverloadPolicy {
 }
 
 /// Layout version of the service checkpoint blob. Bump on change; restore
-/// rejects versions it does not understand. (Version 1 is this layout under
-/// the envelope's previous checksum; it still restores.)
-pub const SERVICE_CHECKPOINT_VERSION: u16 = 2;
+/// rejects versions it does not understand. Versions 1 and 2 carry the
+/// fixed-width meeting ledger (version 1 under the envelope's earlier
+/// checksum); both still restore, neither is written.
+pub const SERVICE_CHECKPOINT_VERSION: u16 = 3;
 
 /// Framing of a [`CoordinationService::checkpoint`] blob.
 const ENVELOPE: Envelope = Envelope {
     magic: b"SSCCSRV\0",
     version: SERVICE_CHECKPOINT_VERSION,
+    previous: Some(2),
     legacy: Some(1),
 };
 
@@ -580,7 +582,12 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         C::State: Copy + StateCodec,
         TL::State: Copy + StateCodec,
     {
-        let mut r = ENVELOPE.open(bytes).ok()?;
+        let (version, mut r) = ENVELOPE.open_versioned(bytes).ok()?;
+        let layout = if version < 3 {
+            LedgerLayout::Fixed
+        } else {
+            LedgerLayout::Compact
+        };
         let mut topo = Reader::new(r.bytes()?);
         let h = Arc::new(sscc_persist::decode_topology(&mut topo)?);
         if !topo.is_empty() {
@@ -589,7 +596,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         let n = h.n();
         let cc = make_cc(&h);
         let tl = make_tl(&h);
-        let sim = Sim::restore(Arc::clone(&h), cc, tl, r.bytes()?)?;
+        let sim = Sim::restore_as(Arc::clone(&h), cc, tl, r.bytes()?, layout)?;
         let queue_capacity = r.usize()?;
         let admit_batch = r.usize()?;
         let overload = match r.u8()? {
@@ -936,7 +943,9 @@ mod tests {
         );
 
         // Corrupt blobs fail closed — including a foreign magic or a future
-        // version under a valid checksum.
+        // version under a valid checksum, and the compact history relabelled
+        // as the fixed-width version 2.
+        assert_eq!(blob[8..10], [3, 0]);
         wire::fails_closed(Some(&ENVELOPE), &blob, |b| {
             cc1_service_restore(Box::new(traffic(&h)), b).is_some()
         });
@@ -944,48 +953,56 @@ mod tests {
 
     #[test]
     fn checkpoint_header_is_byte_identical_to_the_pre_envelope_writer() {
-        // Golden bytes written by the hand-rolled framing the envelope
-        // replaced (magic, version 1, FNV-1a 64 of the payload), rebuilt
-        // here the same way: the checksum pins the whole payload, the
-        // length its size. A version-1 blob is no longer written, but its
-        // payload layout is still this one, and it still restores.
-        let h = Arc::new(generators::ring(16, 2));
-        let traffic = || TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 2_000);
-        let cfg = ServiceConfig::default();
-        let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic()), cfg).unwrap();
-        svc.run(100);
-        // That writer's default engine kept no commit notes, so the one
-        // payload byte recording their freshness read "stale": drop them
-        // to write the same byte.
-        svc.sim.world_mut().invalidate_all();
-        let v2 = svc.checkpoint().unwrap();
-        let payload = &v2[ENVELOPE.header_len()..];
-        let mut v1 = b"SSCCSRV\0".to_vec();
-        wire::put_u16(&mut v1, 1);
-        wire::put_u64(&mut v1, wire::fnv1a64(payload));
-        v1.extend_from_slice(payload);
+        // The committed blobs of the two earlier versions. Version 1 is what
+        // the hand-rolled framing the envelope replaced wrote — magic,
+        // version 1, FNV-1a 64 of the payload (`ring(16, 2)`, seed 8, 100
+        // ticks); version 2 the word-wide checksum over the same payload
+        // layout (`ring(24, 2)`, 500 ticks; its continuation is pinned in
+        // `tests/service_golden.rs`). Both carry the fixed-width ledger,
+        // both still restore, and what they restore writes version 3. The
+        // pinned fingerprints and sojourns are the writing tree's own.
+        let v1: &[u8] = include_bytes!("../tests/golden/cc1_ring16_v1.srv");
+        let v2: &[u8] = include_bytes!("../tests/golden/cc1_ring24_poisson_v2.srv");
         assert_eq!(v1.len(), 5579);
         assert_eq!(
             v1[..18],
             [83, 83, 67, 67, 83, 82, 86, 0, 1, 0, 174, 134, 64, 66, 121, 103, 170, 238]
         );
-        let revived =
-            cc1_service_restore(Box::new(traffic()), &v1).expect("a version-1 blob still restores");
+        assert_eq!(v1[10..18], wire::fnv1a64(&v1[18..]).to_le_bytes());
+        assert_eq!(v2[..10], *b"SSCCSRV\0\x02\x00");
+        assert_eq!(v2[10..18], wire::checksum64(&v2[18..]).to_le_bytes());
+        let h = Arc::new(generators::ring(16, 2));
+        let traffic = || TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 2_000);
+        let mut revived =
+            cc1_service_restore(Box::new(traffic()), v1).expect("a version-1 blob still restores");
         assert_eq!(revived.ticks(), 100);
-        assert_eq!(
-            revived.checkpoint().unwrap(),
-            v2,
-            "written back as version 2"
-        );
-        assert_eq!(v2[8..10], [2, 0]);
-        // Version 2 bytes under the version-1 label: the new checksum does
-        // not vouch for the old version.
-        let mut relabelled = v2.clone();
+        assert_eq!(revived.sim().ledger().fingerprint(), 0x818c_b5bf_b633_490e);
+        let v3 = revived.checkpoint().unwrap();
+        assert_eq!(v3[8..10], [3, 0], "written back as version 3");
+        revived.run(400);
+        assert_eq!(revived.sim().ledger().fingerprint(), 0xe088_907d_8b1a_afa8);
+        let summary = LatencySummary {
+            p50: 16,
+            p99: 50,
+            p999: 52,
+            mean: 17.416129032258066,
+            max: 52,
+            completed: 310,
+        };
+        assert_eq!(revived.latency_summary(), Some(summary));
+        // Version 2 bytes under the version-1 label: the word-wide checksum
+        // does not vouch for the FNV-sealed version.
+        let mut relabelled = v2.to_vec();
         relabelled[8] = 1;
         assert!(matches!(
             ENVELOPE.open(&relabelled),
             Err(wire::EnvelopeError::ChecksumMismatch { .. })
         ));
+        // Version 3 bytes under the version-2 label pass the checksum the
+        // two share; the fixed-width decoder refuses the compact history.
+        let mut relabelled = v3;
+        relabelled[8] = 2;
+        assert!(ENVELOPE.open(&relabelled).is_ok());
         assert!(cc1_service_restore(Box::new(traffic()), &relabelled).is_none());
     }
 

@@ -5,11 +5,17 @@
 //! copied, and a restore requests the image, the records and per-process
 //! state. A writer that goes back to separate blobs, or a reader that
 //! copies before it verifies, moves these by integer factors.
+//!
+//! The image itself is pinned per meeting recorded: at most 16 bytes a
+//! record for CC1 on a ring (pair committees) and 32 for CC2 on a power-law
+//! graph whose hub committees have dozens of members — everything else in
+//! the image included. The fixed-width records of format versions 1 and 2
+//! took 95 and more.
 
 mod common;
 
 use common::requests_during;
-use sscc::core::sim::Cc1Sim;
+use sscc::core::sim::{Cc1Sim, Cc2Sim};
 use sscc::hypergraph::generators;
 use sscc::persist::Checkpoint;
 use sscc::service::{cc1_service, cc1_service_restore, Arrivals, ServiceConfig, TrafficGen};
@@ -27,8 +33,37 @@ fn checkpoint_round_trip_allocates_one_image() {
     let records = sim.ledger().instances().len();
     let probe = Checkpoint::capture_cc1(&sim).unwrap().to_bytes();
     let image = probe.len();
-    assert!(image > 80 * records && records > 5_000, "history dominates");
+    eprintln!("cc1 ring48: {records} records, image {image} B");
+    assert!(records > 5_000, "a long history");
+    assert!(image <= 16 * records, "{image} B for {records} records");
+    let mut blob = Vec::new();
+    assert!(sim.save_state(&mut blob));
+    assert!(blob.len() <= sim.encoded_size_hint(), "the hint is a bound");
     drop(probe);
+
+    // Hub committees: every position word is several bytes, and then some.
+    let hubs = Arc::new(generators::power_law(1536, 2304, 7));
+    let widest = hubs
+        .edge_ids()
+        .map(|e| hubs.members(e).len())
+        .max()
+        .unwrap();
+    let mut cc2 = Cc2Sim::standard(Arc::clone(&hubs), 5, 1);
+    cc2.run(4_000);
+    let cc2_records = cc2.ledger().instances().len();
+    let cc2_image = Checkpoint::capture_cc2(&cc2).unwrap().to_bytes().len();
+    eprintln!("cc2 power_law(1536, 2304): committees up to {widest}, {cc2_records} records, image {cc2_image} B");
+    assert!(
+        widest > 32 && cc2_records > 5_000,
+        "hubs and a long history"
+    );
+    assert!(
+        cc2_image <= 32 * cc2_records,
+        "{cc2_image} B for {cc2_records} records"
+    );
+    let mut blob = Vec::new();
+    assert!(cc2.save_state(&mut blob));
+    assert!(blob.len() <= cc2.encoded_size_hint(), "the hint is a bound");
 
     let (wrote, bytes) = requests_during(image / 2, || {
         Checkpoint::capture_cc1(&sim).unwrap().to_bytes()
@@ -72,7 +107,6 @@ fn checkpoint_round_trip_allocates_one_image() {
     let mut svc = cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic()), cfg).unwrap();
     svc.run(20_000);
     let blob = svc.checkpoint().unwrap().len();
-    assert!(blob > 40 * svc.sim().ledger().instances().len());
     let (wrote, bytes) = requests_during(blob / 2, || svc.checkpoint().unwrap());
     eprintln!("service checkpoint: blob {blob}, {wrote:?}");
     assert!(
