@@ -260,10 +260,10 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
     {
         cfg.validate()?;
         let mut wcfg = *cfg;
-        // The distributed drain lives *above* the engine: the world keeps
-        // its plain sequential scheduler (the shard actors drive it through
-        // the state-mirror seam), and the actor/transport tier is built
-        // below, once the world accepted the rest of the configuration.
+        // The distributed drain lives *above* the engine: the world stays a
+        // plain state store the shard actors mirror their commits into, and
+        // the actor/transport tier is built below, once the world accepted
+        // the rest of the configuration.
         if cfg.distributed() {
             wcfg.drain = Drain::Sequential;
         }
@@ -368,7 +368,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         self.cc_view = initial_cc;
         self.world.invalidate_all();
         // Surgery went through the world behind the shard actors' backs:
-        // re-seed their local views from the committed configuration.
+        // re-seed their slots from the committed configuration.
         if let Some(d) = self.dist.as_deref_mut() {
             d.resync(&self.world);
         }
@@ -653,7 +653,11 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
                     }
                     flagged.insert(p);
                 });
-                if !world.enabled_now(&self.flags).is_empty() {
+                let enabled = match dist.as_deref_mut() {
+                    Some(d) => d.probe(world, &self.flags),
+                    None => !world.enabled_now(&self.flags).is_empty(),
+                };
+                if enabled {
                     return true;
                 }
             }
@@ -1159,12 +1163,6 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> Sim<C, TL> {
         }
         sim.world.restore_observation(&obs);
         sim.world.set_step_count(steps);
-        // A distributed mode was rebuilt by `configure` from the restored
-        // states already; re-seed once more so its observation mirror picks
-        // up the restored daemon view as well.
-        if let Some(d) = sim.dist.as_deref_mut() {
-            d.resync(&sim.world);
-        }
         for p in flagged {
             sim.flag_changed.insert(p);
         }

@@ -725,6 +725,70 @@ fn differential_dist_boundary_exchange_agrees() {
     }
 }
 
+/// The terminal path of a distributed sim probes through the tier, not the
+/// world: a scripted environment in which only some professors request
+/// leaves the system momentarily disabled until a `RequestOut` is raised,
+/// so steps pass through terminal configurations whose probe finds work
+/// again. `dist2` / `dist4` must stay in lockstep with the `full_scan`
+/// oracle across them, and the world must stay a plain state store — its
+/// commit notes never synced, so no actor can read the world's fact
+/// mirror instead of its own slots. Debug-runnable (CI's `dist-smoke`).
+#[test]
+fn differential_dist_terminal_probe_keeps_world_plain() {
+    let h = Arc::new(generators::fig1());
+    let n = h.n();
+    for seed in 0..4u64 {
+        let mk = |mode: &str| {
+            let mask = (0..n).map(|p| p % 3 != 0).collect();
+            let mut sim = Sim::new(
+                Arc::clone(&h),
+                Cc1::new(),
+                WaveToken::new(&h),
+                default_daemon(seed, n),
+                Box::new(sscc_core::ScriptedPolicy::new(mask, 3)),
+            );
+            sim.configure_mode(mode).unwrap();
+            sim.enable_trace();
+            sim
+        };
+        let mut reference = mk("full_scan");
+        let mut twins = [("dist2", mk("dist2")), ("dist4", mk("dist4"))];
+        let mut revived = 0;
+        for step in 0..400 {
+            let before = reference.world().steps();
+            let a = reference.step();
+            if a && reference.world().steps() == before {
+                revived += 1;
+            }
+            for (tag, s) in &mut twins {
+                assert_eq!(a, s.step(), "seed {seed}/{tag}: step {step} progress");
+                assert_eq!(
+                    reference.cc_states(),
+                    s.cc_states(),
+                    "seed {seed}/{tag}: step {step} configurations diverge"
+                );
+                assert!(
+                    s.world().notes_stale(),
+                    "seed {seed}/{tag}: step {step} synced the world's commit notes"
+                );
+            }
+        }
+        assert!(
+            revived > 0,
+            "seed {seed}: no terminal step found work again"
+        );
+        for (tag, s) in &twins {
+            assert_eq!(
+                reference.trace().unwrap().events(),
+                s.trace().unwrap().events(),
+                "seed {seed}/{tag}: traces"
+            );
+            assert_eq!(reference.rounds(), s.rounds(), "seed {seed}/{tag}: rounds");
+            assert_eq!(reference.flags(), s.flags(), "seed {seed}/{tag}: flags");
+        }
+    }
+}
+
 /// The terminal/quiescence-horizon path must agree too: a scripted
 /// environment in which nobody ever requests quiesces immediately under
 /// both engines, after identical environment ticks.

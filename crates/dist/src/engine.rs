@@ -1,27 +1,28 @@
 //! Shard actors and the coordinating distributed engine.
 //!
-//! One [`DistEngine`] owns `k` shard actors (one per
-//! [`ShardPlan`] shard) and a
-//! [`BoundaryTransport`]. Each actor holds the **authoritative** states of
-//! its members plus **ghost** copies of its frontier; all cross-shard state
-//! flows as serialized [`BoundaryFrame`]s — an actor never reads another
-//! actor's memory.
+//! One [`DistEngine`] owns `k` shard actors (one per [`ShardPlan`] shard)
+//! and a [`BoundaryTransport`]. An actor holds only what its guards read
+//! (§2.2): its members' **authoritative** states, then **ghost** copies of
+//! its frontier ([`ShardPlan::frontier_of`]), read through a
+//! [`StateAccess`] that panics outside members ∪ ghosts; its guard cache is
+//! the runtime's own [`Scheduler`] over its member slots. Cross-shard state
+//! flows only as serialized [`BoundaryFrame`]s. The world just mirrors
+//! commits (`Sim` never refreshes it here, so guards scan actor slots).
 //!
 //! A step runs in two phases, cooperatively scheduled by the coordinator
-//! (v1 drives actors on the stepping thread; the transport seam is what a
-//! multi-process deployment would parallelize over):
+//! on the stepping thread (the transport seam is what a multi-process
+//! deployment would parallelize over):
 //!
-//! 1. **Deliver + refresh** — each actor drains its inbox, checks the
-//!    frames' causal metadata (step tag = previous committed step,
-//!    per-channel sequence gap-free), applies the ghost updates, marks the
-//!    member guards whose footprints those ghosts touch, and re-evaluates
-//!    its dirty guards against its frozen local view. The coordinator
-//!    merges the per-shard enabled sets into the global ascending enabled
-//!    set.
+//! 1. **Deliver + refresh** ([`DistDrive::probe`]) — each actor drains its
+//!    inbox, checks the frames' causal metadata (step tag = previous
+//!    committed step, per-channel sequence gap-free), writes the ghosts,
+//!    marks the member guards whose footprints they touch, and refreshes
+//!    its scheduler. The coordinator merges the per-shard ascending
+//!    enabled lists in one pass.
 //! 2. **Select + commit** — the daemon picks from the merged enabled set
 //!    (identical call sequence to the shared-memory engine, so seeded
 //!    daemons stay on the same trajectory); each actor executes its
-//!    selected members against the *frozen* pre-step local view (composite
+//!    selected members against the *frozen* pre-step slots (composite
 //!    atomicity), commits locally, and publishes each changed boundary
 //!    state in one frame per reading shard, tagged with the committing
 //!    step's logical clock.
@@ -31,14 +32,17 @@
 //! shared-memory guard evaluation would read. That alignment (plus pure
 //! guards) is the whole bit-identity argument; the differential suite
 //! checks it engine-for-engine.
+//!
+//! [`ShardPlan`]: sscc_hypergraph::ShardPlan
+//! [`ShardPlan::frontier_of`]: sscc_hypergraph::ShardPlan::frontier_of
 
 use crate::frame::BoundaryFrame;
 use crate::transport::{BoundaryTransport, ChannelTransport};
-use sscc_hypergraph::{Hypergraph, ShardPlan};
-use sscc_runtime::algorithm::{ActionId, GuardedAlgorithm};
-use sscc_runtime::ctx::Ctx;
+use sscc_hypergraph::Hypergraph;
+use sscc_runtime::algorithm::GuardedAlgorithm;
+use sscc_runtime::ctx::{Ctx, StateAccess};
 use sscc_runtime::daemon::Daemon;
-use sscc_runtime::engine::{StepOutcome, World};
+use sscc_runtime::engine::{Scheduler, StepOutcome, World};
 use sscc_runtime::wire::StateCodec;
 use std::sync::Arc;
 
@@ -61,8 +65,8 @@ pub trait DistDrive<A: GuardedAlgorithm> {
     /// selection, phase 2 (execute + commit + publish). Mirrors
     /// [`World::step_into`] observationally — `out` is filled with the
     /// identical enabled/executed sets, the world's states and step count
-    /// are kept in sync, and terminal configurations return without
-    /// consulting the daemon.
+    /// are kept in sync, terminal configurations return without consulting
+    /// the daemon, and a daemon that wants an enabled-set view is refused.
     fn step_into(
         &mut self,
         world: &mut World<A>,
@@ -70,6 +74,10 @@ pub trait DistDrive<A: GuardedAlgorithm> {
         env: &A::Env,
         out: &mut StepOutcome,
     );
+
+    /// Phase 1 only: is any process enabled? The tier's
+    /// [`World::enabled_now`], for probing a terminal configuration.
+    fn probe(&mut self, world: &World<A>, env: &A::Env) -> bool;
 
     /// Queue an environment invalidation for process `p` (a request flag
     /// flipped): the owning actors re-evaluate the guards in `p`'s
@@ -79,8 +87,8 @@ pub trait DistDrive<A: GuardedAlgorithm> {
 
     /// Re-seed every actor from the world's committed configuration —
     /// the hook for state surgery applied *through the world* (restore,
-    /// engineered configurations). Local views are recloned, every guard
-    /// is marked dirty, in-flight frames are discarded and the sequence
+    /// engineered configurations). Every slot is re-read, every guard is
+    /// marked stale, in-flight frames are discarded and the sequence
     /// bookkeeping is reset on both ends (self-consistent because the
     /// channels are left empty).
     fn resync(&mut self, world: &World<A>);
@@ -93,35 +101,55 @@ pub trait DistDrive<A: GuardedAlgorithm> {
     fn shards(&self) -> usize;
 }
 
-/// One shard's actor: authoritative member states, frontier ghosts, a
-/// per-member guard cache, and the routing table for its boundary.
+/// A shard's states keyed by global id: members ascending, then ghosts
+/// ascending. A member is found by its rank, a ghost by binary search.
+struct Slots<S> {
+    shard: u32,
+    /// `(shard, rank among its members)` of every vertex, shared by the
+    /// engine's actors.
+    place: Arc<[(u32, u32)]>,
+    /// Global id of every slot.
+    ids: Vec<usize>,
+    /// Member slots (the scheduler's range) come first.
+    members: usize,
+    states: Vec<S>,
+}
+
+impl<S> Slots<S> {
+    fn ghost(&self, p: usize) -> Option<usize> {
+        let at = self.ids[self.members..].binary_search(&p).ok()?;
+        Some(self.members + at)
+    }
+}
+
+impl<S> StateAccess<S> for Slots<S> {
+    #[inline]
+    fn state(&self, p: usize) -> &S {
+        let (owner, rank) = self.place[p];
+        let i = if owner == self.shard {
+            rank as usize
+        } else {
+            self.ghost(p)
+                .expect("locality violation: a read outside the shard's members and ghosts")
+        };
+        &self.states[i]
+    }
+}
+
+/// One shard's actor: its slots, the scheduler over its member slots, and
+/// the routing table for its boundary.
 struct ShardActor<S> {
-    /// Members, ascending by dense index (ownership itself is
-    /// [`ShardPlan::shard_of`]).
-    members: Vec<usize>,
-    /// Full-length local view: authoritative for members, ghosts for the
-    /// frontier; every other slot is never read.
-    local: Vec<S>,
-    /// Cached priority action per member (the actor-local twin of the
-    /// scheduler's cache).
-    cache: Vec<Option<ActionId>>,
-    /// Members whose guard must be re-evaluated next refresh.
-    dirty: Vec<bool>,
-    /// Re-evaluate every member next refresh (boot / restore).
-    all_dirty: bool,
-    /// Ascending enabled members, rebuilt each refresh.
-    enabled: Vec<usize>,
+    slots: Slots<S>,
+    sched: Scheduler,
     /// Routing: `subs[t]` = this shard's boundary members whose state
     /// shard `t` reads (ascending). Precomputed from
-    /// [`ShardPlan::boundary_of`].
+    /// [`ShardPlan::boundary_of`](sscc_hypergraph::ShardPlan::boundary_of).
     subs: Vec<Vec<usize>>,
     /// Per-destination outgoing sequence numbers (gap-free from 1).
     seq_out: Vec<u64>,
     /// Per-sender last accepted sequence number.
     seq_in: Vec<u64>,
-    /// This step's selected members (ascending), coordinator-assigned.
-    selected: Vec<usize>,
-    /// Phase-2 staging: next states computed against the frozen view.
+    /// Phase-2 staging: next states computed against the frozen slots.
     staged: Vec<(usize, S)>,
     /// Per-destination outgoing entry batches (reused).
     outbox: Vec<Vec<(usize, S)>>,
@@ -133,7 +161,8 @@ struct ShardActor<S> {
 /// [`BoundaryTransport`], driven through the [`DistDrive`] seam.
 pub struct DistEngine<A: GuardedAlgorithm> {
     h: Arc<Hypergraph>,
-    plan: Arc<ShardPlan>,
+    /// `(shard, member rank)` of every vertex.
+    place: Arc<[(u32, u32)]>,
     actors: Vec<ShardActor<A::State>>,
     transport: Box<dyn BoundaryTransport>,
     /// Trust daemon `Selection` promises (skip subset validation), same
@@ -147,12 +176,9 @@ pub struct DistEngine<A: GuardedAlgorithm> {
     /// Queued env invalidations, resolved through
     /// [`GuardedAlgorithm::env_footprint`] at the next refresh.
     pending_env: Vec<usize>,
-    /// Enabled-set observation mirror for daemons that want view deltas.
-    obs: Vec<bool>,
-    now: Vec<bool>,
-    added: Vec<usize>,
-    removed: Vec<usize>,
     selected: Vec<usize>,
+    /// Per-actor cursors of the enabled-list merge.
+    heads: Vec<usize>,
     stats: MessageStats,
 }
 
@@ -182,42 +208,41 @@ where
         let h = world.h_arc();
         let plan = h.shard_plan(shards);
         let k = plan.shards();
-        let n = h.n();
-        let states = world.states();
+        // Members ascending by dense index, each at its rank.
+        let (mut members, mut place) = (vec![Vec::new(); k], vec![(0, 0); h.n()]);
+        for (p, at) in place.iter_mut().enumerate() {
+            let s = plan.shard_of(p);
+            *at = (s as u32, members[s].len() as u32);
+            members[s].push(p);
+        }
+        let place: Arc<[(u32, u32)]> = place.into();
         let mut actors = Vec::with_capacity(k);
-        for s in 0..k {
-            let mut members = plan.members(s).to_vec();
-            members.sort_unstable();
+        for (s, mut ids) in members.into_iter().enumerate() {
             // Routing: a boundary member's state goes to every shard owning
             // part of its closed neighborhood.
             let mut subs = vec![Vec::new(); k];
             for p in plan.boundary_of(&h, s) {
-                let mut dests = vec![false; k];
                 for &q in h.closed_neighborhood(p) {
                     let t = plan.shard_of(q);
-                    if t != s {
-                        dests[t] = true;
-                    }
-                }
-                for (t, sub) in subs.iter_mut().enumerate() {
-                    if dests[t] {
-                        sub.push(p);
+                    if t != s && subs[t].last() != Some(&p) {
+                        subs[t].push(p);
                     }
                 }
             }
+            let members = ids.len();
+            ids.extend(plan.frontier_of(&h, s));
             actors.push(ShardActor {
-                members,
-                // Ghost slots start from the same committed configuration
-                // the members do; unused slots are never read.
-                local: states.to_vec(),
-                cache: vec![None; n],
-                dirty: vec![false; n],
-                all_dirty: true,
-                enabled: Vec::new(),
+                slots: Slots {
+                    shard: s as u32,
+                    place: Arc::clone(&place),
+                    states: ids.iter().map(|&p| world.state(p).clone()).collect(),
+                    ids,
+                    members,
+                },
+                sched: Scheduler::new(members),
                 subs,
                 seq_out: vec![0; k],
                 seq_in: vec![0; k],
-                selected: Vec::new(),
                 staged: Vec::new(),
                 outbox: vec![Vec::new(); k],
                 inbox: Vec::new(),
@@ -227,18 +252,40 @@ where
         assert_eq!(transport.shards(), k, "transport endpoint count");
         DistEngine {
             h,
-            plan,
+            place,
             actors,
             transport,
             trusted,
             step_tag: 0,
             pending_env: Vec::new(),
-            obs: world.observation_snapshot(),
-            now: vec![false; n],
-            added: Vec::new(),
-            removed: Vec::new(),
             selected: Vec::new(),
+            heads: vec![0; k],
             stats: MessageStats::default(),
+        }
+    }
+}
+
+/// Merge the actors' ascending enabled lists (a partition of the global
+/// enabled set) into `out` in one pass: repeatedly copy the run of the
+/// actor with the smallest head, up to the next-smallest head.
+fn merge_enabled<S>(actors: &[ShardActor<S>], at: &mut [usize], out: &mut Vec<usize>) {
+    out.clear();
+    at.fill(0);
+    let head = |s: usize, at: &[usize]| {
+        let (enabled, ids) = (actors[s].sched.enabled(), &actors[s].slots.ids);
+        enabled.get(at[s]).map(|&i| ids[i])
+    };
+    while let Some((_, s)) = (0..actors.len())
+        .filter_map(|s| Some((head(s, at)?, s)))
+        .min()
+    {
+        let bound = (0..actors.len())
+            .filter(|&t| t != s)
+            .filter_map(|t| head(t, at))
+            .min();
+        while let Some(p) = head(s, at).filter(|&p| bound.is_none_or(|b| p < b)) {
+            out.push(p);
+            at[s] += 1;
         }
     }
 }
@@ -255,198 +302,79 @@ where
         env: &A::Env,
         out: &mut StepOutcome,
     ) {
-        let DistEngine {
-            h,
-            plan,
-            actors,
-            transport,
-            trusted,
-            step_tag,
-            pending_env,
-            obs,
-            now,
-            added,
-            removed,
-            selected,
-            stats,
-        } = self;
-        let h = &**h;
-        {
-            let algo = world.algo();
-            // Queued env invalidations: mark the env footprints' owners.
-            for &p in pending_env.iter() {
-                for &q in algo.env_footprint(h, p) {
-                    let actor = &mut actors[plan.shard_of(q)];
-                    if !actor.all_dirty {
-                        actor.dirty[q] = true;
-                    }
-                }
-            }
-            pending_env.clear();
-            // Phase 1: deliver boundary frames, refresh dirty guards.
-            for (s, actor) in actors.iter_mut().enumerate() {
-                transport.drain_into(s, &mut actor.inbox);
-                let inbox = std::mem::take(&mut actor.inbox);
-                for bytes in &inbox {
-                    let f = BoundaryFrame::<A::State>::decode(bytes)
-                        .expect("boundary frame from an in-process peer decodes");
-                    assert_eq!(f.to, s, "frame routed to the wrong shard");
-                    // Causal metadata: the frame carries its committing
-                    // step's clock — it must be the step immediately before
-                    // the one being prepared — and the per-channel sequence
-                    // must advance gap-free. Release asserts: a reordered,
-                    // duplicated or replayed frame is well-formed, so these
-                    // are the only thing between it and the ghosts.
-                    assert!(
-                        f.step.checked_add(1) == Some(*step_tag),
-                        "ghost update from step {} applied while preparing step {}",
-                        f.step,
-                        *step_tag
-                    );
-                    assert!(
-                        actor.seq_in.get(f.from).and_then(|q| q.checked_add(1)) == Some(f.seq),
-                        "boundary channel {} -> {s} lost, duplicated or reordered a frame",
-                        f.from
-                    );
-                    actor.seq_in[f.from] = f.seq;
-                    for (v, sv) in f.entries {
-                        assert!(
-                            v < h.n() && plan.shard_of(v) != s,
-                            "peer published a state this shard owns"
-                        );
-                        actor.local[v] = sv;
-                        if !actor.all_dirty {
-                            for &q in algo.state_footprint(h, v) {
-                                if plan.shard_of(q) == s {
-                                    actor.dirty[q] = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                actor.inbox = inbox;
-                actor.inbox.clear();
-                for i in 0..actor.members.len() {
-                    let p = actor.members[i];
-                    if actor.all_dirty || actor.dirty[p] {
-                        actor.cache[p] =
-                            algo.priority_action(&Ctx::new(h, p, actor.local.as_slice(), env));
-                        actor.dirty[p] = false;
-                    }
-                }
-                actor.all_dirty = false;
-                actor.enabled.clear();
-                for &p in &actor.members {
-                    if actor.cache[p].is_some() {
-                        actor.enabled.push(p);
-                    }
-                }
-            }
-            // Merge the per-shard enabled sets (a partition of the global
-            // one) into the ascending set the daemon contract expects.
-            out.enabled.clear();
-            for actor in actors.iter() {
-                out.enabled.extend_from_slice(&actor.enabled);
-            }
-            out.enabled.sort_unstable();
-            out.executed.clear();
-            if out.enabled.is_empty() {
-                return;
-            }
-            // Daemons maintaining an incremental view get net enabled-set
-            // deltas, like the shared-memory engine's observation mirror.
-            if daemon.wants_view() {
-                added.clear();
-                removed.clear();
-                for &p in out.enabled.iter() {
-                    now[p] = true;
-                }
-                for (p, o) in obs.iter_mut().enumerate() {
-                    if now[p] && !*o {
-                        added.push(p);
-                    } else if !now[p] && *o {
-                        removed.push(p);
-                    }
-                    *o = now[p];
-                }
-                for &p in out.enabled.iter() {
-                    now[p] = false;
-                }
-                daemon.observe_delta(added, removed);
-            }
-            // The same contract enforcement as `World::step_into`.
-            daemon
-                .select_step(&out.enabled)
-                .resolve_into(&out.enabled, *trusted, selected);
-            // Phase 2: execute against the frozen pre-step views, commit
-            // locally, publish changed boundary states. The global executed
-            // list is emitted in ascending order (the selection is
-            // ascending and ownership partitions it).
-            for actor in actors.iter_mut() {
-                actor.selected.clear();
-            }
-            for &p in selected.iter() {
-                let actor = &actors[plan.shard_of(p)];
-                let a = actor.cache[p].expect("selected ⊆ enabled");
-                out.executed.push((p, a));
-                actors[plan.shard_of(p)].selected.push(p);
-            }
-            for (s, actor) in actors.iter_mut().enumerate() {
-                if actor.selected.is_empty() {
+        assert!(
+            !daemon.wants_view(),
+            "daemon contract: the message-passing tier feeds no enabled-set view"
+        );
+        self.probe(world, env);
+        merge_enabled(&self.actors, &mut self.heads, &mut out.enabled);
+        out.executed.clear();
+        if out.enabled.is_empty() {
+            return;
+        }
+        let (algo, h, place) = (world.algo(), &*self.h, &*self.place);
+        // The same contract enforcement as `World::step_into`.
+        daemon.select_step(&out.enabled).resolve_into(
+            &out.enabled,
+            self.trusted,
+            &mut self.selected,
+        );
+        // Phase 2. Composite atomicity: every selected member executes
+        // against the frozen pre-step slots before any write lands. The
+        // executed list is ascending (the selection is).
+        for &p in &self.selected {
+            let (s, i) = (place[p].0 as usize, place[p].1 as usize);
+            let actor = &mut self.actors[s];
+            let a = actor.sched.action(i).expect("selected ⊆ enabled");
+            out.executed.push((p, a));
+            let st = algo.execute(&Ctx::new(h, p, &actor.slots, env), a);
+            actor.staged.push((i, st));
+        }
+        // Commit locally, mark the owned readers of what changed, publish
+        // changed boundary states.
+        for (s, actor) in self.actors.iter_mut().enumerate() {
+            for (i, st) in actor.staged.drain(..) {
+                if actor.slots.states[i] == st {
                     continue;
                 }
-                // Composite atomicity: every execute reads the frozen local
-                // view; writes land only after the whole shard computed.
-                actor.staged.clear();
-                for i in 0..actor.selected.len() {
-                    let p = actor.selected[i];
-                    let a = actor.cache[p].expect("selected ⊆ enabled");
-                    let st = algo.execute(&Ctx::new(h, p, actor.local.as_slice(), env), a);
-                    actor.staged.push((p, st));
-                }
-                for (p, st) in actor.staged.drain(..) {
-                    let changed = actor.local[p] != st;
-                    // Only the executed footprints can change enabledness.
-                    for &q in algo.state_footprint(h, p) {
-                        if plan.shard_of(q) == s {
-                            actor.dirty[q] = true;
-                        }
+                let p = actor.slots.ids[i];
+                for &q in algo.state_footprint(h, p) {
+                    if place[q].0 as usize == s {
+                        actor.sched.mark(place[q].1 as usize);
                     }
-                    if changed {
-                        for (t, sub) in actor.subs.iter().enumerate() {
-                            if sub.binary_search(&p).is_ok() {
-                                actor.outbox[t].push((p, st.clone()));
-                            }
-                        }
-                    }
-                    actor.local[p] = st;
                 }
-                for t in 0..actor.outbox.len() {
-                    if actor.outbox[t].is_empty() {
-                        continue;
+                for (t, sub) in actor.subs.iter().enumerate() {
+                    if sub.binary_search(&p).is_ok() {
+                        actor.outbox[t].push((p, st.clone()));
                     }
-                    actor.seq_out[t] += 1;
-                    let frame = BoundaryFrame {
-                        from: s,
-                        to: t,
-                        step: *step_tag,
-                        seq: actor.seq_out[t],
-                        entries: std::mem::take(&mut actor.outbox[t]),
-                    };
-                    let bytes = frame.encode();
-                    stats.frames += 1;
-                    stats.bytes += bytes.len() as u64;
-                    transport.send(t, bytes);
                 }
+                actor.slots.states[i] = st;
+            }
+            for t in 0..actor.outbox.len() {
+                if actor.outbox[t].is_empty() {
+                    continue;
+                }
+                actor.seq_out[t] += 1;
+                let frame = BoundaryFrame {
+                    from: s,
+                    to: t,
+                    step: self.step_tag,
+                    seq: actor.seq_out[t],
+                    entries: std::mem::take(&mut actor.outbox[t]),
+                };
+                let bytes = frame.encode();
+                self.stats.frames += 1;
+                self.stats.bytes += bytes.len() as u64;
+                self.transport.send(t, bytes);
             }
         }
         // Mirror the committed states into the world, which stays the
-        // single source of truth for snapshots, fault surgery pre-checks
-        // and the facade's terminal-path `enabled_now` probes.
-        for &(p, _) in out.executed.iter() {
-            let st = self.actors[self.plan.shard_of(p)].local[p].clone();
-            if *world.state(p) != st {
-                world.set_state(p, st);
+        // single source of truth for snapshots and the observers.
+        for &(p, _) in &out.executed {
+            let (s, i) = place[p];
+            let st = &self.actors[s as usize].slots.states[i as usize];
+            if world.state(p) != st {
+                world.set_state(p, st.clone());
             }
         }
         world.set_step_count(world.steps() + 1);
@@ -454,27 +382,84 @@ where
         self.stats.steps += 1;
     }
 
+    fn probe(&mut self, world: &World<A>, env: &A::Env) -> bool {
+        let (algo, h, place) = (world.algo(), &*self.h, &*self.place);
+        for p in self.pending_env.drain(..) {
+            for &q in algo.env_footprint(h, p) {
+                self.actors[place[q].0 as usize]
+                    .sched
+                    .mark(place[q].1 as usize);
+            }
+        }
+        // Deliver each actor's frames into its ghost slots, then refresh.
+        for (s, actor) in self.actors.iter_mut().enumerate() {
+            self.transport.drain_into(s, &mut actor.inbox);
+            for bytes in actor.inbox.drain(..) {
+                let f = BoundaryFrame::<A::State>::decode(&bytes).unwrap_or_else(|| {
+                    panic!("boundary channel into shard {s} delivered a frame that does not decode")
+                });
+                assert_eq!(f.to, s, "frame routed to the wrong shard");
+                // Causal metadata: the frame carries its committing step's
+                // clock — it must be the step immediately before the one
+                // being prepared — and the per-channel sequence must
+                // advance gap-free. Release asserts: a reordered,
+                // duplicated or replayed frame is well-formed, so these are
+                // the only thing between it and the ghosts.
+                assert!(
+                    f.step.checked_add(1) == Some(self.step_tag),
+                    "ghost update from step {} applied while preparing step {}",
+                    f.step,
+                    self.step_tag
+                );
+                assert!(
+                    actor.seq_in.get(f.from).and_then(|q| q.checked_add(1)) == Some(f.seq),
+                    "boundary channel {} -> {s} lost, duplicated or reordered a frame",
+                    f.from
+                );
+                actor.seq_in[f.from] = f.seq;
+                for (v, sv) in f.entries {
+                    assert!(
+                        v < h.n() && place[v].0 as usize != s,
+                        "peer published a state this shard owns"
+                    );
+                    let slots = &mut actor.slots;
+                    let g = slots
+                        .ghost(v)
+                        .expect("peer published a state this shard does not read");
+                    if slots.states[g] != sv {
+                        slots.states[g] = sv;
+                        for &q in algo.state_footprint(h, v) {
+                            if place[q].0 as usize == s {
+                                actor.sched.mark(place[q].1 as usize);
+                            }
+                        }
+                    }
+                }
+            }
+            let ShardActor { slots, sched, .. } = actor;
+            sched.refresh(|i| algo.priority_action(&Ctx::new(h, slots.ids[i], &*slots, env)));
+        }
+        self.actors.iter().any(|a| !a.sched.enabled().is_empty())
+    }
+
     fn invalidate_env_of(&mut self, p: usize) {
         self.pending_env.push(p);
     }
 
     fn resync(&mut self, world: &World<A>) {
-        let states = world.states();
-        let mut scratch = Vec::new();
-        for s in 0..self.actors.len() {
-            self.transport.drain_into(s, &mut scratch);
-        }
-        for actor in &mut self.actors {
-            actor.local = states.to_vec();
-            actor.all_dirty = true;
-            actor.dirty.iter_mut().for_each(|d| *d = false);
+        for (s, actor) in self.actors.iter_mut().enumerate() {
+            self.transport.drain_into(s, &mut actor.inbox);
+            actor.inbox.clear();
+            let slots = &mut actor.slots;
+            for (st, &p) in slots.states.iter_mut().zip(&slots.ids) {
+                *st = world.state(p).clone();
+            }
+            actor.sched.mark_all();
             actor.seq_in.iter_mut().for_each(|q| *q = 0);
             actor.seq_out.iter_mut().for_each(|q| *q = 0);
             actor.outbox.iter_mut().for_each(Vec::clear);
-            actor.staged.clear();
         }
         self.pending_env.clear();
-        self.obs = world.observation_snapshot();
     }
 
     fn stats(&self) -> MessageStats {
@@ -495,8 +480,7 @@ mod tests {
 
     use super::*;
     use sscc_hypergraph::generators;
-    use sscc_runtime::algorithm::GuardedAlgorithm;
-    use sscc_runtime::ctx::StateAccess;
+    use sscc_runtime::algorithm::ActionId;
     use sscc_runtime::daemon::DistributedRandom;
 
     /// Max-propagation: adopt the neighborhood maximum when larger.
@@ -532,7 +516,10 @@ mod tests {
 
     #[test]
     fn lockstep_with_sequential_world_on_maxprop() {
-        for shards in [2usize, 3, 4] {
+        // One shard owning every vertex (no ghosts, no traffic) up to four;
+        // mid-run surgery through the world followed by `resync` re-seeds
+        // every slot, and env invalidations mark through the schedulers.
+        for shards in [1usize, 2, 3, 4] {
             for seed in 0..5u64 {
                 let h = Arc::new(generators::ring(24, 2));
                 let mut seq = World::new(Arc::clone(&h), MaxProp);
@@ -543,13 +530,23 @@ mod tests {
                 let mut out_seq = StepOutcome::default();
                 let mut out_dist = StepOutcome::default();
                 for step in 0..200 {
+                    if step == 5 {
+                        for (p, v) in [(3, 40 + seed as u32), (17, 0)] {
+                            seq.set_state(p, v);
+                            dw.set_state(p, v);
+                        }
+                        dist.resync(&dw);
+                    }
+                    let p = (step * 7 + seed as usize) % h.n();
+                    seq.invalidate_env_of(p);
+                    dist.invalidate_env_of(p);
                     seq.step_into(&mut d_seq, &(), &mut out_seq);
                     dist.step_into(&mut dw, &mut d_dist, &(), &mut out_dist);
                     assert_eq!(out_seq.enabled, out_dist.enabled, "step {step}");
                     assert_eq!(out_seq.executed, out_dist.executed, "step {step}");
                     assert_eq!(seq.states(), dw.states(), "step {step}");
                     assert_eq!(seq.steps(), dw.steps(), "step {step}");
-                    if out_seq.enabled.is_empty() {
+                    if out_seq.enabled.is_empty() && step > 5 {
                         break;
                     }
                 }
@@ -557,7 +554,8 @@ mod tests {
                     out_seq.enabled.is_empty(),
                     "maxprop terminates within the budget"
                 );
-                assert!(dist.stats().frames > 0, "shards exchanged traffic");
+                assert_eq!(dist.shards(), shards);
+                assert_eq!(dist.stats().frames > 0, shards > 1, "traffic iff shards");
             }
         }
     }
@@ -619,10 +617,11 @@ mod tests {
         /// shard 1]` — one the receiver owns, or one out of range —
         /// re-encoded.
         Foreign([usize; 2]),
+        /// Flip one byte of it: a sealed frame that no longer decodes.
+        Garble,
     }
 
-    /// A transport that breaks the delivery contract exactly once, with
-    /// frames that all decode.
+    /// A transport that breaks the delivery contract exactly once.
     struct Tamper {
         inner: ChannelTransport,
         fault: Option<Fault>,
@@ -656,6 +655,12 @@ mod tests {
                     f.entries[0].0 = owned[to];
                     self.inner.send(to, f.encode());
                 }
+                Some(Fault::Garble) => {
+                    let mut frame = frame;
+                    let mid = frame.len() / 2;
+                    frame[mid] ^= 0x20;
+                    self.inner.send(to, frame);
+                }
                 None => self.inner.send(to, frame),
             }
         }
@@ -666,9 +671,10 @@ mod tests {
 
     #[test]
     fn causality_violations_fail_stop_in_every_profile() {
-        // Each tampered frame is well-formed — the codec accepts it — so
-        // the engine's own checks must stop the step that delivers it.
-        // (Plain `assert!`s: this test passes under `--release` too.)
+        // Every tampered frame but the garbled one is well-formed — the
+        // codec accepts it — so the engine's own checks must stop the step
+        // that delivers it; the garbled one stops it at the decode. (Plain
+        // `assert!`s and panics: this test passes under `--release` too.)
         let h = Arc::new(generators::ring(24, 2));
         let plan = h.shard_plan(2);
         let owned = [plan.members(0)[0], plan.members(1)[0]];
@@ -680,6 +686,7 @@ mod tests {
             (Fault::Foreign(owned), owns),
             (Fault::Foreign([h.n(); 2]), owns),
             (Fault::Foreign([u32::MAX as usize; 2]), owns),
+            (Fault::Garble, "boundary channel into shard"),
         ] {
             let mut seq = World::new(Arc::clone(&h), MaxProp);
             let mut dw = World::new(Arc::clone(&h), MaxProp);

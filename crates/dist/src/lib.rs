@@ -25,7 +25,7 @@
 //! The shared-memory engines remain the **oracle**: a distributed drain
 //! ([`Drain::Distributed`](sscc_runtime::prelude::Drain)) must be
 //! bit-identical — traces, ledger, monitor, rounds — to the sequential
-//! engine on every topology, which the 15-engine differential suite pins.
+//! engine on every topology, which the 7-mode differential suite pins.
 //!
 //! Layout:
 //! * [`frame`] — the boundary frame, a payload of the shared

@@ -54,11 +54,12 @@ impl StepOutcome {
     }
 }
 
-/// Persistent guard-evaluation state: the priority-action cache, the dirty
-/// set, and the maintained (sorted) enabled set.
+/// Persistent guard-evaluation state over dense slots: the priority-action
+/// cache, the dirty set, and the maintained (sorted) enabled set — one per
+/// [`World`], one per shard actor of the message-passing tier.
 #[derive(Clone, Debug)]
-struct Scheduler {
-    /// Cached priority action per process; valid unless dirty.
+pub struct Scheduler {
+    /// Cached priority action per slot; valid unless dirty.
     cache: Vec<Option<ActionId>>,
     /// Processes whose cache entry must be re-evaluated.
     dirty: MarkSet,
@@ -82,7 +83,8 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(n: usize) -> Self {
+    /// A scheduler over `n` slots, every one of them stale.
+    pub fn new(n: usize) -> Self {
         Scheduler {
             cache: vec![None; n],
             dirty: MarkSet::new(n),
@@ -95,15 +97,57 @@ impl Scheduler {
         }
     }
 
-    fn mark(&mut self, p: usize) {
+    /// Queue slot `p` for re-evaluation at the next refresh.
+    #[inline]
+    pub fn mark(&mut self, p: usize) {
         if !self.all_dirty {
             self.dirty.insert(p);
         }
     }
 
-    fn mark_all(&mut self) {
+    /// Make every slot stale (boot, wholesale surgery, full-scan mode).
+    pub fn mark_all(&mut self) {
         self.all_dirty = true;
         self.dirty.clear();
+    }
+
+    /// The cached priority action of slot `p` (`None` = disabled).
+    #[inline]
+    pub fn action(&self, p: usize) -> Option<ActionId> {
+        self.cache[p]
+    }
+
+    /// The enabled slots, ascending.
+    pub fn enabled(&self) -> &[usize] {
+        &self.enabled
+    }
+
+    /// Bring the cache up to date: drain the dirty slots (every slot after
+    /// [`Scheduler::mark_all`]) through `eval`, slot `p`'s priority action
+    /// in the current configuration, and repair the enabled set.
+    pub fn refresh(&mut self, mut eval: impl FnMut(usize) -> Option<ActionId>) {
+        let full = std::mem::take(&mut self.all_dirty);
+        if full {
+            (0..self.cache.len()).for_each(|p| _ = self.dirty.insert(p));
+        }
+        while let Some(p) = self.dirty.pop() {
+            let a = eval(p);
+            self.store(p, a);
+        }
+        self.repair_enabled();
+        // The evaluators cross-check the guards that *were* evaluated; a
+        // dirtiness-filter bug is a guard that was not. Every debug-build
+        // incremental refresh checks the whole cache against a fresh
+        // evaluation.
+        if cfg!(debug_assertions) && !full {
+            for p in 0..self.cache.len() {
+                assert_eq!(
+                    self.cache[p],
+                    eval(p),
+                    "slot {p} changed its priority action without being re-enqueued"
+                );
+            }
+        }
     }
 
     /// Record a fresh evaluation of `p`. Enabled-set maintenance is
@@ -632,40 +676,7 @@ impl<A: GuardedAlgorithm> World<A> {
             sched,
             ..
         } = self;
-        if sched.all_dirty {
-            sched.all_dirty = false;
-            debug_assert!(sched.dirty.is_empty());
-            debug_assert!(sched.flips.is_empty(), "repair always drains flips");
-            sched.enabled.clear();
-            for p in 0..h.n() {
-                let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
-                if sched.cache[p].is_some() != a.is_some() {
-                    sched.changed.insert(p);
-                }
-                sched.cache[p] = a;
-                if a.is_some() {
-                    sched.enabled.push(p);
-                }
-            }
-            return;
-        }
-        while let Some(p) = sched.dirty.pop() {
-            let a = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
-            sched.store(p, a);
-        }
-        sched.repair_enabled();
-        // The evaluators cross-check the guards that *were* evaluated; a
-        // dirtiness-filter bug is a guard that was not. Every debug-build
-        // refresh checks the whole cache against a fresh evaluation.
-        if cfg!(debug_assertions) {
-            for p in 0..h.n() {
-                let fresh = algo.priority_action(&Ctx::new(h, p, states.as_slice(), env));
-                assert_eq!(
-                    sched.cache[p], fresh,
-                    "process {p} changed its priority action without being re-enqueued"
-                );
-            }
-        }
+        sched.refresh(|p| algo.priority_action(&Ctx::new(h, p, states.as_slice(), env)));
     }
 
     /// Ascending enabled set of the *current* configuration, through the
