@@ -52,7 +52,7 @@ pub use cc1::{Cc1, Cc1State};
 pub use cc2::{Cc2, Cc2State, Cc3, MinEdgeSelector, RoundRobinSelector, Selector};
 pub use compose::{CcTok, Composed};
 pub use liveness::{max_participation_gap, FairnessTracker, ProgressWatchdog};
-pub use meetings::{LedgerEvent, LedgerLayout, MeetingInstance, MeetingLedger};
+pub use meetings::{Footprint, History, LedgerEvent, LedgerLayout, MeetingInstance, MeetingLedger};
 pub use oracle::{
     restore_policy, splitmix64, EagerPolicy, InfiniteMeetingPolicy, OpenLoopPolicy, OraclePolicy,
     PolicyView, RequestEnv, RequestFlags, ScriptedPolicy, StochasticPolicy,

@@ -15,6 +15,15 @@
 //! in a run that grows without bound, so its unit cost is pinned
 //! (`size_of::<MeetingInstance>() <= 96`, no allocation per convene).
 //!
+//! A terminated record is a log entry, not state, so it has one resident
+//! form: its wire bytes. The ledger keeps the records from the first
+//! unsealed one on as structs (the tail: every live meeting is in it), and
+//! seals the tail's all-terminated prefix into shared segments of
+//! [`SEGMENT`] records once it is that long — about 10 bytes a record
+//! where the struct takes 96. [`MeetingLedger::instances`] is a view over
+//! both ([`History`]); checkpoints copy the segments as they are, and a
+//! restore adopts the bytes it validated instead of rebuilding structs.
+//!
 //! On the wire (checkpoint and service format version 3) the history is as
 //! compact as the record: a committee table holds each distinct
 //! (label, member list) once, append-only in first-use order, and a record
@@ -39,7 +48,7 @@ use sscc_runtime::seal::SealCache;
 use sscc_runtime::wire::{self, StateCodec};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The member list of one committee as its meetings saw it: strictly
 /// ascending dense indices, shared by every instance convened on that
@@ -329,7 +338,8 @@ pub enum LedgerEvent {
 /// meeting was recorded on — its label and its member list — once, in the
 /// order the history first names it, so a record carries a small index
 /// instead of both. Append-only: an id, once given, names the same entry
-/// until a relocation rewrites history (and resets every seal with it).
+/// until a relocation merges two entries into one (and re-encodes the
+/// sealed history with it).
 #[derive(Clone, Debug, Default)]
 struct Committees {
     entries: Vec<(EdgeId, Members)>,
@@ -341,6 +351,11 @@ struct Committees {
 }
 
 impl Committees {
+    /// How many members entry `id` has; `None` if there is no such entry.
+    fn size(&self, id: usize) -> Option<usize> {
+        self.entries.get(id).map(|(_, members)| members.len())
+    }
+
     fn find(&self, edge: EdgeId, members: &[usize]) -> Option<u32> {
         let ids = self.by_label.get(&edge)?;
         ids.iter()
@@ -445,6 +460,169 @@ const TERMINATED: u8 = 2;
 const ESSENTIAL_LISTED: u8 = 4;
 const LEFT_LISTED: u8 = 8;
 
+/// A record as the wire holds it: a [`MeetingInstance`] less the label and
+/// member list its committee id stands for.
+struct Record {
+    committee: u32,
+    convened_step: Option<u64>,
+    convened_round: u64,
+    terminated_step: Option<u64>,
+    essential: Positions,
+    left_by: Positions,
+}
+
+impl Record {
+    /// Read one record as [`MeetingLedger::encode_record`] writes it and
+    /// nothing else, for a table whose entry `id` has `members(id)`
+    /// members (`None`: no such entry): known flags only, no termination
+    /// before the convene, positions below the member count, spilled only
+    /// where the word cannot hold them.
+    fn read(r: &mut wire::Reader, members: impl Fn(usize) -> Option<usize>) -> Option<Record> {
+        let committee = u32::try_from(r.varint()?).ok()?;
+        let k = members(committee as usize)?;
+        let flags = r.u8()?;
+        if flags & !(CONVENED | TERMINATED | ESSENTIAL_LISTED | LEFT_LISTED) != 0 {
+            return None;
+        }
+        let convened_step = if flags & CONVENED != 0 {
+            Some(r.varint()?)
+        } else {
+            None
+        };
+        let convened_round = r.varint()?;
+        let terminated_step = if flags & TERMINATED != 0 {
+            Some(convened_step.unwrap_or(0).checked_add(r.varint()?)?)
+        } else {
+            None
+        };
+        Some(Record {
+            committee,
+            convened_step,
+            convened_round,
+            terminated_step,
+            essential: Positions::decode(r, k, flags & ESSENTIAL_LISTED != 0, true)?,
+            left_by: Positions::decode(r, k, flags & LEFT_LISTED != 0, false)?,
+        })
+    }
+
+    /// The meeting, its committee looked up in `entries`.
+    fn into_instance(self, entries: &[(EdgeId, Members)]) -> MeetingInstance {
+        let (edge, participants) = entries[self.committee as usize].clone();
+        MeetingInstance {
+            edge,
+            convened_step: self.convened_step,
+            convened_round: self.convened_round,
+            terminated_step: self.terminated_step,
+            participants,
+            essential: self.essential,
+            left_by: self.left_by,
+            committee: self.committee,
+        }
+    }
+}
+
+/// Records a sealed segment holds at most: what observing seals at once,
+/// once that many have terminated, and what a restore adopts at once —
+/// 4 096 (8 in this crate's own unit tests, so that their short histories
+/// cross many segment boundaries).
+pub const SEGMENT: usize = if cfg!(test) { 8 } else { 4096 };
+
+/// Terminated records `start..start + len` in their one resident form: the
+/// bytes [`MeetingLedger::encode_record`] wrote for them, shared with every
+/// snapshot that captured them.
+#[derive(Clone, Debug)]
+struct Segment {
+    start: usize,
+    len: usize,
+    /// How many of them convened after step 0 — the conservation check's
+    /// share of the history, kept so the check never decodes.
+    post_initial: usize,
+    bytes: Arc<Vec<u8>>,
+    /// The records as structs, decoded by the first indexed read of one —
+    /// which only tests and offline readers make: a live meeting, and so
+    /// every record a step's events name, is never sealed.
+    decoded: OnceLock<Box<[MeetingInstance]>>,
+}
+
+impl Segment {
+    /// Seal `records`, the first of which is record `start`.
+    fn seal(start: usize, records: &[MeetingInstance]) -> Self {
+        // One pass over records that have gone cold in the cache: the
+        // buffer is sized from the ring's ≈ 10 bytes a record, trimmed to
+        // what was written.
+        let (mut bytes, mut post_initial) = (Vec::with_capacity(16 * records.len()), 0);
+        for inst in records {
+            MeetingLedger::encode_record(inst, &mut bytes);
+            post_initial += usize::from(inst.post_initial());
+        }
+        bytes.shrink_to_fit();
+        Segment::adopt(start, records.len(), post_initial, bytes)
+    }
+
+    /// One past its last record's index.
+    fn end(&self) -> usize {
+        self.start + self.len
+    }
+
+    fn adopt(start: usize, len: usize, post_initial: usize, bytes: Vec<u8>) -> Self {
+        Segment {
+            start,
+            len,
+            post_initial,
+            bytes: Arc::new(bytes),
+            decoded: OnceLock::new(),
+        }
+    }
+
+    /// The records, read back through the committee table.
+    fn records<'a>(&'a self, table: &'a Committees) -> impl Iterator<Item = MeetingInstance> + 'a {
+        let mut r = wire::Reader::new(&self.bytes);
+        (0..self.len).map(move |_| {
+            let record = Record::read(&mut r, |id| table.size(id)).expect("sealed records decode");
+            record.into_instance(&table.entries)
+        })
+    }
+}
+
+/// Records [`MeetingLedger::restore_state`] has read but not yet adopted:
+/// where they start, how many, how many of them post-initial.
+struct Piece<'a> {
+    from: wire::Reader<'a>,
+    len: usize,
+    post_initial: usize,
+}
+
+impl Piece<'_> {
+    /// Adopt the records read up to `at` as one sealed segment.
+    fn adopt(&mut self, at: &wire::Reader, sealed: &mut Vec<Segment>) {
+        let start = sealed.last().map_or(0, Segment::end);
+        let read = self.from.remaining() - at.remaining();
+        let bytes = self.from.take(read).expect("bytes already read");
+        sealed.push(Segment::adopt(
+            start,
+            self.len,
+            self.post_initial,
+            bytes.to_vec(),
+        ));
+        (self.len, self.post_initial) = (0, 0);
+    }
+}
+
+/// What a ledger holds resident ([`MeetingLedger::footprint`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Footprint {
+    /// Terminated records held only as their sealed wire bytes.
+    pub sealed_records: usize,
+    /// The bytes those records take.
+    pub sealed_bytes: usize,
+    /// Records held as [`MeetingInstance`] structs: every record from the
+    /// first unsealed one on.
+    pub tail_records: usize,
+    /// Sealed records also held as structs, because an indexed read of
+    /// sealed history decoded their segment.
+    pub decoded_records: usize,
+}
+
 /// Which record layout a ledger blob carries — what the envelope version of
 /// the artifact around it says.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -460,8 +638,16 @@ pub enum LedgerLayout {
 /// Accumulates meeting instances over a computation.
 #[derive(Clone, Debug)]
 pub struct MeetingLedger {
-    instances: Vec<MeetingInstance>,
-    /// `live[e]` = index into `instances` of the live meeting of edge `e`.
+    /// Records `0..covered`, all terminated, as wire bytes, oldest first.
+    sealed: Vec<Segment>,
+    /// Every record from `covered` on: the live meetings, and whatever
+    /// terminated behind the oldest of them or since the last seal.
+    tail: Vec<MeetingInstance>,
+    /// `tail[..settled]` have all terminated — the cursor sealing advances
+    /// and never moves back: a termination is final.
+    settled: usize,
+    /// `live[e]` = index of the live meeting of edge `e` (always in the
+    /// tail).
     live: Vec<Option<usize>>,
     /// Ascending edge ids of live meetings (maintained incrementally so
     /// per-step consumers never scan all `|E|` edges).
@@ -480,18 +666,12 @@ pub struct MeetingLedger {
     /// reserve its buffer once instead of doubling its way through the
     /// history. Derived, not on the wire.
     encoded_bound: usize,
-    /// The share of `encoded_bound` the sealed prefix accounts for.
-    sealed_bound: usize,
     /// Per-process participation counter (meetings convened with them in).
     participations: Vec<u64>,
     /// Last step at which each process participated in a convene.
     last_participation: Vec<Option<u64>>,
-    /// Online-snapshot support: the wire encoding of the longest
-    /// all-terminated instance prefix, sealed into shared segments.
-    /// Terminated instances are immutable — except when a topology
-    /// mutation remaps historical edge ids, which resets this cache.
-    seal: SealCache,
-    /// The same for the committee table, whose entries are all immutable.
+    /// Online-snapshot support: the wire encoding of the committee table,
+    /// whose entries are immutable until a relocation relabels them.
     table_seal: SealCache,
 }
 
@@ -500,17 +680,17 @@ impl MeetingLedger {
     /// meeting become pre-existing instances (`convened_step = None`).
     pub fn new<S: CommitteeView>(h: &Hypergraph, initial: &[S]) -> Self {
         let mut ledger = MeetingLedger {
-            instances: Vec::new(),
+            sealed: Vec::new(),
+            tail: Vec::new(),
+            settled: 0,
             live: vec![None; h.m()],
             live_sorted: Vec::new(),
             committees: Committees::default(),
             cached: vec![None; h.m()],
             convened: 0,
             encoded_bound: 0,
-            sealed_bound: 0,
             participations: vec![0; h.n()],
             last_participation: vec![None; h.n()],
-            seal: SealCache::new(),
             table_seal: SealCache::new(),
         };
         for e in h.edge_ids() {
@@ -521,12 +701,44 @@ impl MeetingLedger {
         ledger
     }
 
+    /// Records sealed: the index of the first one in the tail.
+    fn covered(&self) -> usize {
+        self.sealed.last().map_or(0, Segment::end)
+    }
+
+    /// The live record `idx` — in the tail, as every live record is.
+    fn live_mut(&mut self, idx: usize) -> &mut MeetingInstance {
+        let covered = self.covered();
+        &mut self.tail[idx - covered]
+    }
+
+    /// Seal the tail's all-terminated prefix into segments of at most
+    /// [`SEGMENT`] records and drain it from the tail — only whole
+    /// segments' worth if `whole`, leaving the rest for a later seal.
+    fn seal(&mut self, whole: bool) {
+        while self.tail.get(self.settled).is_some_and(|i| !i.live()) {
+            self.settled += 1;
+        }
+        let upto = if whole {
+            self.settled - self.settled % SEGMENT
+        } else {
+            self.settled
+        };
+        let mut start = self.covered();
+        for records in self.tail[..upto].chunks(SEGMENT) {
+            self.sealed.push(Segment::seal(start, records));
+            start += records.len();
+        }
+        self.tail.drain(..upto);
+        self.settled -= upto;
+    }
+
     /// Record a new live instance of `e` (which has none) and return its
     /// index. The record is a flat push: the member list is the handle of
     /// `e`'s table entry, looked up again only when the graph's list
     /// differs from the one cached for `e`.
     fn open(&mut self, h: &Hypergraph, e: EdgeId, convened_step: Option<u64>, round: u64) -> usize {
-        let idx = self.instances.len();
+        let idx = self.covered() + self.tail.len();
         self.live[e.index()] = Some(idx);
         let at = self.live_sorted.partition_point(|&x| x < e);
         self.live_sorted.insert(at, e);
@@ -550,7 +762,7 @@ impl MeetingLedger {
         };
         self.convened += usize::from(convened_step.is_some());
         self.encoded_bound += Self::live_bound(&inst);
-        self.instances.push(inst);
+        self.tail.push(inst);
         idx
     }
 
@@ -566,12 +778,13 @@ impl MeetingLedger {
     /// Stamp instance `idx` terminated at `step`; from now on its record is
     /// final, so the encoded bound takes its exact size.
     fn terminate(&mut self, idx: usize, step: u64) {
-        let inst = &mut self.instances[idx];
+        let inst = self.live_mut(idx);
         let open = Self::live_bound(inst);
         let convened = inst.convened_step.unwrap_or(0);
         assert!(step >= convened, "a meeting cannot end before it convened");
         inst.terminated_step = Some(step);
-        self.encoded_bound = self.encoded_bound - open + Self::record_len(inst);
+        let exact = Self::record_len(inst);
+        self.encoded_bound = self.encoded_bound - open + exact;
     }
 
     /// Attribute an executed essential discussion or leave of `p` to the
@@ -585,7 +798,7 @@ impl MeetingLedger {
         let Some(idx) = pointer.and_then(|e| self.live[e.index()]) else {
             return;
         };
-        let inst = &mut self.instances[idx];
+        let inst = self.live_mut(idx);
         let pos = inst.participants.position(p);
         debug_assert!(pos.is_some(), "process {p} acted in {inst:?}");
         let Some(pos) = pos else { return };
@@ -594,6 +807,15 @@ impl MeetingLedger {
         } else {
             let fresh = inst.left_by.insert(pos, false);
             debug_assert!(fresh, "process {p} left {inst:?} twice");
+        }
+    }
+
+    /// Seal whole segments of terminated records, once there are any —
+    /// before a step, so no record this step's events name is sealed.
+    #[inline]
+    fn seal_segments(&mut self) {
+        if self.tail.len() >= SEGMENT {
+            self.seal(true);
         }
     }
 
@@ -609,6 +831,7 @@ impl MeetingLedger {
         round: u64,
         executed: &[(usize, ActionClass)],
     ) -> Vec<LedgerEvent> {
+        self.seal_segments();
         let mut events = Vec::new();
         // Essential discussions and leaves are attributed to the live
         // meeting of the edge the process pointed at in `pre`.
@@ -649,6 +872,7 @@ impl MeetingLedger {
         executed: &[(usize, ActionClass, Option<EdgeId>)],
         touched: &[EdgeId],
     ) -> Vec<LedgerEvent> {
+        self.seal_segments();
         let mut events = Vec::new();
         for &(p, class, pointer) in executed {
             self.attribute(p, class, pointer);
@@ -663,7 +887,8 @@ impl MeetingLedger {
 
     /// Debug builds: the derived indexes agree with what they index —
     /// `live_sorted` lists exactly the occupied slots of `live`, and
-    /// `convened` is the number of post-initial instances.
+    /// `convened` is the number of post-initial instances: the tail's,
+    /// counted, and each sealed segment's, as sealed. `O(live + tail)`.
     #[inline]
     fn debug_check_conservation(&self) {
         debug_assert!(
@@ -672,7 +897,8 @@ impl MeetingLedger {
         );
         debug_assert_eq!(
             self.convened,
-            self.post_initial_instances().count(),
+            self.sealed.iter().map(|s| s.post_initial).sum::<usize>()
+                + self.tail.iter().filter(|i| i.post_initial()).count(),
             "convened counts the post-initial instances"
         );
     }
@@ -763,15 +989,13 @@ impl MeetingLedger {
         delta.remap_per_edge(&mut self.live, || None);
         delta.remap_per_edge(&mut self.cached, || None);
         // Only a relocation changes an id history refers to (a dissolved
-        // committee keeps its label): without one the walk over history —
-        // the one term of a mutation that grows with the run — and the
-        // re-seal of the terminated prefix are both skipped.
+        // committee keeps its label), and it changes the table: a sealed
+        // record names its table entry, not its label, so its bytes stand
+        // unless entries merged — and the tail is the only history walked.
         if let Some((old, new)) = delta.moved() {
-            self.seal.reset();
             self.table_seal.reset();
-            self.sealed_bound = 0;
             let merged = self.committees.relabel(old, new);
-            for inst in &mut self.instances {
+            for inst in &mut self.tail {
                 if inst.edge == old {
                     inst.edge = new;
                 }
@@ -779,11 +1003,19 @@ impl MeetingLedger {
                     inst.committee = map[inst.committee as usize];
                 }
             }
+            for seg in &mut self.sealed {
+                // Decoded records carry labels, which just moved.
+                seg.decoded = OnceLock::new();
+                if let Some(map) = &merged {
+                    seg.bytes = Arc::new(Self::remap(seg, map, &self.committees));
+                }
+            }
             // Merged ids are smaller, so the bound only loosened; a rare
             // event, so it is made exact again rather than carried.
             if merged.is_some() {
                 self.cached.fill(None);
-                self.encoded_bound = self.instances.iter().map(Self::bound_of).sum();
+                let sealed: usize = self.sealed.iter().map(|s| s.bytes.len()).sum();
+                self.encoded_bound = sealed + self.tail.iter().map(Self::bound_of).sum::<usize>();
             }
         }
         self.live_sorted = Self::live_slots(&self.live).collect();
@@ -793,6 +1025,23 @@ impl MeetingLedger {
         self.debug_check_conservation();
     }
 
+    /// `seg`'s records re-encoded under the merged `table`, each committee
+    /// id sent through `map`.
+    fn remap(seg: &Segment, map: &[u32], table: &Committees) -> Vec<u8> {
+        let members = |id: usize| table.size(*map.get(id)? as usize);
+        let (mut r, mut out) = (
+            wire::Reader::new(&seg.bytes),
+            Vec::with_capacity(seg.bytes.len()),
+        );
+        for _ in 0..seg.len {
+            let mut record = Record::read(&mut r, members).expect("sealed records decode");
+            record.committee = map[record.committee as usize];
+            Self::encode_record(&record.into_instance(&table.entries), &mut out);
+        }
+        out.shrink_to_fit();
+        out
+    }
+
     /// The edges with a live slot, ascending.
     fn live_slots(live: &[Option<usize>]) -> impl Iterator<Item = EdgeId> + '_ {
         let ids = (0..live.len()).filter(|&ei| live[ei].is_some());
@@ -800,13 +1049,27 @@ impl MeetingLedger {
     }
 
     /// All recorded instances, in creation order.
-    pub fn instances(&self) -> &[MeetingInstance] {
-        &self.instances
+    pub fn instances(&self) -> History<'_> {
+        History { ledger: self }
+    }
+
+    /// Record `idx`: from the tail, or from its sealed segment, which the
+    /// first such read decodes for good.
+    fn record(&self, idx: usize) -> Option<&MeetingInstance> {
+        let covered = self.covered();
+        if idx >= covered {
+            return self.tail.get(idx - covered);
+        }
+        let seg = &self.sealed[self.sealed.partition_point(|s| s.start <= idx) - 1];
+        let records = seg
+            .decoded
+            .get_or_init(|| seg.records(&self.committees).collect());
+        Some(&records[idx - seg.start])
     }
 
     /// The live instance of edge `e`, if any.
     pub fn live_instance(&self, e: EdgeId) -> Option<&MeetingInstance> {
-        self.live[e.index()].map(|i| &self.instances[i])
+        self.live[e.index()].map(|i| &self.tail[i - self.covered()])
     }
 
     /// Is committee `e` currently meeting? `O(1)` — the ledger maintains
@@ -832,9 +1095,12 @@ impl MeetingLedger {
         &self.live_sorted
     }
 
-    /// Meetings convened after step 0 (covered by snap-stabilization).
-    pub fn post_initial_instances(&self) -> impl Iterator<Item = &MeetingInstance> {
-        self.instances.iter().filter(|m| m.post_initial())
+    /// Meetings convened after step 0 (covered by snap-stabilization),
+    /// sealed ones decoded on the fly.
+    pub fn post_initial_instances(&self) -> impl Iterator<Item = MeetingInstance> + '_ {
+        self.instances()
+            .iter()
+            .filter(MeetingInstance::post_initial)
     }
 
     /// How many meetings each process participated in (post-initial
@@ -862,6 +1128,20 @@ impl MeetingLedger {
     /// Number of per-process slots — the `n` this ledger is dimensioned for.
     pub fn process_slots(&self) -> usize {
         self.participations.len()
+    }
+
+    /// What the history holds resident: how many terminated records are
+    /// kept only as sealed wire bytes and in how many bytes, how many
+    /// records the tail holds as structs, and how many sealed ones an
+    /// indexed read decoded a second time. `O(segments)`.
+    pub fn footprint(&self) -> Footprint {
+        let decoded = self.sealed.iter().filter(|s| s.decoded.get().is_some());
+        Footprint {
+            sealed_records: self.covered(),
+            sealed_bytes: self.sealed.iter().map(|s| s.bytes.len()).sum(),
+            tail_records: self.tail.len(),
+            decoded_records: decoded.map(|s| s.len).sum(),
+        }
     }
 
     /// A digest of what the ledger recorded, independent of how it is laid
@@ -897,8 +1177,9 @@ impl MeetingLedger {
             }
         }
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.word(self.instances.len() as u64);
-        for inst in &self.instances {
+        let records = self.instances();
+        h.word(records.len() as u64);
+        for inst in records.iter() {
             h.word(u64::from(inst.edge.0));
             h.opt(inst.convened_step);
             h.word(inst.convened_round);
@@ -962,7 +1243,7 @@ impl MeetingLedger {
     }
 
     /// The wire record of one instance — the unit [`MeetingLedger::save_state`],
-    /// the seal cache and [`LedgerSnapshot::encode`] must agree on:
+    /// the sealed segments and [`LedgerSnapshot::encode`] must agree on:
     ///
     /// ```text
     /// committee  varint  index into the committee table (edge, members)
@@ -1018,17 +1299,20 @@ impl MeetingLedger {
     }
 
     /// Serialize the full meeting history and live set: the committee table,
-    /// the records, the footer, each list behind a varint count.
-    /// `live_sorted` is derivable (ascending filter of `live`) and not
-    /// written.
+    /// the records — a copy of each sealed segment, then the tail encoded —
+    /// and the footer, each list behind a varint count. `live_sorted` is
+    /// derivable (ascending filter of `live`) and not written.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         let entries = &self.committees.entries;
         wire::put_varint(out, entries.len() as u64);
         for (edge, members) in entries {
             Committees::encode_entry(*edge, members, out);
         }
-        wire::put_varint(out, self.instances.len() as u64);
-        for inst in &self.instances {
+        wire::put_varint(out, (self.covered() + self.tail.len()) as u64);
+        for seg in &self.sealed {
+            out.extend_from_slice(&seg.bytes);
+        }
+        for inst in &self.tail {
             Self::encode_record(inst, out);
         }
         Self::encode_footer(
@@ -1039,13 +1323,13 @@ impl MeetingLedger {
         );
     }
 
-    /// Capture an **online snapshot** of the ledger: the committee table and
-    /// the longest all-terminated instance prefix are sealed into shared
-    /// segments (amortized `O(entries and meetings new since the last
-    /// capture)`), the live tail and the per-process counters are cloned
-    /// (`O(live)` memcpys) — never `O(history)`. [`LedgerSnapshot::encode`]
-    /// reassembles the exact [`MeetingLedger::save_state`] bytes off the
-    /// critical path.
+    /// Capture an **online snapshot** of the ledger in `O(tail)`: the
+    /// committee table's new entries and the tail's terminated prefix are
+    /// sealed, every sealed segment is shared (an `Arc` clone each), and
+    /// the rest of the tail — from the oldest live meeting on — and the
+    /// per-process counters are cloned. Never `O(history)`.
+    /// [`LedgerSnapshot::encode`] reassembles the exact
+    /// [`MeetingLedger::save_state`] bytes off the critical path.
     pub fn snapshot(&mut self) -> LedgerSnapshot {
         let entries = &self.committees.entries;
         let from = self.table_seal.covered();
@@ -1057,48 +1341,30 @@ impl MeetingLedger {
                     Committees::encode_entry(*edge, members, buf);
                 }
             });
-        // Advance the seal over instances that terminated since last time.
-        // The prefix stops at the first still-live instance: everything
-        // before it is immutable (termination closes an instance for good;
-        // only `apply_mutation` rewrites history, and it resets the seal).
-        let covered = self.seal.covered();
-        let upto = self.instances[covered..]
-            .iter()
-            .take_while(|inst| !inst.live())
-            .count()
-            + covered;
-        // Room for everything not yet sealed — the records sealed now plus
-        // the live tail behind them: over by that tail, never under.
-        let (instances, mut sealed) = (&self.instances, 0);
-        let unsealed = self.encoded_bound - self.sealed_bound;
-        self.seal.extend_to(upto, unsealed, |buf| {
-            for inst in &instances[covered..upto] {
-                Self::encode_record(inst, buf);
-                sealed += Self::record_len(inst);
-            }
-        });
-        self.sealed_bound += sealed;
+        self.seal(false);
         LedgerSnapshot {
-            committees: entries.len(),
+            committees: self.committees.entries.len(),
             table: self.table_seal.segments().to_vec(),
-            total: self.instances.len(),
-            sealed: self.seal.segments().to_vec(),
-            tail: self.instances[self.seal.covered()..].to_vec(),
+            total: self.covered() + self.tail.len(),
+            sealed: self.sealed.iter().map(|s| Arc::clone(&s.bytes)).collect(),
+            tail: self.tail.clone(),
             live: self.live.clone(),
             participations: self.participations.clone(),
             last_participation: self.last_participation.clone(),
         }
     }
 
-    /// The ledger around decoded `instances`, its table and footer, once the
-    /// invariants every decode shares hold: every live slot names an
-    /// un-terminated instance of that very edge and every un-terminated
+    /// The ledger around decoded history — sealed segments and the tail
+    /// behind them —, its table and footer, once the invariants every
+    /// decode shares hold: every live slot names an un-terminated instance
+    /// of that very edge (so one in the tail) and every un-terminated
     /// instance has its slot, and no member list names a process outside
     /// the `participations` dimension.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         committees: Committees,
-        instances: Vec<MeetingInstance>,
+        sealed: Vec<Segment>,
+        tail: Vec<MeetingInstance>,
         live: Vec<Option<usize>>,
         participations: Vec<u64>,
         last_participation: Vec<Option<u64>>,
@@ -1106,13 +1372,14 @@ impl MeetingLedger {
         encoded_bound: usize,
     ) -> Option<Self> {
         let n = participations.len();
+        let covered = sealed.last().map_or(0, Segment::end);
         let named = live.iter().enumerate().try_fold(0, |named, (ei, slot)| {
             let Some(idx) = *slot else { return Some(named) };
-            let inst = instances.get(idx)?;
+            let inst = tail.get(idx.checked_sub(covered)?)?;
             (inst.edge.index() == ei && inst.live()).then_some(named + 1)
         })?;
         let outside = |(_, m): &(EdgeId, Members)| m.last().is_some_and(|&p| p >= n);
-        let running = instances.iter().filter(|inst| inst.live()).count();
+        let running = tail.iter().filter(|inst| inst.live()).count();
         if named != running || last_participation.len() != n {
             return None;
         }
@@ -1122,15 +1389,15 @@ impl MeetingLedger {
         Some(MeetingLedger {
             convened,
             encoded_bound,
-            sealed_bound: 0,
-            instances,
+            sealed,
+            tail,
+            settled: 0,
             live_sorted: Self::live_slots(&live).collect(),
             cached: vec![None; live.len()],
             live,
             committees,
             participations,
             last_participation,
-            seal: SealCache::new(),
             table_seal: SealCache::new(),
         })
     }
@@ -1147,59 +1414,55 @@ impl MeetingLedger {
     /// shortest. Only blobs `save_state` can write decode, so
     /// decode-then-encode is the identity — and a record's table index is
     /// an array lookup, nothing more.
+    ///
+    /// Every record is validated, but only those from the first live one
+    /// on become structs: the all-terminated prefix before it is adopted
+    /// as the bytes just read, in segments of [`SEGMENT`] records.
     pub fn restore_state(r: &mut wire::Reader) -> Option<Self> {
         let committees = Committees::decode(r)?;
         // ≥ 5 bytes a record: index, flags, round and two position words.
         let count = r.varint_count(5)?;
-        let mut instances = Vec::with_capacity(count);
+        let (mut sealed, mut tail) = (Vec::new(), Vec::new());
+        let mut piece = Piece {
+            from: *r,
+            len: 0,
+            post_initial: 0,
+        };
         // The derived counters ride the decode loop: another pass over the
         // records is another pass through the cache.
         let (mut convened, mut encoded_bound, mut named) = (0, 0, 0u32);
         for _ in 0..count {
-            let before = r.remaining();
-            let committee = u32::try_from(r.varint()?).ok()?;
+            let (before, at) = (r.remaining(), *r);
+            let record = Record::read(r, |id| committees.size(id))?;
             // First-use order: a record names an entry already named or the
             // next one.
-            if committee > named {
+            if record.committee > named {
                 return None;
             }
-            named += u32::from(committee == named);
-            let (edge, participants) = committees.entries.get(committee as usize)?.clone();
-            let flags = r.u8()?;
-            if flags & !(CONVENED | TERMINATED | ESSENTIAL_LISTED | LEFT_LISTED) != 0 {
-                return None;
+            named += u32::from(record.committee == named);
+            convened += usize::from(record.convened_step.is_some());
+            if tail.is_empty() && record.terminated_step.is_some() {
+                encoded_bound += before - r.remaining();
+                piece.len += 1;
+                piece.post_initial += usize::from(record.convened_step.is_some());
+                if piece.len == SEGMENT {
+                    piece.adopt(r, &mut sealed);
+                }
+                continue;
             }
-            let convened_step = if flags & CONVENED != 0 {
-                Some(r.varint()?)
-            } else {
-                None
-            };
-            let convened_round = r.varint()?;
-            let terminated_step = if flags & TERMINATED != 0 {
-                Some(convened_step.unwrap_or(0).checked_add(r.varint()?)?)
-            } else {
-                None
-            };
-            let k = participants.len();
-            let essential = Positions::decode(r, k, flags & ESSENTIAL_LISTED != 0, true)?;
-            let left_by = Positions::decode(r, k, flags & LEFT_LISTED != 0, false)?;
-            let inst = MeetingInstance {
-                edge,
-                convened_step,
-                convened_round,
-                terminated_step,
-                participants,
-                essential,
-                left_by,
-                committee,
-            };
-            convened += usize::from(convened_step.is_some());
+            if tail.is_empty() && piece.len > 0 {
+                piece.adopt(&at, &mut sealed);
+            }
+            let inst = record.into_instance(&committees.entries);
             encoded_bound += if inst.live() {
                 Self::live_bound(&inst)
             } else {
                 before - r.remaining()
             };
-            instances.push(inst);
+            tail.push(inst);
+        }
+        if piece.len > 0 {
+            piece.adopt(r, &mut sealed);
         }
         if named as usize != committees.entries.len() {
             return None;
@@ -1220,7 +1483,8 @@ impl MeetingLedger {
         }
         Self::assemble(
             committees,
-            instances,
+            sealed,
+            tail,
             live,
             participations,
             last_participation,
@@ -1232,12 +1496,12 @@ impl MeetingLedger {
     /// Decode the fixed-width ledger of format versions 1 and 2 — the
     /// layout only artifacts written before version 3 carry, read here and
     /// nowhere else — into a ledger that writes the compact layout from now
-    /// on. The committee table is rebuilt in first-use order as the records
-    /// go by. Validated like [`MeetingLedger::restore_state`]: every member
-    /// list strictly ascending, `essential` an ascending and `left_by` a
-    /// duplicate-free selection *of the participants*, no termination
-    /// before its convene, and the invariants of
-    /// [`MeetingLedger::assemble`].
+    /// on, its terminated prefix sealed once decoded. The committee table
+    /// is rebuilt in first-use order as the records go by. Validated like
+    /// [`MeetingLedger::restore_state`]: every member list strictly
+    /// ascending, `essential` an ascending and `left_by` a duplicate-free
+    /// selection *of the participants*, no termination before its convene,
+    /// and the invariants of [`MeetingLedger::assemble`].
     pub(crate) fn restore_fixed(r: &mut wire::Reader) -> Option<Self> {
         // ≥ 38 bytes per instance (all three member lists empty).
         let count = r.count(38)?;
@@ -1301,21 +1565,88 @@ impl MeetingLedger {
         if last_participation.contains(&Some(u64::MAX)) {
             return None;
         }
-        Self::assemble(
+        let mut ledger = Self::assemble(
             committees,
+            Vec::new(),
             instances,
             live,
             participations,
             last_participation,
             convened,
             encoded_bound,
-        )
+        )?;
+        ledger.seal(false);
+        Some(ledger)
     }
 }
 
-/// A captured meeting ledger: sealed shared segments for the committee
-/// table and the terminated history plus owned clones of the live tail and
-/// counters. Capture ([`MeetingLedger::snapshot`]) is `O(live)`;
+/// Every meeting a ledger recorded, in creation order
+/// ([`MeetingLedger::instances`]): a view over the sealed segments and the
+/// tail. Iteration yields owned records, sealed ones decoded on the fly;
+/// indexing returns the tail's record in place, or decodes the sealed
+/// segment holding it once, for good — a path only tests and offline
+/// readers take, since live meetings and the records a step's events name
+/// are never sealed.
+#[derive(Clone, Copy)]
+pub struct History<'a> {
+    ledger: &'a MeetingLedger,
+}
+
+impl<'a> History<'a> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ledger.covered() + self.ledger.tail.len()
+    }
+
+    /// No record yet?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Record `idx`, if there is one.
+    pub fn get(&self, idx: usize) -> Option<&'a MeetingInstance> {
+        self.ledger.record(idx)
+    }
+
+    /// The newest record, if any.
+    pub fn last(&self) -> Option<&'a MeetingInstance> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// Every record, oldest first, owned.
+    pub fn iter(&self) -> impl Iterator<Item = MeetingInstance> + 'a {
+        let ledger = self.ledger;
+        let sealed = ledger.sealed.iter();
+        sealed
+            .flat_map(move |seg| seg.records(&ledger.committees))
+            .chain(ledger.tail.iter().cloned())
+    }
+}
+
+impl std::ops::Index<usize> for History<'_> {
+    type Output = MeetingInstance;
+    fn index(&self, idx: usize) -> &MeetingInstance {
+        let len = self.len();
+        self.get(idx)
+            .unwrap_or_else(|| panic!("record {idx} of a history of {len}"))
+    }
+}
+
+impl PartialEq for History<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for History<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A captured meeting ledger: shared segments for the committee table and
+/// the terminated history plus owned clones of the tail and counters.
+/// Capture ([`MeetingLedger::snapshot`]) is `O(tail)`;
 /// [`LedgerSnapshot::encode`] produces the exact
 /// [`MeetingLedger::save_state`] bytes and is meant for off-critical-path
 /// assembly.
@@ -1536,17 +1867,17 @@ mod tests {
     }
 
     #[test]
-    fn mutation_remap_resets_the_seal() {
-        // Meet on the *last* edge of a redundant ring, seal the terminated
-        // instance, then remove edge 0: the swap-remove relocation remaps
-        // the sealed instance's historical edge id, so the next snapshot
-        // must re-encode from scratch — and still match the flat bytes.
-        let mut h = generators::ring(6, 2);
+    fn relocations_keep_sealed_bytes_unless_entries_merge() {
+        // Meet on the *last* pair of a complete graph on four, seal the
+        // terminated instance, then remove pair 0 and pair 2: each
+        // swap-remove relocation relabels sealed history, which names its
+        // committee by table id — the bytes, the segment and `covered`
+        // stand, and the snapshot still matches the flat bytes.
+        let mut h = Hypergraph::new(&[&[0, 1], &[1, 2], &[2, 3], &[3, 0], &[0, 2], &[1, 3]]);
         let last = EdgeId((h.m() - 1) as u32);
-        let members: Vec<usize> = h.members(last).to_vec();
         let idle = vec![Cc1State::idle(); h.n()];
         let mut met = idle.clone();
-        for &p in &members {
+        for &p in h.members(last) {
             met[p] = s(Status::Waiting, Some(last.0));
         }
         let mut ledger = MeetingLedger::new(&h, &idle);
@@ -1554,21 +1885,30 @@ mod tests {
         ledger.observe(&h, &met, &idle, 7, 1, &[]);
         let sealed = ledger.snapshot();
         assert_eq!(sealed.len(), 1);
+        let held = ledger.footprint();
+        assert_eq!(held.sealed_records, 1);
 
-        let mutation = sscc_hypergraph::WorldMutation::RemoveCommittee { edge: EdgeId(0) };
-        let delta = h.apply_mutation(&mutation).unwrap();
-        ledger.apply_mutation(&h, &idle, &delta, 8);
+        for (gone, step) in [(EdgeId(0), 8), (EdgeId(2), 9)] {
+            let mutation = sscc_hypergraph::WorldMutation::RemoveCommittee { edge: gone };
+            let delta = h.apply_mutation(&mutation).unwrap();
+            assert!(delta.moved().is_some());
+            ledger.apply_mutation(&h, &idle, &delta, step);
+            let snap = ledger.snapshot();
+            assert_eq!(ledger.footprint(), held, "nothing unsealed");
+            assert!(
+                Arc::ptr_eq(&sealed.sealed[0], &snap.sealed[0]),
+                "segment kept"
+            );
+            let (mut from_snap, mut flat) = (Vec::new(), Vec::new());
+            snap.encode(&mut from_snap);
+            ledger.save_state(&mut flat);
+            assert_eq!(from_snap, flat, "post-remap snapshot");
+        }
         assert_eq!(
             ledger.instances()[0].edge,
             EdgeId(0),
-            "history remapped through the relocation"
+            "history relabelled through the relocation"
         );
-        let snap = ledger.snapshot();
-        let mut from_snap = Vec::new();
-        snap.encode(&mut from_snap);
-        let mut flat = Vec::new();
-        ledger.save_state(&mut flat);
-        assert_eq!(from_snap, flat, "post-remap snapshot re-encodes history");
 
         // The pre-mutation snapshot still decodes to the pre-mutation
         // ledger (shared segments are immutable).
@@ -1576,6 +1916,81 @@ mod tests {
         sealed.encode(&mut old);
         let twin = MeetingLedger::restore_state(&mut wire::Reader::new(&old)).unwrap();
         assert_eq!(twin.instances()[0].edge, last);
+    }
+
+    #[test]
+    fn a_merge_reencodes_sealed_history_as_the_reference_writes_it() {
+        // On a ring of pairs, committee 0 = {0, 1} meets, is rewired to
+        // {0, 2}, and the last committee, rewired to {0, 1}, meets; then
+        // removing committee 0 relocates the last one onto its label, so the
+        // two table entries (0, {0, 1}) merge. Before and after, with the
+        // history sealed, `save_state` writes what the reference ledger,
+        // which never seals, writes.
+        let mut h = generators::ring(6, 2);
+        let last = EdgeId((h.m() - 1) as u32);
+        let idle = vec![Cc1State::idle(); h.n()];
+        let mut ledger = MeetingLedger::new(&h, &idle);
+        let mut reference = OldLedger::new(&h);
+        let meet = |h: &Hypergraph, e: EdgeId| {
+            let mut met = idle.clone();
+            h.members(e)
+                .iter()
+                .for_each(|&p| met[p] = s(Status::Waiting, Some(e.0)));
+            met
+        };
+        let same_bytes = |ledger: &mut MeetingLedger, reference: &OldLedger, when: &str| {
+            let (mut flat, mut written, mut again, mut captured) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            ledger.save_state(&mut flat);
+            reference.save_state(&mut written);
+            let read = MeetingLedger::restore_fixed(&mut wire::Reader::new(&written)).unwrap();
+            read.save_state(&mut again);
+            assert_eq!(flat, again, "{when}");
+            ledger.snapshot().encode(&mut captured);
+            assert_eq!(flat, captured, "{when}");
+            assert_eq!(ledger.fingerprint(), reference.fingerprint(), "{when}");
+        };
+        let mut step = 0;
+        let mut cycle =
+            |ledger: &mut MeetingLedger, reference: &mut OldLedger, h: &Hypergraph, e| {
+                let touched: Vec<EdgeId> = h.edge_ids().collect();
+                for post in [meet(h, e), idle.clone()] {
+                    step += 1;
+                    ledger.observe_delta(h, &post, step, 0, &[], &touched);
+                    reference.observe_delta(h, &post, step, 0, &[]);
+                }
+                step
+            };
+        let mutate =
+            |ledger: &mut MeetingLedger, reference: &mut OldLedger, h: &mut Hypergraph, m, at| {
+                let delta = h.apply_mutation(&m).unwrap();
+                ledger.apply_mutation(h, &idle, &delta, at);
+                reference.apply_mutation(h, &idle, &delta, at);
+                delta
+            };
+        assert_eq!(h.members(EdgeId(0)), [0, 1]);
+        let mut at = 0;
+        for _ in 0..2 * SEGMENT {
+            at = cycle(&mut ledger, &mut reference, &h, EdgeId(0));
+        }
+        for (edge, members) in [(EdgeId(0), vec![0, 2]), (last, vec![0, 1])] {
+            let rewire = sscc_hypergraph::WorldMutation::Rewire { edge, members };
+            mutate(&mut ledger, &mut reference, &mut h, rewire, at);
+        }
+        for _ in 0..2 * SEGMENT {
+            at = cycle(&mut ledger, &mut reference, &h, last);
+        }
+        same_bytes(&mut ledger, &reference, "before the merge");
+        let entries = ledger.committees.entries.len();
+        let held = ledger.footprint();
+        assert!(held.sealed_records >= 3 * SEGMENT, "{held:?}");
+
+        let remove = sscc_hypergraph::WorldMutation::RemoveCommittee { edge: EdgeId(0) };
+        let delta = mutate(&mut ledger, &mut reference, &mut h, remove, at);
+        assert_eq!(delta.moved(), Some((last, EdgeId(0))));
+        assert_eq!(ledger.committees.entries.len(), entries - 1, "merged");
+        assert_eq!(ledger.footprint().sealed_records, held.sealed_records);
+        same_bytes(&mut ledger, &reference, "after the merge");
     }
 
     #[test]
@@ -1703,6 +2118,40 @@ mod tests {
             }
         }
 
+        /// [`MeetingLedger::fingerprint`], by its definition.
+        fn fingerprint(&self) -> u64 {
+            let mut words = vec![self.instances.len() as u64];
+            let opt = |words: &mut Vec<u64>, v: Option<u64>| match v {
+                None => words.push(0),
+                Some(v) => words.extend([1, v]),
+            };
+            for inst in &self.instances {
+                words.push(u64::from(inst.edge.0));
+                opt(&mut words, inst.convened_step);
+                words.push(inst.convened_round);
+                opt(&mut words, inst.terminated_step);
+                let essential: Vec<usize> = inst.essential.iter().copied().collect();
+                for list in [&inst.participants, &essential, &inst.left_by] {
+                    words.push(list.len() as u64);
+                    words.extend(list.iter().map(|&x| x as u64));
+                }
+            }
+            words.push(self.live.len() as u64);
+            self.live
+                .iter()
+                .for_each(|s| opt(&mut words, s.map(|i| i as u64)));
+            words.push(self.participations.len() as u64);
+            words.extend(&self.participations);
+            words.push(self.last_participation.len() as u64);
+            self.last_participation
+                .iter()
+                .for_each(|&s| opt(&mut words, s));
+            let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+            bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+
         fn save_state(&self, out: &mut Vec<u8>) {
             wire::put_usize(out, self.instances.len());
             for inst in &self.instances {
@@ -1744,8 +2193,9 @@ mod tests {
     /// records: the layout [`MeetingLedger::restore_fixed`] reads and
     /// nothing outside the tests writes any more.
     fn save_fixed(ledger: &MeetingLedger, out: &mut Vec<u8>) {
-        wire::put_usize(out, ledger.instances.len());
-        for inst in &ledger.instances {
+        let records = ledger.instances();
+        wire::put_usize(out, records.len());
+        for inst in records.iter() {
             inst.edge.encode(out);
             inst.convened_step.encode(out);
             wire::put_u64(out, inst.convened_round);
@@ -1766,6 +2216,9 @@ mod tests {
     /// essential, leave (members leave in a shuffled order half the time),
     /// strike, and mutations that change memberships and relocate ids, on
     /// a graph with committees of 2, 64 (the last inline size), 65 and 70.
+    /// With segments of 8 records, 160 operations cross several segment
+    /// boundaries: sealing must not show in anything the ledger reads back
+    /// or writes.
     struct Rig {
         h: Hypergraph,
         states: Vec<Cc1State>,
@@ -1773,6 +2226,10 @@ mod tests {
         old: OldLedger,
         step: u64,
         rng: rand::rngs::StdRng,
+        /// Corners reached: three segment boundaries crossed, a live
+        /// meeting left behind a boundary, a relocation over sealed
+        /// history. (A merge over it has a test of its own.)
+        seen: [bool; 3],
     }
 
     impl Rig {
@@ -1790,6 +2247,7 @@ mod tests {
                 states,
                 step: 0,
                 rng: rand::rngs::StdRng::seed_from_u64(seed),
+                seen: [false; 3],
             }
         }
 
@@ -1899,10 +2357,12 @@ mod tests {
                             _ => Cc1State::idle(),
                         };
                     }
+                    let sealed = self.ledger.footprint().sealed_records > 0;
                     self.ledger
                         .apply_mutation(&self.h, &self.states, &delta, self.step);
                     self.old
                         .apply_mutation(&self.h, &self.states, &delta, self.step);
+                    self.seen[2] |= sealed && delta.moved().is_some();
                 }
             }
         }
@@ -1926,7 +2386,61 @@ mod tests {
             let read = MeetingLedger::restore_fixed(&mut wire::Reader::new(&fixed)).unwrap();
             read.save_state(&mut again);
             assert!(again == flat, "step {}: the layouts disagree", self.step);
+            let twin = MeetingLedger::restore_state(&mut wire::Reader::new(&flat)).unwrap();
+            again.clear();
+            twin.save_state(&mut again);
+            assert!(again == flat, "step {}: restore → save moved", self.step);
+            self.matches_reference();
             flat
+        }
+
+        /// What the ledger reads back — by iteration and by index, the live
+        /// instances, the convene count and the fingerprint — is what the
+        /// reference, which never seals, recorded.
+        fn matches_reference(&mut self) {
+            let same = |a: &MeetingInstance, b: &OldInstance| {
+                a.edge == b.edge
+                    && a.convened_step == b.convened_step
+                    && a.convened_round == b.convened_round
+                    && a.terminated_step == b.terminated_step
+                    && a.participants[..] == b.participants[..]
+                    && a.discussants().eq(b.essential.iter().copied())
+                    && a.leavers().eq(b.left_by.iter().copied())
+            };
+            let (records, old) = (self.ledger.instances(), &self.old.instances);
+            let step = self.step;
+            assert_eq!(records.len(), old.len(), "step {step}");
+            assert!(
+                records.iter().zip(old).all(|(a, b)| same(&a, b)),
+                "step {step}: iterated"
+            );
+            assert!(
+                (0..old.len()).all(|i| same(&records[i], &old[i])),
+                "step {step}: indexed"
+            );
+            for (ei, slot) in self.old.live.iter().enumerate() {
+                let live = self.ledger.live_instance(EdgeId(ei as u32));
+                let agree = match (live, slot) {
+                    (None, None) => true,
+                    (Some(a), Some(i)) => same(a, &old[*i]),
+                    _ => false,
+                };
+                assert!(agree, "step {step}: live instance of {ei}");
+            }
+            let convened = old.iter().filter(|i| i.convened_step.is_some()).count();
+            assert_eq!(self.ledger.convened_count(), convened, "step {step}");
+            assert_eq!(
+                self.ledger.fingerprint(),
+                self.old.fingerprint(),
+                "step {step}"
+            );
+            let tail = &self.ledger.tail;
+            let behind = tail
+                .iter()
+                .position(MeetingInstance::live)
+                .map(|first| tail[first..].iter().filter(|i| !i.live()).count());
+            self.seen[0] |= self.ledger.footprint().sealed_records >= 3 * SEGMENT;
+            self.seen[1] |= behind.is_some_and(|ended| ended >= SEGMENT);
         }
 
         fn fixed(&self) -> Vec<u8> {
@@ -1957,6 +2471,25 @@ mod tests {
             proptest::prop_assert_eq!(twin.encoded_size_hint(), rig.ledger.encoded_size_hint());
             proptest::prop_assert_eq!(twin.fingerprint(), rig.ledger.fingerprint());
         }
+    }
+
+    #[test]
+    fn the_rig_reaches_every_sealing_corner() {
+        let mut seen = [false; 3];
+        for seed in 0..8 {
+            let mut rig = Rig::new(seed);
+            for _ in 0..160 {
+                rig.op();
+                rig.bytes(false);
+            }
+            seen.iter_mut()
+                .zip(rig.seen)
+                .for_each(|(all, one)| *all |= one);
+        }
+        assert_eq!(
+            seen, [true; 3],
+            "(3 boundaries, a live meeting behind one, a relocation over sealed history)"
+        );
     }
 
     #[test]

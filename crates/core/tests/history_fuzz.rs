@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom as _;
 use rand::{Rng as _, SeedableRng as _};
 use sscc_core::cc1::Cc1State;
+use sscc_core::meetings::SEGMENT;
 use sscc_core::{ActionClass, MeetingLedger, Status};
 use sscc_hypergraph::{random_mutation, EdgeId, Hypergraph, WorldMutation};
 use sscc_runtime::wire::{self, Reader};
@@ -483,7 +484,7 @@ fn every_field_mutant_is_refused_or_canonical() {
         });
         for (hit, covered) in seen.iter_mut().zip([
             records.iter().any(|i| i.participants.len() > 64),
-            records.iter().any(leaver_order),
+            records.iter().any(|i| leaver_order(&i)),
             records.iter().any(|i| !i.post_initial()),
             records.iter().any(|i| i.live()),
             records.iter().any(|i| i.edge.index() >= m),
@@ -497,4 +498,99 @@ fn every_field_mutant_is_refused_or_canonical() {
         seen, [true; 6],
         "(> 64 members, leavers out of order, pre-initial, live, label ≥ |E|, membership change)"
     );
+}
+
+#[test]
+fn corruptions_past_a_segment_boundary_are_refused() {
+    // A history long enough that a restore adopts whole segments, and the
+    // named corruptions in records it adopts as bytes rather than structs.
+    let mut history = History::new(30);
+    while history.ledger.instances().len() < 2 * SEGMENT {
+        history.op();
+    }
+    let mut bytes = Vec::new();
+    history.ledger.save_state(&mut bytes);
+    let adopted = decode(&bytes).expect("a valid ledger decodes");
+    let sealed = adopted.footprint().sealed_records;
+    assert!(sealed > SEGMENT, "{:?}", adopted.footprint());
+    assert!(canonical(&bytes, "the unmutated blob"));
+
+    let w = walk(&bytes);
+    // The fields of the first and the last records the restore adopted
+    // past the first segment boundary, with the record each belongs to —
+    // and, for any record there that names a table entry first, the entry
+    // after it named out of order.
+    let sampled =
+        |r: usize| (SEGMENT..SEGMENT + 16).contains(&r) || (sealed - 16..sealed).contains(&r);
+    let in_record = |k: Kind| {
+        use Kind::*;
+        matches!(
+            k,
+            Committee | Flags | Convened | Round | Ended | Word | PosCount | Pos
+        )
+    };
+    let mut record = 0;
+    let mut named = 0;
+    let mut out_of_order = 0;
+    let mut fields = Vec::new();
+    for (i, f) in w.fields.iter().enumerate() {
+        if f.kind == Kind::Committee {
+            let first_use = f.value == named && f.value + 1 < w.entries.len() as u64;
+            if (SEGMENT..sealed).contains(&record) && first_use {
+                let what = format!("record {record} naming entry {} first", f.value + 1);
+                refused(&set(&bytes, f, f.value + 1), &what);
+                out_of_order += 1;
+            }
+            named += u64::from(f.value == named);
+            record += 1;
+        }
+        if in_record(f.kind) && sampled(record - 1) {
+            fields.push((record - 1, i));
+        }
+    }
+    let adopted_records = &w.records[SEGMENT..sealed];
+    assert!(adopted_records.iter().all(|r| r.terminated));
+    let mut hits = [0usize; 4];
+    for &(rec, i) in &fields {
+        let f = &w.fields[i];
+        match f.kind {
+            Kind::Flags => {
+                for bit in 4..8 {
+                    refused(&set(&bytes, f, f.value | 1 << bit), "an unknown flag");
+                }
+                hits[0] += 1;
+            }
+            Kind::Word if w.entries[w.records[rec].committee].1 < 64 => {
+                let k = w.entries[w.records[rec].committee].1;
+                refused(
+                    &set(&bytes, f, f.value | 1 << k),
+                    "a position bit past the members",
+                );
+                hits[1] += 1;
+            }
+            Kind::Ended => {
+                let convened = w.records[rec].ended.expect("terminated").1;
+                if convened > 0 {
+                    refused(
+                        &set(&bytes, f, u64::MAX - convened + 1),
+                        "termination before convene",
+                    );
+                    hits[2] += 1;
+                }
+            }
+            _ => {}
+        }
+        if f.kind != Kind::Flags {
+            let mut long = bytes[f.at.clone()].to_vec();
+            *long.last_mut().unwrap() |= 0x80;
+            long.push(0);
+            refused(
+                &splice(&bytes, &f.at, &long),
+                &format!("overlong {:?}", f.kind),
+            );
+            hits[3] += 1;
+        }
+    }
+    assert!(out_of_order > 0, "a first use past the boundary");
+    assert!(hits.iter().all(|&n| n > 0), "{hits:?}");
 }

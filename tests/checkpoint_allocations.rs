@@ -2,9 +2,10 @@
 //! the pin is exact on every host: capturing and taking the bytes requests
 //! barely more than the image (one large block, no second copy, no doubling
 //! through the history), a corrupt image is refused before anything is
-//! copied, and a restore requests the image, the records and per-process
-//! state. A writer that goes back to separate blobs, or a reader that
-//! copies before it verifies, moves these by integer factors.
+//! copied, and a restore requests the image, the sealed records it adopts
+//! as they are, and per-process state. A writer that goes back to separate
+//! blobs, or a reader that copies before it verifies, moves these by
+//! integer factors.
 //!
 //! The image itself is pinned per meeting recorded: at most 16 bytes a
 //! record for CC1 on a ring (pair committees) and 32 for CC2 on a power-law
@@ -83,23 +84,27 @@ fn checkpoint_round_trip_allocates_one_image() {
     assert!(result.is_err());
     assert!(refused.total < 1024, "{refused:?} while refusing");
 
-    // The way back: the image once, the record vector once, and state that
-    // is per process and per committee — nothing else grows with the run.
+    // The way back: the image once, then the sealed prefix adopted as the
+    // segments it already is — a block of the image's size only once —
+    // and the tail behind the oldest live meeting and state that is per
+    // process and per committee: nothing else grows with the run.
     let (read, restored) = requests_during(image / 2, || {
         Checkpoint::from_bytes(&bytes)
             .unwrap()
             .restore_cc1()
             .unwrap()
     });
-    eprintln!("from_bytes+restore: records {records}, {read:?}");
+    let held = restored.ledger().footprint();
+    eprintln!("from_bytes+restore: records {records}, {held:?}, {read:?}");
     assert_eq!(restored.steps(), sim.steps());
-    let record_vec = std::mem::size_of_val(sim.ledger().instances());
+    assert!(held.sealed_records > records / 2, "{held:?}");
+    assert!(held.sealed_bytes <= image, "{held:?}");
     let per_world = 1024 * (n + m);
     assert!(
-        read.total <= image + record_vec + per_world,
+        read.total <= 2 * image + per_world,
         "{read:?} for {image} bytes of {records} records"
     );
-    assert_eq!(read.big, 2, "the image and the records: {read:?}");
+    assert_eq!(read.big, 1, "the image, and the segments apart: {read:?}");
 
     // The service checkpoint is the same single pass.
     let traffic = || TrafficGen::new(&h, 9, Arrivals::Poisson { rate: 2.0 }, 50_000);

@@ -13,6 +13,7 @@ static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 static BIG_AT: AtomicUsize = AtomicUsize::new(usize::MAX);
 static BIG: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 struct Recording;
 
@@ -27,10 +28,12 @@ unsafe impl GlobalAlloc for Recording {
         if layout.size() >= BIG_AT.load(Ordering::Relaxed) {
             BIG.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -38,6 +41,11 @@ unsafe impl GlobalAlloc for Recording {
 
 #[global_allocator]
 static ALLOCATOR: Recording = Recording;
+
+/// Bytes allocated and not yet freed, process-wide.
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
 
 /// What was requested from the allocator while a closure ran.
 #[derive(Clone, Copy, Debug)]
